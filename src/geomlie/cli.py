@@ -122,7 +122,7 @@ def _cmd_lie(args) -> int:
         elif check == "jacobi":
             report = liealg.check_jacobi(L)
             ok = report.ok
-            label = f"jacobi ({report.triples_checked} triples)"
+            label = f"jacobi ({report.triples_checked} cyclic triple classes)"
         elif check == "killing":
             ok = liealg.is_nondegenerate(L)
             label = "killing form nondegenerate"

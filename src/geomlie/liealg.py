@@ -10,29 +10,32 @@ Bracket rules:
 * [g_a, g_b] = N(a, b) g_{a+b} when a+b is a root, else 0,
 
 with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix.
-All structure constants are integers in {0, +-1, +-2} on the root part and
-bounded by the root coordinates on the Cartan part; every table is stored
-as small dense integer arrays so the verification sweeps vectorize.
+All structure constants live in one sparse :class:`StructureTable` that
+lists every nonzero ordered basis bracket.  The bracket, the antisymmetry,
+Jacobi and Killing computations and the export all read that table, so a
+corrupted coefficient shows up in every check.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._exact import det_exact, is_nonsingular, rank_exact
-from .lattice import LieType, cartan_matrix, make_type, seifert_matrix
+from ._exact import is_nonsingular, rank_exact
+from .lattice import LieType, make_type, seifert_matrix
 from .rootsys import RootSystem, enumerate_roots
 
 __all__ = [
     "AlgebraElement",
     "LieAlgebra",
+    "StructureTable",
     "JacobiReport",
+    "MAX_JACOBI_TERMS",
+    "term_bounds",
     "n_sign",
     "build",
     "bracket",
@@ -46,6 +49,12 @@ __all__ = [
     "load_structure_constants",
     "structure_constants_payload",
 ]
+
+# ``build`` refuses a type whose Jacobi join could exceed this many terms.
+# check_jacobi holds 64 bytes per actual term at its peak (E8: 1.17M terms,
+# 75 MB), so the limit keeps it under 640 MB.  The join is never smaller than
+# the table, so this bounds the table too.  A31 is the largest A type accepted.
+MAX_JACOBI_TERMS = 10_000_000
 
 
 def _as_type(t: LieType | str) -> LieType:
@@ -101,17 +110,29 @@ ZERO = AlgebraElement(())
 
 
 @dataclass(frozen=True)
+class StructureTable:
+    """Sparse structure constants: [e_i, e_j] has coefficient c on e_m.
+
+    One row per nonzero (i, j, m), sorted by (i, j, m).  ``key`` lists
+    i * dimension + j for each row as Python ints, which ``bisect`` searches
+    several times faster per pair than numpy can.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    key: list[int]
+
+
+@dataclass(frozen=True)
 class LieAlgebra:
     """Structure-constant model of the algebra of one ADE type."""
 
     lie_type: LieType
     root_system: RootSystem = field(repr=False)
     dimension: int
-    hg: np.ndarray = field(repr=False)        # hg[i, a] = (a_i, root_a)
-    neg: np.ndarray = field(repr=False)        # neg[a] = index of -root_a
-    root_sum: np.ndarray = field(repr=False)   # index of root_a + root_b, or -1
-    root_sign: np.ndarray = field(repr=False)  # N(root_a, root_b) on summable pairs
-    pair: np.ndarray = field(repr=False)       # (root_a, root_b)
+    table: StructureTable = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -145,56 +166,90 @@ class LieAlgebra:
     # -- bracket ----------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
         """Bracket of two basis elements by global index."""
-        k = self.rank
         n = self.dimension
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("basis index out of range")
-        if i < k and j < k:
+        T = self.table
+        q = i * n + j
+        lo = bisect_left(T.key, q)
+        if lo == len(T.key) or T.key[lo] != q:
             return ZERO
-        if i < k:
-            coef = int(self.hg[i, j - k])
-            return AlgebraElement(((j, coef),)) if coef else ZERO
-        if j < k:
-            coef = -int(self.hg[j, i - k])
-            return AlgebraElement(((i, coef),)) if coef else ZERO
-        a, b = i - k, j - k
-        if int(self.neg[a]) == b:
-            coords = self.root_system.roots[a]
-            return AlgebraElement.from_dict({m: -coords[m] for m in range(k)})
-        s = int(self.root_sum[a, b])
-        if s >= 0:
-            return AlgebraElement(((k + s, int(self.root_sign[a, b])),))
-        return ZERO
+        hi = bisect_right(T.key, q, lo)
+        if hi == lo + 1:  # every nonzero bracket but [g_a, g_-a] has one term
+            return AlgebraElement(((int(T.m[lo]), int(T.c[lo])),))
+        return AlgebraElement(tuple(zip(T.m[lo:hi].tolist(), T.c[lo:hi].tolist())))
+
+
+def term_bounds(t: LieType | str) -> tuple[int, int]:
+    """Closed-form upper bounds on (table rows, Jacobi join terms) of a type.
+
+    Each root has exactly 2h - 4 summable partners ((a, b) = -1), each simple
+    root pairs nonzero with exactly 4h - 6 roots, and all root supports add up
+    to at most twice the positive heights, h k (h + 1) / 3 (Freudenthal-de
+    Vries).  A row onto g_c joins the at most 2h - 4 + 2k rows of g_c; a row
+    onto D_i joins the 4h - 6 rows of D_i.
+    """
+    t = _as_type(t)
+    k, h = t.rank, t.coxeter_number
+    summable, cartan_row = 2 * h - 4, 4 * h - 6
+    supports = h * k * (h + 1) // 3
+    onto_roots = t.root_count * summable + 2 * k * cartan_row  # [g, g] and [D, g], [g, D]
+    table = onto_roots + supports
+    join = onto_roots * (summable + 2 * k) + supports * cartan_row
+    return table, join
+
+
+def _row_index(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Position of each row of Q among the rows of X (lexicographically sorted).
+
+    Rows become byte strings of x + 128; root coordinates lie well inside
+    -128..127, so byte order is the lexicographic order of the rows.  Every
+    match is then checked in full.
+    """
+    def keys(A: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
+
+    idx = keys(X).searchsorted(keys(Q))
+    if not np.array_equal(X[np.minimum(idx, len(X) - 1)], Q):
+        raise RuntimeError("a looked-up vector is not a root")
+    return idx
 
 
 def build(t: LieType | str) -> LieAlgebra:
-    """Populate the full structure-constant table for one type."""
+    """Populate the sparse structure-constant table for one type."""
     t = _as_type(t)
+    table_rows, join_terms = term_bounds(t)
+    if join_terms > MAX_JACOBI_TERMS:
+        raise ValueError(
+            f"{t} is too large: up to {table_rows:,} structure constants and "
+            f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
     rs = enumerate_roots(t)
     B = seifert_matrix(t)
     C = B + B.T
     X = rs.coords
-    n_roots = len(rs)
-    neg = np.array([rs.index[tuple(int(-x) for x in X[a])] for a in range(n_roots)],
-                   dtype=np.int64)
-    root_sum = np.full((n_roots, n_roots), -1, dtype=np.int64)
-    sums = X[:, None, :] + X[None, :, :]
-    for a in range(n_roots):
-        for b in range(n_roots):
-            root_sum[a, b] = rs.index.get(tuple(int(x) for x in sums[a, b]), -1)
-    exponent = X @ B @ X.T  # exponent[b, a] = var(root_b) . root_a
-    sign = np.where(exponent.T % 2 == 0, 1, -1).astype(np.int64)
-    root_sign = np.where(root_sum >= 0, sign, 0)
-    return LieAlgebra(
-        lie_type=t,
-        root_system=rs,
-        dimension=t.rank + n_roots,
-        hg=C @ X.T,
-        neg=neg,
-        root_sum=root_sum,
-        root_sign=root_sign,
-        pair=X @ C @ X.T,
-    )
+    k = t.rank
+    n = k + len(rs)
+    # [D_i, g_b] = (a_i, b) g_b and [g_b, D_i] = -(a_i, b) g_b.
+    HG = C @ X.T
+    hi, hb = np.nonzero(HG)
+    hv = HG[hi, hb]
+    hb = hb + k
+    # [g_a, g_-a] = -var(a), one row per nonzero coordinate of a.
+    na, nm = np.nonzero(X)
+    nv = -X[na, nm]
+    nb = k + _row_index(X, -X[na])
+    # [g_a, g_b] = N(a, b) g_{a+b}; a + b is a root exactly when (a, b) = -1.
+    S = X @ B @ X.T  # S[b, a] = var(b) . a, so (a, b) = S[a, b] + S[b, a]
+    ra, rb = np.nonzero(S + S.T == -1)
+    rm = k + _row_index(X, X[ra] + X[rb])
+    rv = 1 - 2 * (S[rb, ra] % 2)
+    i = np.concatenate([hi, hb, na + k, ra + k])
+    j = np.concatenate([hb, hi, nb, rb + k])
+    m = np.concatenate([hb, hb, nm, rm])
+    c = np.concatenate([hv, -hv, nv, rv])
+    order = np.argsort((i * n + j) * n + m)
+    i, j, m, c = i[order], j[order], m[order], c[order]
+    return LieAlgebra(t, rs, n, StructureTable(i, j, m, c, (i * n + j).tolist()))
 
 
 def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -207,24 +262,46 @@ def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
     return AlgebraElement.from_dict(acc)
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions in a sorted array where a run of equal values begins."""
+    return np.flatnonzero(np.r_[len(ordered) > 0, ordered[1:] != ordered[:-1]])
+
+
+def _group_sums(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the sum of ``values`` over each."""
+    order = np.argsort(key)
+    key = key[order]
+    first = _run_starts(key)
+    return key[first], np.add.reduceat(values[order], first)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with left[a] == right[b], grouped by a."""
+    order = np.argsort(right)
+    ordered = right[order]
+    lo = ordered.searchsorted(left)
+    count = ordered.searchsorted(left, "right") - lo
+    a = np.repeat(np.arange(len(left)), count)
+    b = order[np.arange(len(a)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return a, b
+
+
 def check_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
-    """Basis pairs where [x, y] != -[y, x]; empty on a correct table."""
-    bad: list[tuple[int, int]] = []
-    summable = L.root_sum >= 0
-    skew = L.root_sign + L.root_sign.T
-    for a, b in np.argwhere(summable & (skew != 0)):
-        bad.append((L.rank + int(a), L.rank + int(b)))
-    # Cartan-valued brackets: [g_a, g_{-a}] = -var(a) must negate under swap,
-    # which is automatic from linearity of var; verify on coordinates.
-    X = L.root_system.coords
-    if not np.array_equal(X[L.neg], -X):
-        bad.append((-1, -1))
-    return bad
+    """Basis pairs i <= j where [e_i, e_j] != -[e_j, e_i]; empty on a correct table."""
+    T, n = L.table, L.dimension
+    lo, hi = np.minimum(T.i, T.j), np.maximum(T.i, T.j)
+    key, total = _group_sums((lo * n + hi) * n + T.m, T.c)
+    pairs = key[total != 0] // n
+    return [(int(p // n), int(p % n)) for p in pairs[_run_starts(pairs)]]
 
 
 @dataclass
 class JacobiReport:
-    """Outcome of the exhaustive Jacobi sweep."""
+    """Outcome of the exhaustive Jacobi sweep.
+
+    ``triples_checked`` counts the cyclic classes of basis triples with a
+    nonzero term [[x, y], z]; every other class is zero by the table itself.
+    """
 
     lie_type: LieType
     triples_checked: int
@@ -236,120 +313,43 @@ class JacobiReport:
 
 
 def check_jacobi(L: LieAlgebra, max_violations: int = 100_000) -> JacobiReport:
-    """Exhaustive Jacobi check over every ordered basis triple.
+    """Exhaustive Jacobi check, as a join of the structure table with itself.
 
-    The sweep is organized by the number of Cartan generators in the triple
-    and vectorized per case; all values come from the stored table arrays, so
-    a corrupted table is caught.  Violations are reported as basis-index
-    triples.
+    Each row [x, y] -> m meets each row [m, z] -> p in one term of
+    [[x, y], z] on e_p.  J(x, y, z) is the sum of that term over the three
+    rotations of (x, y, z), so terms are summed per (smallest rotation, p);
+    a nonzero sum is a violation, reported as its basis-index triple.
     """
-    k = L.rank
-    n_roots = len(L.root_system)
-    X = L.root_system.coords
-    hg, neg, SUM, NS, PAIR = L.hg, L.neg, L.root_sum, L.root_sign, L.pair
-    violations: list[tuple[int, int, int]] = []
-    checked = 0
-
-    def record(mask: np.ndarray, to_triple) -> None:
-        if not np.any(mask):
-            return
-        for pos in np.argwhere(mask):
-            if len(violations) >= max_violations:
-                return
-            violations.append(to_triple(pos))
-
-    # Case: three Cartan generators. Every bracket vanishes identically.
-    checked += k ** 3
-
-    # Case: two Cartan generators h_i, h_j and one root generator.
-    # J = (hg[j,a] hg[i,a] - hg[i,a] hg[j,a]) g_a.
-    for i in range(k):
-        for j in range(k):
-            grid = hg[j] * hg[i] - hg[i] * hg[j]
-            record(grid != 0, lambda p, i=i, j=j: (i, j, k + int(p[0])))
-            checked += n_roots
-
-    # Case: one Cartan generator h_i and two root generators.
-    valid = SUM >= 0
-    S0 = np.where(valid, SUM, 0)
-    for i in range(k):
-        g = hg[i]
-        grid = g[:, None] * NS - g[None, :] * NS.T - NS * np.where(valid, g[S0], 0)
-        grid = np.where(valid, grid, 0)
-        record(grid != 0, lambda p, i=i: (i, k + int(p[0]), k + int(p[1])))
-        pairs_zero = g + g[neg]
-        record(pairs_zero != 0, lambda p, i=i: (i, k + int(p[0]), k + int(neg[p[0]])))
-        checked += n_roots * n_roots
-    # Case: three root generators, sliced over the third index c.
-    arange = np.arange(n_roots)
-    is_neg_ab = neg[:, None] == arange[None, :]
-    for c in range(n_roots):
-        # g-component: every contribution targets g at index of (a + b + c).
-        t1 = np.where(is_neg_ab, -PAIR[:, c][:, None], 0)
-        m1 = valid & (SUM[S0, c] >= 0)
-        t1 = t1 + np.where(m1, NS * NS[S0, c], 0)
-        bneg = neg == c
-        t2 = np.where(bneg[None, :], -PAIR.T, 0)
-        sbc = SUM[:, c]
-        vbc = sbc >= 0
-        sbc0 = np.where(vbc, sbc, 0)
-        m2 = vbc[None, :] & (SUM[sbc0, :] >= 0).T
-        t2 = t2 + np.where(m2, NS[:, c][None, :] * NS[sbc0, :].T, 0)
-        t3 = np.where((arange == neg[c])[:, None], -PAIR[c, :][None, :], 0)
-        sca = SUM[c, :]
-        vca = sca >= 0
-        sca0 = np.where(vca, sca, 0)
-        m3 = vca[:, None] & (SUM[sca0, :] >= 0)
-        t3 = t3 + np.where(m3, NS[c, :][:, None] * NS[sca0, :], 0)
-        total = t1 + t2 + t3
-        record(total != 0, lambda p, c=c: (k + int(p[0]), k + int(p[1]), k + c))
-        # Cartan component: fires only when a + b + c = 0 as vectors.
-        f1 = np.where(valid & (S0 == neg[c]), NS, 0)
-        f2 = np.where((sbc[None, :] == neg[:, None]) & vbc[None, :], NS[:, c][None, :], 0)
-        f3 = np.where((sca[:, None] == neg[None, :]) & vca[:, None], NS[c, :][:, None], 0)
-        if np.any(f1) or np.any(f2) or np.any(f3):
-            bad = np.zeros_like(f1, dtype=bool)
-            for d in range(k):
-                G = f1 * int(X[c, d]) + f2 * X[:, d][:, None] + f3 * X[:, d][None, :]
-                bad |= G != 0
-            record(bad, lambda p, c=c: (k + int(p[0]), k + int(p[1]), k + c))
-        checked += n_roots * n_roots
+    T, n = L.table, L.dimension
+    a, b = _join(T.m, T.i)
+    x, y, z, p, coef = T.i[a], T.j[a], T.j[b], T.m[b], T.c[a] * T.c[b]
+    del a, b  # MAX_JACOBI_TERMS bounds the peak, so drop join columns early
+    # Indices are below n, so base-n keys order the triples lexicographically;
+    # n^4 fits in int64 for every dimension that build accepts.
+    key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x),
+                     (z * n + x) * n + y) * n + p
+    del x, y, z, p
+    key, total = _group_sums(key, coef)
+    checked = len(_run_starts(key // n))
+    bad = key[total != 0] // n
+    bad = bad[_run_starts(bad)][:max_violations]
+    violations = [(int(q // (n * n)), int(q // n % n), int(q % n)) for q in bad]
     return JacobiReport(L.lie_type, checked, violations)
-
-
-def _ad_tensor(L: LieAlgebra) -> np.ndarray:
-    """Dense ad-action tensor: AD[u] is the matrix of ad(basis_u)."""
-    k, n = L.rank, L.dimension
-    n_roots = n - k
-    AD = np.zeros((n, n, n), dtype=np.int8)
-    ar = np.arange(n_roots)
-    AD[:k, k + ar, k + ar] = L.hg[:, ar]
-    for j in range(k):
-        AD[k + ar, k + ar, j] = -L.hg[j, ar]
-    X = L.root_system.coords
-    AD[k + ar[:, None], np.arange(k)[None, :], k + L.neg[ar][:, None]] = -X[ar]
-    summable = np.argwhere(L.root_sum >= 0)
-    a, b = summable[:, 0], summable[:, 1]
-    AD[k + a, k + L.root_sum[a, b], k + b] = L.root_sign[a, b]
-    return AD
 
 
 def killing_form(L: LieAlgebra) -> np.ndarray:
     """Killing matrix K[u, v] = tr(ad u . ad v) over the canonical basis.
 
-    The trace contraction is run through a float64 matmul; every product is
-    bounded by 36 and every sum by dim * 36 << 2^53, so the result is exact
-    and cast back to integers.
+    tr(ad u . ad v) = sum over w, m of ad_u[m, w] ad_v[w, m]: each table row
+    [u, w] -> m meets each row [v, m] -> w, all in exact integers.
     """
-    AD = _ad_tensor(L)
-    n = L.dimension
-    flat = AD.reshape(n, n * n).astype(np.float64)
-    flat_t = AD.transpose(0, 2, 1).reshape(n, n * n).astype(np.float64)
-    K = flat @ flat_t.T
-    out = np.rint(K).astype(np.int64)
-    if not np.array_equal(out, out.T):
+    T, n = L.table, L.dimension
+    a, b = _join(T.j * n + T.m, T.m * n + T.j)
+    K = np.zeros((n, n), dtype=np.int64)
+    np.add.at(K, (T.i[a], T.i[b]), T.c[a] * T.c[b])
+    if not np.array_equal(K, K.T):
         raise RuntimeError("Killing matrix is not symmetric")
-    return out
+    return K
 
 
 def is_nondegenerate(L: LieAlgebra | np.ndarray) -> bool:
@@ -407,7 +407,7 @@ def slk_model_check(k: int) -> bool:
         return False
     for u in range(L.dimension):
         for v in range(L.dimension):
-            expected = sum((c * images[m] for m, c in bracket_pairs(L, u, v)),
+            expected = sum((c * images[m] for m, c in L.bracket_basis(u, v).terms),
                            start=np.zeros((k + 1, k + 1), dtype=np.int64))
             commutator = images[u] @ images[v] - images[v] @ images[u]
             if not np.array_equal(expected, commutator):
@@ -415,19 +415,15 @@ def slk_model_check(k: int) -> bool:
     return True
 
 
-def bracket_pairs(L: LieAlgebra, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Terms of the basis bracket [i, j] as (index, coefficient) pairs."""
-    return L.bracket_basis(i, j).terms
-
-
 def structure_constants_payload(L: LieAlgebra) -> dict:
     """JSON payload with only the i < j half of the table (antisymmetry implied)."""
-    brackets = []
-    for i in range(L.dimension):
-        for j in range(i + 1, L.dimension):
-            terms = L.bracket_basis(i, j).terms
-            if terms:
-                brackets.append({"i": i, "j": j, "terms": [[m, c] for m, c in terms]})
+    T = L.table
+    upper = np.flatnonzero(T.i < T.j)
+    key = T.i[upper] * L.dimension + T.j[upper]
+    bounds = np.r_[_run_starts(key), len(upper)].tolist()
+    i, j, m, c = (col[upper].tolist() for col in (T.i, T.j, T.m, T.c))
+    brackets = [{"i": i[lo], "j": j[lo], "terms": [[m[r], c[r]] for r in range(lo, hi)]}
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
     return {
         "type": L.lie_type.label,
         "dimension": L.dimension,

@@ -89,6 +89,13 @@ def test_lie_check_all(capsys):
     assert "FAIL" not in out
 
 
+def test_lie_refuses_oversized_type(capsys):
+    code, out, err = run(capsys, "lie", "A60", "--check", "jacobi")
+    assert code == 2
+    assert "A60 is too large" in err
+    assert out == ""
+
+
 def test_sl2(capsys):
     code, out, _ = run(capsys, "sl2", "A3")
     assert code == 0

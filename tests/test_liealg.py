@@ -116,33 +116,49 @@ def test_jacobi_clean(label):
     assert not check_antisymmetry(L)
 
 
+def _flip_root_root_sign(L):
+    """Negate one stored [g_a, g_b] = N g_{a+b} coefficient in place."""
+    T = L.table
+    row = int(np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0])
+    T.c[row] = -T.c[row]
+
+
 def test_jacobi_negative_control():
     # One flipped structure-constant sign must surface as violations.
     L = build(make_type("A2"))
-    a, b = map(int, np.argwhere(L.root_sum >= 0)[0])
-    L.root_sign[a, b] = -L.root_sign[a, b]
+    _flip_root_root_sign(L)
     report = check_jacobi(L)
     assert len(report.violations) >= 1
     assert check_antisymmetry(L)
 
 
 def test_root_space_grading():
-    # [g_a, g_b] lands in the (a+b) component, is Cartan for b = -a, else 0.
-    L = build(make_type("D4"))
+    # Every stored [g_a, g_b] lands in the (a+b) component with the sign
+    # N(a, b), or in the Cartan part as -var(a) when b = -a.
+    t = make_type("D4")
+    L = build(t)
     rs = L.root_system
     k = L.rank
-    for i in range(len(rs)):
-        for j in range(len(rs)):
-            out = L.bracket_basis(k + i, k + j)
-            total = tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
-            if all(x == 0 for x in total):
-                assert all(idx < k for idx, _ in out.terms)
-                assert out.to_dict() == {m: -rs.roots[i][m] for m in range(k)
-                                         if rs.roots[i][m] != 0}
-            elif total in rs.index:
-                assert out.terms == ((k + rs.index[total], L.root_sign[i, j]),)
-            else:
-                assert out.is_zero
+    T = L.table
+    on_roots = (T.i >= k) & (T.j >= k)
+    seen = set()
+    for i, j, m, c in zip(*(col[on_roots].tolist() for col in (T.i, T.j, T.m, T.c))):
+        a, b = rs.roots[i - k], rs.roots[j - k]
+        total = tuple(x + y for x, y in zip(a, b))
+        if m < k:
+            assert all(x == 0 for x in total)
+            assert c == -a[m] != 0
+        else:
+            assert rs.roots[m - k] == total
+            assert c == n_sign(t, a, b)
+        seen.add((i, j))
+    # ... and every pair with a root or zero sum has its rows.
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            total = tuple(x + y for x, y in zip(a, b))
+            summable = total in rs.index or all(x == 0 for x in total)
+            assert ((k + i, k + j) in seen) == summable
+            assert L.bracket_basis(k + i, k + j).is_zero != summable
 
 
 def test_pair_summing_to_root_has_pairing_minus_one():

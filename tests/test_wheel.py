@@ -226,3 +226,32 @@ def test_classes_payload_schema():
         assert all(len(seg) == 2 for seg in cls["segments"])
     e6 = classes_payload("E6")
     assert all(len(seg) == 3 for cls in e6["classes"] for seg in cls["segments"])
+
+
+def test_a5_monodromy_orbits_by_brute_force_on_segments():
+    # Backs the frozen C05 entry for A5 without orbit_decomposition: follow
+    # every oriented hexagon segment under -c, i -> j  |->  j+1 -> i+1, and
+    # check each step against the monodromy matrix.
+    from geomlie.verify import expected_orbit_table
+
+    t = make_type("A5")
+    M = monodromy_matrix(t)
+    n = t.rank + 1
+    segments = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    sizes, seen = [], set()
+    for seg in segments:
+        if seg in seen:
+            continue
+        orbit, cur = [], seg
+        while cur not in orbit:
+            orbit.append(cur)
+            image = M @ np.array(segment_class(t, cur))
+            cur = (cur[1] % n + 1, cur[0] % n + 1)
+            assert segment_class(t, cur) == tuple(int(x) for x in image)
+        assert cur == seg
+        seen.update(orbit)
+        sizes.append(len(orbit))
+        assert (len(orbit) == 3) == (abs(seg[0] - seg[1]) == 3)
+    assert sorted(sizes) == [3, 3, 6, 6, 6, 6]
+    order, count, free = expected_orbit_table("A5", "monodromy")
+    assert (order, count, free) == (6, len(sizes), False)
