@@ -17,8 +17,8 @@ from .rootsys import (FoldingSpec, OrbitDecomposition, RootSystem,
                       classical_folding, coxeter_matrix, enumerate_roots, fold,
                       monodromy_matrix, orbit_decomposition, reflect,
                       sT_matrices, verify_sT_identity)
-from .wheel import (build_wheel, d_geometric_sign, enumerate_classes,
-                    rotation_angle, segment_class)
+from .wheel import (build_wheel, d_geometric_sign, d_sign_pairs,
+                    enumerate_classes, rotation_angle, segment_class)
 from .coxplane import multiplicity_report, plane_basis, project_all, render_svg
 
 __version__ = "0.1.0"

@@ -10,11 +10,9 @@ import sys
 import numpy as np
 
 from . import coxplane, liealg, verify, wheel
-from .lattice import (cartan_matrix, make_type, matrix_payload, seifert_matrix,
-                      stabilized_pairing_matrix)
+from .lattice import cartan_matrix, make_type, matrix_payload, seifert_matrix
 from .rootsys import (FreenessError, classical_folding, enumerate_roots, fold,
-                      monodromy_matrix, orbit_decomposition, rootsystem_payload,
-                      verify_sT_identity)
+                      monodromy_matrix, orbit_decomposition, rootsystem_payload)
 
 
 def _color_enabled() -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import is_nonsingular, rank_exact
+from ._exact import is_nonsingular
 from .lattice import LieType, make_type, seifert_matrix
 from .rootsys import RootSystem, enumerate_roots
 
@@ -395,24 +395,25 @@ def slk_model_check(k: int) -> bool:
     """Does the traceless-matrix correspondence preserve every basis bracket?
 
     Maps D_i to E_ii - E_{i+1,i+1}, the root with support [i, j) to E_{i,j}
-    and its negative to -E_{j,i}, then compares the algebra bracket with the
-    matrix commutator on all basis pairs and checks the images span.
+    and its negative to -E_{j,i}.  Every row of the structure table adds its
+    coefficient times the image of its output into the (u, v) cell, and the
+    n x n grid of cells must equal the batched commutators of the images;
+    the flattened images must also be independent, i.e. their Gram matrix
+    nonsingular (an exact mod-p certificate with a Bareiss fallback).
     """
     if not 1 <= k <= 8:
         raise ValueError("k out of range 1..8")
     L = build(make_type(f"A{k}"))
-    images = [_slk_image(L, idx) for idx in range(L.dimension)]
-    flat = np.array([m.reshape(-1) for m in images])
-    if rank_exact(flat) != L.dimension:
+    n = L.dimension
+    images = np.array([_slk_image(L, idx) for idx in range(n)])
+    flat = images.reshape(n, -1)
+    if not is_nonsingular(flat @ flat.T):
         return False
-    for u in range(L.dimension):
-        for v in range(L.dimension):
-            expected = sum((c * images[m] for m, c in L.bracket_basis(u, v).terms),
-                           start=np.zeros((k + 1, k + 1), dtype=np.int64))
-            commutator = images[u] @ images[v] - images[v] @ images[u]
-            if not np.array_equal(expected, commutator):
-                return False
-    return True
+    T = L.table
+    expected = np.zeros((n, n, k + 1, k + 1), dtype=np.int64)
+    np.add.at(expected, (T.i, T.j), T.c[:, None, None] * images[T.m])
+    left, right = images[:, None], images[None, :]
+    return np.array_equal(expected, left @ right - right @ left)
 
 
 def structure_constants_payload(L: LieAlgebra) -> dict:

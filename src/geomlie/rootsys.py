@@ -12,7 +12,6 @@ automorphism orbits to produce the non-simply-laced Cartan matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import coxplane, liealg, wheel
 from ._exact import short_vectors
-from .lattice import (LieType, cartan_matrix, make_type, projective_basis,
-                      seifert_matrix, stabilized_pairing_matrix)
+from .lattice import (LieType, cartan_matrix, make_type, seifert_matrix,
+                      stabilized_pairing_matrix)
 from .rootsys import (FreenessError, classical_folding, coxeter_matrix,
                       enumerate_roots, fold, matrix_order, monodromy_matrix,
-                      orbit_decomposition, sT_matrices, verify_sT_identity)
+                      orbit_decomposition, verify_sT_identity)
 
 __all__ = ["CheckResult", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
            "PRINTED_MONODROMY", "expected_orbit_table", "expected_folded_cartan"]
@@ -321,17 +320,11 @@ def _c11_d_sign(labels: Sequence[str]):
     d_labels = [lab for lab in labels if lab.upper().startswith("D")]
     for lab in d_labels:
         t = make_type(lab)
-        rs = enumerate_roots(t)
-        X = rs.coords
-        bad = 0
-        for a in range(len(rs)):
-            for b in range(len(rs)):
-                s = tuple(int(x) for x in (X[a] + X[b]))
-                if s not in rs.index:
-                    continue
-                if wheel.d_geometric_sign(t, rs.roots[a], rs.roots[b]) != \
-                        liealg.n_sign(t, rs.roots[a], rs.roots[b]):
-                    bad += 1
+        X = enumerate_roots(t).coords
+        S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a
+        # N(a, b) = (-1)^(var(b) . a) on the summable pairs (a, b) = -1, 0 elsewhere.
+        algebraic = np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
+        bad = int(np.count_nonzero(wheel.d_sign_pairs(t) != algebraic))
         if bad:
             fails.append(f"{lab}: {bad} mismatches")
     msg = "planar triangle sign equals the algebraic sign on all summable pairs"
@@ -443,18 +436,21 @@ _BOX_SCAN_MAX_RANK = 6
 def _box_scan(C: np.ndarray, bound: int = 6) -> set[tuple[int, ...]]:
     """Literal scan of the integer box |v_i| <= bound for v^t C v = 2.
 
-    Chunked over the leading coordinate to keep the candidate array small.
+    Every point of the box is tested in int64.  With v = (lead, tail),
+    v^t C v = C_00 lead^2 + lead ((C_0,1: + C_1:,0) . tail) + tail^t C' tail
+    for any C; the two tail terms are computed once, so each leading value
+    costs one vector pass.
     """
     k = C.shape[0]
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    side = len(rng)
+    side = 2 * bound + 1
     # Every tail in the box of the k - 1 trailing coordinates; one empty tail for k = 1.
     tail = np.indices((side,) * (k - 1)).reshape(k - 1, side ** (k - 1)).T - bound
+    cross = tail @ (C[0, 1:] + C[1:, 0])
+    quad = np.einsum("vi,vi->v", tail @ C[1:, 1:], tail)
     out: set[tuple[int, ...]] = set()
-    for lead in rng:
-        V = np.concatenate([np.full((tail.shape[0], 1), lead, dtype=np.int64), tail], axis=1)
-        q = np.einsum("vi,ij,vj->v", V, C, V)
-        out.update(tuple(int(x) for x in row) for row in V[q == 2])
+    for lead in range(-bound, bound + 1):
+        hits = tail[C[0, 0] * lead * lead + lead * cross + quad == 2]
+        out.update((lead, *(int(x) for x in row)) for row in hits)
     return out
 
 
@@ -507,7 +503,8 @@ def run_verify(labels: Iterable[str] | None = None) -> list[CheckResult]:
             try:
                 passed, expected, actual = func(labels)
             except Exception as exc:  # a crashed check is a failed check
-                passed, expected, actual = False, "check to complete", f"exception: {exc}"
+                passed, expected = False, "check to complete"
+                actual = f"{type(exc).__name__}: {exc}"
             millis = int((time.perf_counter() - start) * 1000)
             results.append(CheckResult(name, passed, expected, actual, millis))
     return results

@@ -18,7 +18,19 @@ every root exactly once.
 The D bracket sign has a purely planar description: orient the two summand
 segments so they concatenate, take the right-hand-rule sign of their
 direction vectors, and flip it when the closed triangle strictly contains
-the center puncture.
+the center puncture.  On the regular polygon both tests are integer
+predicates on the vertex positions 0 .. n-1 (n = 2k - 2, counterclockwise):
+
+* three boundary vertices are positively oriented iff they are in
+  counterclockwise cyclic order;
+* a triangle with the center as a vertex takes the sign of its spoke arc:
+  positive iff the arc d (mod n) between its two boundary vertices, taken
+  after the center in the triangle's order, satisfies 0 < d < n/2;
+* a boundary triangle strictly contains the center iff every arc between
+  its vertices, in counterclockwise order, is shorter than n/2.
+
+An arc of exactly n/2 puts the center on an edge; the sign is then
+undefined and the rule raises.
 """
 
 from __future__ import annotations
@@ -26,12 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import LieType, make_type, projective_basis, seifert_matrix
-from .liealg import n_sign
+from .lattice import LieType, cartan_matrix, make_type, projective_basis
 from .rootsys import Root, enumerate_roots, matrix_order, monodromy_matrix
 
 __all__ = [
@@ -42,15 +53,10 @@ __all__ = [
     "segment_class",
     "enumerate_classes",
     "d_geometric_sign",
+    "d_sign_pairs",
     "rotation_angle",
     "classes_payload",
 ]
-
-# Determinant guard for the planar sign tests: the smallest nonzero cross
-# product among chords of the regular polygons used here (rank <= 8) is
-# ~1e-1, far above double-precision noise.
-_GEOM_GUARD = 1e-9
-
 
 def _as_type(t: LieType | str) -> LieType:
     return t if isinstance(t, LieType) else make_type(t)
@@ -225,31 +231,42 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
     return out
 
 
-def _orientation(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _d_position(k: int, label):
+    """Polygon position of D-wheel vertex labels: 0 .. n-1 counterclockwise, n the center."""
+    label = np.asarray(label, dtype=np.int64)
+    return np.where(label > 0, label - 1, np.where(label < 0, k - 2 - label, 2 * k - 2))
 
 
-def _contains_origin(t: LieType, tri: tuple[int, int, int]) -> bool:
-    if 0 in tri:
-        return False  # the center is a vertex, not interior
-    pos = _d_positions(t)
-    pts = [pos[v] for v in tri]
-    signs = []
-    for i in range(3):
-        s = _orientation(pts[i], pts[(i + 1) % 3], (0.0, 0.0))
-        if abs(s) <= _GEOM_GUARD:
-            raise RuntimeError(f"degenerate center test for triangle {tri}")
-        signs.append(s > 0)
-    return signs[0] == signs[1] == signs[2]
+def _triangle_sign(n: int, x, y, z) -> np.ndarray:
+    """Planar sign of the concatenation x -> y -> z of two D-wheel segments.
+
+    Positions are integer arrays (0 .. n-1 on the boundary, n the center).
+    The sign is the orientation of the triangle (x, y, z), negated when the
+    triangle strictly contains the center; 0 marks an arc of exactly n/2,
+    where one of the two tests is degenerate.  The three vertices are
+    pairwise distinct.
+    """
+    half = n // 2
+    cx, cy, cz = x == n, y == n, z == n
+    spoke = cx | cy | cz
+    # Rotate the center to the front: orient(0, u, v) has the sign of the arc u -> v.
+    u = np.where(cx, y, np.where(cy, z, x))
+    v = np.where(cx, z, np.where(cy, x, y))
+    spoke_sign = np.sign(half - (v - u) % n)
+    ccw = np.where((y - x) % n < (z - x) % n, 1, -1)
+    p = np.sort(np.stack([x, y, z]), axis=0)
+    arcs = np.stack([p[1] - p[0], p[2] - p[1], n - p[2] + p[0]])
+    inside = np.where((arcs == half).any(axis=0), 0, np.where((arcs < half).all(axis=0), -1, 1))
+    return np.where(spoke, spoke_sign, ccw * inside)
 
 
 def d_geometric_sign(t: LieType | str, alpha, beta) -> int:
     """Planar bracket sign for two summable D roots.
 
-    Picks representatives that concatenate (head of one at the tail of the
-    other, in either order), takes the right-hand-rule sign of the ordered
-    direction pair (alpha, beta), and negates when the triangle strictly
-    contains the center.
+    Representatives that concatenate (head of one at the tail of the other,
+    in either order) give the right-hand-rule sign of the ordered direction
+    pair (alpha, beta), negated when the triangle strictly contains the
+    center; the entry of :func:`d_sign_pairs` for the pair.
     """
     t = _as_type(t)
     if t.family != "D":
@@ -261,29 +278,50 @@ def d_geometric_sign(t: LieType | str, alpha, beta) -> int:
     for r in (a, b, total):
         if r not in rs.index:
             raise ValueError(f"{r} is not a root (inputs must be summable roots)")
-    classes = {c.root: c.segments for c in enumerate_classes(t)}
-    pos = _d_positions(t)
-    results = set()
-    for ra in classes[a]:
-        for rb in classes[b]:
-            if ra[1] == rb[0]:
-                tri = (ra[0], ra[1], rb[1])
-            elif rb[1] == ra[0]:
-                tri = (rb[0], rb[1], ra[1])
-            else:
-                continue
-            va = (pos[ra[1]][0] - pos[ra[0]][0], pos[ra[1]][1] - pos[ra[0]][1])
-            vb = (pos[rb[1]][0] - pos[rb[0]][0], pos[rb[1]][1] - pos[rb[0]][1])
-            cross = va[0] * vb[1] - va[1] * vb[0]
-            if abs(cross) <= _GEOM_GUARD:
-                raise RuntimeError(f"degenerate orientation for {a}, {b}")
-            eps = 1 if cross > 0 else -1
-            results.add(-eps if _contains_origin(t, tri) else eps)
-    if not results:
-        raise RuntimeError(f"no concatenable representatives for {a}, {b}")
-    if len(results) != 1:
-        raise RuntimeError(f"inconsistent planar signs for {a}, {b}")
-    return results.pop()
+    return int(d_sign_pairs(t)[rs.index[a], rs.index[b]])
+
+
+def d_sign_pairs(t: LieType | str) -> np.ndarray:
+    """Planar bracket sign of every ordered pair of D roots, as one array.
+
+    Entry [a, b] (root indices in :func:`enumerate_roots` order) is
+    ``d_geometric_sign`` of roots a and b when a + b is a root, i.e. when
+    (a, b) = -1, and 0 otherwise.  Every concatenation x -> y -> z of two
+    segments is one triangle: it signs (class(x, y), class(y, z)) with its
+    triangle sign and the reversed pair with the opposite sign.
+    """
+    t = _as_type(t)
+    if t.family != "D":
+        raise ValueError("the planar sign rule is for D types")
+    rs = enumerate_roots(t)
+    k, n = t.rank, 2 * t.rank - 2
+    X = rs.coords
+    summable = X @ cartan_matrix(t) @ X.T == -1
+    root_of = np.full((n + 1, n + 1), -1, dtype=np.int64)  # root index per segment
+    for r, cls in enumerate(enumerate_classes(t)):
+        src, dst = _d_position(k, np.array(cls.segments).T)
+        root_of[src, dst] = r
+    x, y, z = np.indices((n + 1,) * 3).reshape(3, -1)
+    first, second = root_of[x, y], root_of[y, z]
+    keep = (first >= 0) & (second >= 0)
+    keep[keep] = summable[first[keep], second[keep]]
+    x, y, z, first, second = x[keep], y[keep], z[keep], first[keep], second[keep]
+    sign = _triangle_sign(n, x, y, z)
+    a, b, sign = np.r_[first, second], np.r_[second, first], np.r_[sign, -sign]
+    if not sign.all():
+        q = int(np.flatnonzero(sign == 0)[0])
+        raise RuntimeError(f"{t}: degenerate wheel triangle (an arc of n/2) for "
+                           f"{rs.roots[a[q]]}, {rs.roots[b[q]]}")
+    pos = np.zeros(summable.shape, dtype=bool)
+    neg = np.zeros(summable.shape, dtype=bool)
+    pos[a[sign > 0], b[sign > 0]] = True
+    neg[a[sign < 0], b[sign < 0]] = True
+    for bad, what in ((pos & neg, "inconsistent planar signs"),
+                      (summable & ~(pos | neg), "no concatenable representatives")):
+        if bad.any():
+            ia, ib = (int(v[0]) for v in np.nonzero(bad))
+            raise RuntimeError(f"{t}: {what} for {rs.roots[ia]}, {rs.roots[ib]}")
+    return pos.astype(np.int64) - neg
 
 
 def rotation_angle(t: LieType | str) -> Fraction:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomlie import liealg
+from geomlie import _exact, liealg
+from geomlie._exact import is_nonsingular, rank_exact
 from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             check_jacobi, export_structure_constants,
                             is_nondegenerate, killing_form,
@@ -242,6 +246,43 @@ def test_sl2_rejects_non_root():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_slk_model(k):
     assert slk_model_check(k)
+
+
+def test_slk_model_negative_control(monkeypatch):
+    # One flipped root-root coefficient must break the matrix model.
+    real_build = liealg.build
+
+    def corrupted(t):
+        L = real_build(t)
+        _flip_root_root_sign(L)
+        return L
+
+    monkeypatch.setattr(liealg, "build", corrupted)
+    assert not slk_model_check(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+       st.booleans())
+def test_gram_independence_agrees_with_rank_exact(rows, dependent):
+    # slk_model_check tests row independence as a nonsingular Gram matrix.
+    if dependent:
+        rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[-1])]]
+    F = np.array(rows, dtype=object)
+    assert is_nonsingular(F @ F.T) == (rank_exact(F) == len(rows))
+
+
+def test_gram_independence_fallback(monkeypatch):
+    # Every certificate prime divides these Gram determinants, so det_exact decides.
+    calls = []
+    real = _exact.det_exact
+    monkeypatch.setattr(_exact, "det_exact", lambda m: calls.append(1) or real(m))
+    p = math.prod(_exact._CERT_PRIMES)
+    for rows, independent in (([[p]], True), ([[p, 0], [0, 2 * p]], True),
+                              ([[p, 2 * p]] * 2, False)):
+        F = np.array(rows, dtype=object)
+        assert is_nonsingular(F @ F.T) == independent
+    assert len(calls) == 3
 
 
 def test_slk_model_range():

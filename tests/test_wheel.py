@@ -11,8 +11,10 @@ import pytest
 from geomlie.lattice import make_type
 from geomlie.liealg import n_sign
 from geomlie.rootsys import enumerate_roots, monodromy_matrix
+from geomlie import wheel
 from geomlie.wheel import (build_wheel, classes_payload, d_geometric_sign,
-                           enumerate_classes, rotation_angle, segment_class)
+                           d_sign_pairs, enumerate_classes, rotation_angle,
+                           segment_class)
 
 
 @pytest.fixture(autouse=True)
@@ -171,21 +173,99 @@ def test_e_label_step_is_monodromy(label):
             assert tuple(int(x) for x in (M @ np.array(cur))) == nxt
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def _summable_pairs(t):
+    """Every ordered pair (a, b) of root indices whose sum is a root."""
+    rs = enumerate_roots(t)
+    X = rs.coords
+    return [(a, b) for a in range(len(rs)) for b in range(len(rs))
+            if tuple(int(x) for x in (X[a] + X[b])) in rs.index]
+
+
+@pytest.mark.parametrize("k", range(3, 13))
 def test_d_sign_rule_matches_algebra(k):
     t = make_type(f"D{k}")
     rs = enumerate_roots(t)
-    X = rs.coords
-    checked = 0
-    for a in range(len(rs)):
-        for b in range(len(rs)):
-            total = tuple(int(x) for x in (X[a] + X[b]))
-            if total not in rs.index:
+    signs = d_sign_pairs(t)
+    pairs = _summable_pairs(t)
+    assert pairs
+    assert np.count_nonzero(signs) == len(pairs)
+    for a, b in pairs:
+        assert signs[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
+    a, b = pairs[len(pairs) // 2]
+    assert d_geometric_sign(t, rs.roots[a], rs.roots[b]) == signs[a, b]
+
+
+def _float_reference_sign(t, positions, classes, a, b):
+    """The floating-point planar rule: cross products with a 1e-9 guard.
+
+    The smallest nonzero cross product among chords of the D3..D8 wheels is
+    about 1e-1, so the guard is sound there and only there.
+    """
+    guard = 1e-9
+
+    def orientation(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    def contains_origin(tri):
+        if 0 in tri:
+            return False
+        pts = [positions[v] for v in tri]
+        signs = []
+        for i in range(3):
+            s = orientation(pts[i], pts[(i + 1) % 3], (0.0, 0.0))
+            assert abs(s) > guard
+            signs.append(s > 0)
+        return signs[0] == signs[1] == signs[2]
+
+    results = set()
+    for ra in classes[a]:
+        for rb in classes[b]:
+            if ra[1] == rb[0]:
+                tri = (ra[0], ra[1], rb[1])
+            elif rb[1] == ra[0]:
+                tri = (rb[0], rb[1], ra[1])
+            else:
                 continue
-            checked += 1
-            assert d_geometric_sign(t, rs.roots[a], rs.roots[b]) == \
-                n_sign(t, rs.roots[a], rs.roots[b])
-    assert checked > 0
+            va = [positions[ra[1]][i] - positions[ra[0]][i] for i in (0, 1)]
+            vb = [positions[rb[1]][i] - positions[rb[0]][i] for i in (0, 1)]
+            cross = va[0] * vb[1] - va[1] * vb[0]
+            assert abs(cross) > guard
+            eps = 1 if cross > 0 else -1
+            results.add(-eps if contains_origin(tri) else eps)
+    assert len(results) == 1
+    return results.pop()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_d_sign_pairs_match_float_reference(k):
+    t = make_type(f"D{k}")
+    positions = {v.label: (v.x, v.y) for v in build_wheel(t).vertices}
+    classes = [c.segments for c in enumerate_classes(t)]
+    signs = d_sign_pairs(t)
+    pairs = _summable_pairs(t)
+    assert np.count_nonzero(signs) == len(pairs)
+    for a, b in pairs:
+        assert signs[a, b] == _float_reference_sign(t, positions, classes, a, b)
+
+
+@pytest.mark.parametrize("func", ["pairs", "scalar"])
+def test_d_sign_errors_name_type_and_roots(monkeypatch, func):
+    # Every triangle made degenerate: the error names the type and a root pair.
+    monkeypatch.setattr(wheel, "_triangle_sign", lambda n, x, y, z: np.zeros_like(x))
+    with pytest.raises(RuntimeError, match=r"D4: degenerate wheel triangle .* for \(.*\), \("):
+        if func == "pairs":
+            d_sign_pairs("D4")
+        else:
+            d_geometric_sign("D4", (1, 0, 0, 0), (0, 0, 1, 0))
+
+
+def test_d_sign_pairs_inconsistent_signs_named(monkeypatch):
+    real = wheel._triangle_sign
+    # Flip every other triangle: some pair with two concatenations disagrees.
+    monkeypatch.setattr(wheel, "_triangle_sign",
+                        lambda n, x, y, z: real(n, x, y, z) * (1 - 2 * (np.arange(len(x)) % 2)))
+    with pytest.raises(RuntimeError, match=r"D5: inconsistent planar signs for \("):
+        d_sign_pairs("D5")
 
 
 def test_d_sign_antisymmetric_example():
@@ -206,6 +286,8 @@ def test_d_sign_requires_summable_roots():
         d_geometric_sign("D4", (1, 0, 0, 0), (-1, 0, 0, 0))
     with pytest.raises(ValueError):
         d_geometric_sign("A4", (1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ValueError):
+        d_sign_pairs("E6")
 
 
 def test_rotation_angles():
