@@ -43,19 +43,9 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_cartan(args) -> int:
+def _cmd_matrix(args) -> int:
     t = make_type(args.type)
-    m = cartan_matrix(t)
-    if args.json:
-        print(json.dumps(matrix_payload(t, m)))
-    else:
-        _print_matrix(m)
-    return 0
-
-
-def _cmd_seifert(args) -> int:
-    t = make_type(args.type)
-    m = seifert_matrix(t)
+    m = args.matrix(t, args)
     if args.json:
         print(json.dumps(matrix_payload(t, m)))
     else:
@@ -73,16 +63,6 @@ def _cmd_roots(args) -> int:
     else:
         for r in rs.roots:
             print(" ".join(str(x) for x in r))
-    return 0
-
-
-def _cmd_monodromy(args) -> int:
-    t = make_type(args.type)
-    m = monodromy_matrix(t, basis=args.basis)
-    if args.json:
-        print(json.dumps(matrix_payload(t, m)))
-    else:
-        _print_matrix(m)
     return 0
 
 
@@ -248,11 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("info", _cmd_info, help="print the derived constants of a type")
     p.add_argument("type")
 
-    p = add("cartan", _cmd_cartan, help="print the Cartan matrix B + B^t")
+    p = add("cartan", _cmd_matrix, help="print the Cartan matrix B + B^t")
+    p.set_defaults(matrix=lambda t, args: cartan_matrix(t))
     p.add_argument("type")
     p.add_argument("--json", action="store_true")
 
-    p = add("seifert", _cmd_seifert, help="print the Seifert matrix B")
+    p = add("seifert", _cmd_matrix, help="print the Seifert matrix B")
+    p.set_defaults(matrix=lambda t, args: seifert_matrix(t))
     p.add_argument("type")
     p.add_argument("--json", action="store_true")
 
@@ -261,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--count", action="store_true")
 
-    p = add("monodromy", _cmd_monodromy, help="print the monodromy matrix")
+    p = add("monodromy", _cmd_matrix, help="print the monodromy matrix")
+    p.set_defaults(matrix=lambda t, args: monodromy_matrix(t, basis=args.basis))
     p.add_argument("type")
     p.add_argument("--basis", choices=("simple", "projective"), default="simple")
     p.add_argument("--json", action="store_true")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LieType, cartan_matrix, make_type
+from .lattice import LieType, as_type, cartan_matrix
 from .rootsys import Root, coxeter_matrix, enumerate_roots, orbit_decomposition
 
 __all__ = [
@@ -44,17 +44,12 @@ class DegeneratePlaneError(ValueError):
     """No distinguished rotation plane exists (rank 1, h = 2)."""
 
 
-def _as_type(t: LieType | str) -> LieType:
-    return t if isinstance(t, LieType) else make_type(t)
-
-
 @dataclass(frozen=True)
 class PlaneBasis:
     """C-orthonormal frame (u, v) of the c-invariant rotation plane."""
 
     u: np.ndarray
     v: np.ndarray
-    tolerance: float = TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ def plane_basis(t: LieType | str) -> PlaneBasis:
     floor is made real positive, so u has a positive first significant entry
     and the frame is deterministic.
     """
-    t = _as_type(t)
+    t = as_type(t)
     if t.rank < 2:
         raise DegeneratePlaneError(f"{t}: no invariant plane in rank 1")
     theta = 2 * math.pi / t.coxeter_number
@@ -96,7 +91,7 @@ def plane_basis(t: LieType | str) -> PlaneBasis:
 
 def _validate_plane(t: LieType, c, C, basis: PlaneBasis, theta: float) -> None:
     u, v = basis.u, basis.v
-    tol = basis.tolerance
+    tol = TOLERANCE
     if abs(u @ C @ u - 1) > tol or abs(v @ C @ v - 1) > tol or abs(u @ C @ v) > tol:
         raise RuntimeError(f"{t}: plane frame is not C-orthonormal")
     # c u = cos(theta) u + sin(theta) v and c v = -sin(theta) u + cos(theta) v
@@ -105,11 +100,10 @@ def _validate_plane(t: LieType, c, C, basis: PlaneBasis, theta: float) -> None:
         raise RuntimeError(f"{t}: frame is not rotated by 2*pi/h")
 
 
-def project_all(t: LieType | str, basis: PlaneBasis | None = None) -> list[ProjectedRoot]:
+def project_all(t: LieType | str) -> list[ProjectedRoot]:
     """One projected point per root: (root . C u, root . C v)."""
-    t = _as_type(t)
-    if basis is None:
-        basis = plane_basis(t)
+    t = as_type(t)
+    basis = plane_basis(t)
     rs = enumerate_roots(t)
     C = cartan_matrix(t).astype(np.float64)
     X = rs.coords.astype(np.float64)
@@ -118,9 +112,8 @@ def project_all(t: LieType | str, basis: PlaneBasis | None = None) -> list[Proje
     return [ProjectedRoot(r, (float(xs[i]), float(ys[i]))) for i, r in enumerate(rs.roots)]
 
 
-def point_clusters(projected: list[ProjectedRoot],
-                   tol: float = CLUSTER_TOLERANCE) -> list[list[int]]:
-    """Group projection indices whose points coincide within tol (union-find)."""
+def point_clusters(projected: list[ProjectedRoot]) -> list[list[int]]:
+    """Group projection indices whose points lie within CLUSTER_TOLERANCE (union-find)."""
     n = len(projected)
     parent = list(range(n))
 
@@ -133,7 +126,7 @@ def point_clusters(projected: list[ProjectedRoot],
     pts = [p.point for p in projected]
     for i in range(n):
         for j in range(i + 1, n):
-            if math.dist(pts[i], pts[j]) <= tol:
+            if math.dist(pts[i], pts[j]) <= CLUSTER_TOLERANCE:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -143,7 +136,7 @@ def point_clusters(projected: list[ProjectedRoot],
 
 def multiplicity_report(t: LieType | str) -> dict[tuple[float, float], int]:
     """Cluster sizes of the projected points, keyed by a representative point."""
-    t = _as_type(t)
+    t = as_type(t)
     projected = project_all(t)
     report: dict[tuple[float, float], int] = {}
     for group in point_clusters(projected):
@@ -161,8 +154,7 @@ def _svg_header(size: int) -> list[str]:
     ]
 
 
-def render_svg(t: LieType | str, show_edges: bool = False, show_orbit_colors: bool = True,
-               size: int = 600) -> str:
+def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> str:
     """Deterministic SVG of the projected roots.
 
     One dot per projection cluster; optional edges between projections of
@@ -170,7 +162,7 @@ def render_svg(t: LieType | str, show_edges: bool = False, show_orbit_colors: bo
     coxeter_bar operator through a fixed palette.  Rank 1 degenerates to two
     dots on a fixed axis.
     """
-    t = _as_type(t)
+    t = as_type(t)
     lines = _svg_header(size)
     scale = 0.45 * size
     if t.rank < 2:
@@ -184,11 +176,9 @@ def render_svg(t: LieType | str, show_edges: bool = False, show_orbit_colors: bo
     radius = max(math.hypot(*p.point) for p in projected)
     pts = [(p.point[0] / radius * scale, -p.point[1] / radius * scale) for p in projected]
     color_of_root = [PALETTE[0]] * len(rs)
-    if show_orbit_colors:
-        dec = orbit_decomposition(t, "coxeter_bar")
-        for orbit_idx, orbit in enumerate(dec.orbits):
-            for r in orbit:
-                color_of_root[r] = PALETTE[orbit_idx % len(PALETTE)]
+    for orbit_idx, orbit in enumerate(orbit_decomposition(t, "coxeter_bar").orbits):
+        for r in orbit:
+            color_of_root[r] = PALETTE[orbit_idx % len(PALETTE)]
     if show_edges:
         drawn = set()
         lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')

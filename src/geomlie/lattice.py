@@ -11,14 +11,20 @@ Two coordinate systems are used throughout the package.  Relative cycles
 carry coordinates in the simple arc basis a_1..a_k; absolute cycles carry
 coordinates in the image basis D_i = var(a_i).  The variation operator is
 the identity on coordinates and only swaps the basis tag.
+
+This module also owns the package's per-type conventions: :func:`as_type` is
+the one normalizer of a type argument (a :class:`LieType` or a label), and
+:func:`per_type` is the one memo of per-type results, keyed by the label,
+whose array results come back read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +35,8 @@ __all__ = [
     "RelativeCycle",
     "AbsoluteCycle",
     "make_type",
+    "as_type",
+    "per_type",
     "seifert_matrix",
     "cartan_matrix",
     "pairing",
@@ -108,13 +116,39 @@ def make_type(spec: str) -> LieType:
     return LieType("E", k, h, nroots)
 
 
-def _as_type(t: LieType | str) -> LieType:
+def as_type(t: LieType | str) -> LieType:
+    """``t`` itself if it is a :class:`LieType`, else :func:`make_type` of the label."""
     return t if isinstance(t, LieType) else make_type(t)
 
 
+_R = TypeVar("_R")
+
+
+def per_type(build: Callable[[LieType], _R]) -> Callable[[LieType | str], _R]:
+    """Memoize a one-argument builder of per-type data by the type's label.
+
+    The builder runs once per type; later calls return the same object.  An
+    array result is made read-only first, so no caller can change what the
+    others see.
+    """
+    memo: dict[str, _R] = {}
+
+    @functools.wraps(build)
+    def cached(t: LieType | str) -> _R:
+        t = as_type(t)
+        if t.label not in memo:
+            out = build(t)
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            memo[t.label] = out
+        return memo[t.label]
+
+    return cached
+
+
+@per_type
 def seifert_matrix(t: LieType | str) -> np.ndarray:
     """The upper-triangular intersection matrix B of the simple arc basis."""
-    t = _as_type(t)
     k = t.rank
     B = np.eye(k, dtype=np.int64)
     if t.family == "A":
@@ -130,6 +164,7 @@ def seifert_matrix(t: LieType | str) -> np.ndarray:
     return B
 
 
+@per_type
 def cartan_matrix(t: LieType | str) -> np.ndarray:
     """The symmetric pairing matrix C = B + B^t (a standard ADE Cartan matrix)."""
     B = seifert_matrix(t)
@@ -147,28 +182,28 @@ def _coords(v, k: int) -> np.ndarray:
 
 def pairing(t: LieType | str, a, b) -> int:
     """Symmetric pairing (a, b) = a^t C b of two relative cycles."""
-    t = _as_type(t)
+    t = as_type(t)
     C = cartan_matrix(t)
     return int(_coords(a, t.rank) @ C @ _coords(b, t.rank))
 
 
 def mixed_intersection(t: LieType | str, a, b) -> int:
     """Intersection a . b of an absolute cycle a with a relative cycle b (a^t B b)."""
-    t = _as_type(t)
+    t = as_type(t)
     B = seifert_matrix(t)
     return int(_coords(a, t.rank) @ B @ _coords(b, t.rank))
 
 
 def intersection_abs(t: LieType | str, a, b) -> int:
     """Skew intersection a . b of two absolute cycles (a^t (B^t - B) b)."""
-    t = _as_type(t)
+    t = as_type(t)
     B = seifert_matrix(t)
     return int(_coords(a, t.rank) @ (B.T - B) @ _coords(b, t.rank))
 
 
 def seifert_form(t: LieType | str, a, b) -> int:
     """Seifert form L(a, b) = a^t L b with the convention L = -B^t."""
-    t = _as_type(t)
+    t = as_type(t)
     L = -seifert_matrix(t).T
     return int(_coords(a, t.rank) @ L @ _coords(b, t.rank))
 
@@ -194,7 +229,7 @@ def stabilized_pairing_matrix(t: LieType | str, n: int) -> np.ndarray:
     one-variable form on its generator.  The overall (-1)^(n(n+1)/2)
     symmetrization sign then makes the pairing independent of n.
     """
-    t = _as_type(t)
+    t = as_type(t)
     if n < 2:
         raise ValueError("stabilized pairing requires n >= 2")
     L = -seifert_matrix(t).T
@@ -204,6 +239,7 @@ def stabilized_pairing_matrix(t: LieType | str, n: int) -> np.ndarray:
     return sign * (L.T + L)
 
 
+@per_type
 def projective_basis(t: LieType | str) -> np.ndarray:
     """Rows are the projective basis roots b_1..b_k in simple coordinates.
 
@@ -211,7 +247,6 @@ def projective_basis(t: LieType | str) -> np.ndarray:
     root system; the matrix is unimodular and every row pairs to 2 with
     itself.
     """
-    t = _as_type(t)
     k = t.rank
     Q = np.zeros((k, k), dtype=np.int64)
     if t.family == "A":
@@ -259,6 +294,6 @@ def is_distinguished(m, upper: bool = True) -> bool:
 
 def matrix_payload(t: LieType | str, m) -> dict:
     """JSON payload for an integer matrix: {"type", "matrix"}."""
-    t = _as_type(t)
+    t = as_type(t)
     arr = np.asarray(m, dtype=np.int64)
     return {"type": t.label, "matrix": [[int(x) for x in row] for row in arr]}

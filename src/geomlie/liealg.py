@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._exact import is_nonsingular
-from .lattice import LieType, make_type, seifert_matrix
+from .lattice import LieType, as_type, cartan_matrix, make_type, seifert_matrix
 from .rootsys import RootSystem, enumerate_roots
 
 __all__ = [
@@ -55,17 +55,15 @@ __all__ = [
 # 75 MB), so the limit keeps it under 640 MB.  The join is never smaller than
 # the table, so this bounds the table too.  A31 is the largest A type accepted.
 MAX_JACOBI_TERMS = 10_000_000
-
-
-def _as_type(t: LieType | str) -> LieType:
-    return t if isinstance(t, LieType) else make_type(t)
+# check_jacobi reports at most this many violating triples.
+MAX_JACOBI_VIOLATIONS = 100_000
 
 
 def n_sign(t: LieType | str, alpha, beta) -> int:
     """Bracket sign N(alpha, beta) = (-1)^(var(beta) . alpha) for two roots."""
-    t = _as_type(t)
+    t = as_type(t)
     B = seifert_matrix(t)
-    C = B + B.T
+    C = cartan_matrix(t)
     a = np.asarray(alpha, dtype=np.int64)
     b = np.asarray(beta, dtype=np.int64)
     for v in (a, b):
@@ -189,7 +187,7 @@ def term_bounds(t: LieType | str) -> tuple[int, int]:
     Vries).  A row onto g_c joins the at most 2h - 4 + 2k rows of g_c; a row
     onto D_i joins the 4h - 6 rows of D_i.
     """
-    t = _as_type(t)
+    t = as_type(t)
     k, h = t.rank, t.coxeter_number
     summable, cartan_row = 2 * h - 4, 4 * h - 6
     supports = h * k * (h + 1) // 3
@@ -217,7 +215,7 @@ def _row_index(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def build(t: LieType | str) -> LieAlgebra:
     """Populate the sparse structure-constant table for one type."""
-    t = _as_type(t)
+    t = as_type(t)
     table_rows, join_terms = term_bounds(t)
     if join_terms > MAX_JACOBI_TERMS:
         raise ValueError(
@@ -225,7 +223,7 @@ def build(t: LieType | str) -> LieAlgebra:
             f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
     rs = enumerate_roots(t)
     B = seifert_matrix(t)
-    C = B + B.T
+    C = cartan_matrix(t)
     X = rs.coords
     k = t.rank
     n = k + len(rs)
@@ -312,13 +310,14 @@ class JacobiReport:
         return not self.violations
 
 
-def check_jacobi(L: LieAlgebra, max_violations: int = 100_000) -> JacobiReport:
+def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Exhaustive Jacobi check, as a join of the structure table with itself.
 
     Each row [x, y] -> m meets each row [m, z] -> p in one term of
     [[x, y], z] on e_p.  J(x, y, z) is the sum of that term over the three
     rotations of (x, y, z), so terms are summed per (smallest rotation, p);
-    a nonzero sum is a violation, reported as its basis-index triple.
+    a nonzero sum is a violation, reported as its basis-index triple (at most
+    MAX_JACOBI_VIOLATIONS of them).
     """
     T, n = L.table, L.dimension
     a, b = _join(T.m, T.i)
@@ -332,7 +331,7 @@ def check_jacobi(L: LieAlgebra, max_violations: int = 100_000) -> JacobiReport:
     key, total = _group_sums(key, coef)
     checked = len(_run_starts(key // n))
     bad = key[total != 0] // n
-    bad = bad[_run_starts(bad)][:max_violations]
+    bad = bad[_run_starts(bad)][:MAX_JACOBI_VIOLATIONS]
     violations = [(int(q // (n * n)), int(q // n % n), int(q % n)) for q in bad]
     return JacobiReport(L.lie_type, checked, violations)
 

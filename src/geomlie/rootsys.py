@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._exact import inv_unimodular
-from .lattice import LieType, cartan_matrix, make_type, projective_basis, seifert_matrix
+from .lattice import (LieType, as_type, cartan_matrix, make_type, per_type,
+                      projective_basis, seifert_matrix)
 
 __all__ = [
     "Root",
@@ -45,10 +46,6 @@ class FreenessError(RuntimeError):
     """Raised when an orbit decomposition required to be free is not."""
 
 
-def _as_type(t: LieType | str) -> LieType:
-    return t if isinstance(t, LieType) else make_type(t)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """The finite set of roots of one type, in lexicographic order."""
@@ -68,14 +65,9 @@ class RootSystem:
         return np.array(self.roots, dtype=np.int64)
 
 
-_ROOTSYS_CACHE: dict[str, RootSystem] = {}
-
-
+@per_type
 def enumerate_roots(t: LieType | str) -> RootSystem:
     """All vectors with (v, v) = 2, by reflection closure of the simple basis."""
-    t = _as_type(t)
-    if t.label in _ROOTSYS_CACHE:
-        return _ROOTSYS_CACHE[t.label]
     C = cartan_matrix(t)
     k = t.rank
     eye = np.eye(k, dtype=np.int64)
@@ -101,14 +93,12 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
         arr = np.array(r)
         if not (np.all(arr >= 0) or np.all(arr <= 0)):
             raise RuntimeError(f"{t}: root {r} has mixed signs")
-    rs = RootSystem(t, roots, {r: i for i, r in enumerate(roots)})
-    _ROOTSYS_CACHE[t.label] = rs
-    return rs
+    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)})
 
 
 def reflect(t: LieType | str, alpha, beta) -> Root:
     """Reflection s_alpha(beta) = beta - (alpha, beta) alpha for a root alpha."""
-    t = _as_type(t)
+    t = as_type(t)
     C = cartan_matrix(t)
     a = np.asarray(alpha, dtype=np.int64)
     b = np.asarray(beta, dtype=np.int64)
@@ -127,9 +117,9 @@ def _reflection_matrix(C: np.ndarray, i: int) -> np.ndarray:
     return R
 
 
+@per_type
 def coxeter_matrix(t: LieType | str) -> np.ndarray:
     """Matrix of c = s_1 ... s_k in the simple basis (columns are images)."""
-    t = _as_type(t)
     C = cartan_matrix(t)
     M = np.eye(t.rank, dtype=np.int64)
     for i in range(t.rank):
@@ -139,7 +129,7 @@ def coxeter_matrix(t: LieType | str) -> np.ndarray:
 
 def monodromy_matrix(t: LieType | str, basis: str = "simple") -> np.ndarray:
     """Monodromy operator -c, in the simple or the projective basis."""
-    t = _as_type(t)
+    t = as_type(t)
     M = -coxeter_matrix(t)
     if basis == "simple":
         return M
@@ -149,16 +139,21 @@ def monodromy_matrix(t: LieType | str, basis: str = "simple") -> np.ndarray:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def matrix_order(m, cap: int = 256) -> int:
-    """Smallest positive n with m^n = I."""
+# matrix_order gives up past this many powers; the largest order in rank <= 8
+# is the Coxeter number 30 of E8.
+MAX_MATRIX_ORDER = 256
+
+
+def matrix_order(m) -> int:
+    """Smallest positive n with m^n = I, up to MAX_MATRIX_ORDER."""
     arr = np.asarray(m, dtype=np.int64)
     eye = np.eye(arr.shape[0], dtype=np.int64)
     power = arr.copy()
-    for n in range(1, cap + 1):
+    for n in range(1, MAX_MATRIX_ORDER + 1):
         if np.array_equal(power, eye):
             return n
         power = power @ arr
-    raise RuntimeError(f"matrix order exceeds {cap}")
+    raise RuntimeError(f"matrix order exceeds {MAX_MATRIX_ORDER}")
 
 
 def sT_matrices(t: LieType | str, lam: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,21 +162,21 @@ def sT_matrices(t: LieType | str, lam: int) -> tuple[np.ndarray, np.ndarray]:
     S_lam = I minus the lam-th row of B + B^t inserted at row lam;
     T_lam = I minus the lam-th row of B - B^t inserted at row lam.
     """
-    t = _as_type(t)
+    t = as_type(t)
     if not 1 <= lam <= t.rank:
         raise ValueError(f"index {lam} out of range 1..{t.rank}")
     B = seifert_matrix(t)
     i = lam - 1
     S = np.eye(t.rank, dtype=np.int64)
     T = np.eye(t.rank, dtype=np.int64)
-    S[i, :] -= (B + B.T)[i, :]
+    S[i, :] -= cartan_matrix(t)[i, :]
     T[i, :] -= (B - B.T)[i, :]
     return S, T
 
 
 def verify_sT_identity(t: LieType | str) -> bool:
     """Check S_1 ... S_k == -(T_1 ... T_k) exactly."""
-    t = _as_type(t)
+    t = as_type(t)
     S = np.eye(t.rank, dtype=np.int64)
     T = np.eye(t.rank, dtype=np.int64)
     for lam in range(1, t.rank + 1):
@@ -191,7 +186,7 @@ def verify_sT_identity(t: LieType | str) -> bool:
     return np.array_equal(S, -T)
 
 
-_OPERATORS = {"monodromy": "monodromy", "coxeter_bar": "coxeter_bar"}
+OPERATORS = ("monodromy", "coxeter_bar")
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,8 @@ def orbit_decomposition(t: LieType | str, operator: str = "monodromy",
     such case in rank <= 8 is the A5 monodromy, whose three diameter classes
     and their negatives close up after 3 of the 6 steps.
     """
-    t = _as_type(t)
-    if operator not in _OPERATORS:
+    t = as_type(t)
+    if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     rs = enumerate_roots(t)
     M = monodromy_matrix(t) if operator == "monodromy" else coxeter_matrix(t)
@@ -326,7 +321,8 @@ def fold(spec: FoldingSpec) -> np.ndarray:
     return out
 
 
-def _classical_spec(name: str) -> FoldingSpec:
+def classical_folding(name: str) -> FoldingSpec:
+    """Named folding spec: 'D5:B4', 'A5:C3', 'E6:F4' or 'D4:G2'."""
     name = name.upper().replace(" ", "")
     src_label, _, dst_label = name.partition(":")
     if not dst_label:
@@ -344,11 +340,6 @@ def _classical_spec(name: str) -> FoldingSpec:
     else:
         raise ValueError(f"unsupported classical folding {name!r}")
     return FoldingSpec(src, tuple(perm), dst_label)
-
-
-def classical_folding(name: str) -> FoldingSpec:
-    """Named folding spec: 'D5:B4', 'A5:C3', 'E6:F4' or 'D4:G2'."""
-    return _classical_spec(name)
 
 
 CLASSICAL_FOLDINGS = tuple(

@@ -20,9 +20,9 @@ from . import coxplane, liealg, wheel
 from ._exact import short_vectors
 from .lattice import (LieType, cartan_matrix, make_type, seifert_matrix,
                       stabilized_pairing_matrix)
-from .rootsys import (FreenessError, classical_folding, coxeter_matrix,
-                      enumerate_roots, fold, matrix_order, monodromy_matrix,
-                      orbit_decomposition, verify_sT_identity)
+from .rootsys import (CLASSICAL_FOLDINGS, FreenessError, classical_folding,
+                      coxeter_matrix, enumerate_roots, fold, matrix_order,
+                      monodromy_matrix, orbit_decomposition, verify_sT_identity)
 
 __all__ = ["CheckResult", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
            "PRINTED_MONODROMY", "expected_orbit_table", "expected_folded_cartan"]
@@ -389,9 +389,7 @@ def _c13_stabilization(labels: Sequence[str]):
 
 def _c14_folding(labels: Sequence[str]):
     fails = []
-    names = (["D%d:B%d" % (k + 1, k) for k in range(3, 8)]
-             + ["A%d:C%d" % (2 * k - 1, k) for k in (2, 3, 4)] + ["E6:F4", "D4:G2"])
-    for name in names:
+    for name in CLASSICAL_FOLDINGS:
         try:
             got = fold(classical_folding(name))
         except ValueError as exc:
@@ -410,8 +408,7 @@ def _c15_coxplane(labels: Sequence[str]):
         if t.rank < 2:
             continue
         theta = 2 * np.pi / t.coxeter_number
-        basis = coxplane.plane_basis(t)
-        projected = coxplane.project_all(t, basis)
+        projected = coxplane.project_all(t)
         rs = enumerate_roots(t)
         c = coxeter_matrix(t)
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -431,17 +428,18 @@ def _c15_coxplane(labels: Sequence[str]):
 
 
 _BOX_SCAN_MAX_RANK = 6
+_BOX_SCAN_BOUND = 6
 
 
-def _box_scan(C: np.ndarray, bound: int = 6) -> set[tuple[int, ...]]:
-    """Literal scan of the integer box |v_i| <= bound for v^t C v = 2.
+def _box_scan(C: np.ndarray) -> set[tuple[int, ...]]:
+    """Literal scan of the integer box |v_i| <= _BOX_SCAN_BOUND for v^t C v = 2.
 
     Every point of the box is tested in int64.  With v = (lead, tail),
     v^t C v = C_00 lead^2 + lead ((C_0,1: + C_1:,0) . tail) + tail^t C' tail
     for any C; the two tail terms are computed once, so each leading value
     costs one vector pass.
     """
-    k = C.shape[0]
+    k, bound = C.shape[0], _BOX_SCAN_BOUND
     side = 2 * bound + 1
     # Every tail in the box of the k - 1 trailing coordinates; one empty tail for k = 1.
     tail = np.indices((side,) * (k - 1)).reshape(k - 1, side ** (k - 1)).T - bound

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LieType, cartan_matrix, make_type, projective_basis
+from .lattice import LieType, as_type, cartan_matrix, per_type, projective_basis
 from .rootsys import Root, enumerate_roots, matrix_order, monodromy_matrix
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
     "rotation_angle",
     "classes_payload",
 ]
-
-def _as_type(t: LieType | str) -> LieType:
-    return t if isinstance(t, LieType) else make_type(t)
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def _d_vertices(k: int) -> list[VertexPoint]:
 
 def build_wheel(t: LieType | str) -> WheelModel:
     """Planar model for A/D; orbit-label model for the E types."""
-    t = _as_type(t)
+    t = as_type(t)
     if t.family == "A":
         verts = tuple(_a_vertices(t.rank))
         return WheelModel(t, verts, tuple(v.label for v in verts), has_center=False)
@@ -137,7 +134,7 @@ def _d_potential(t: LieType, label: int) -> np.ndarray:
 
 def segment_class(t: LieType | str, segment: Sequence[int]) -> Root:
     """Root realized by an oriented segment (A/D) or an orbit label (E)."""
-    t = _as_type(t)
+    t = as_type(t)
     if t.family == "A":
         src, dst = segment
         n = t.rank + 1
@@ -181,24 +178,28 @@ def _d_segments(t: LieType) -> list[tuple[int, int]]:
     return [(a, b) for a in labels for b in labels if a != b and a != -b]
 
 
-def _d_positions(t: LieType) -> dict[int, tuple[float, float]]:
-    return {v.label: (v.x, v.y) for v in _d_vertices(t.rank)}
+def _d_midpoint_key(k: int, seg: tuple[int, int]) -> int:
+    """Polar angle of a D-wheel segment's midpoint, exactly, in units of pi/n.
+
+    Boundary position p (n = 2k - 2 of them) lies at angle 2p.  A spoke's
+    midpoint lies on the ray to its boundary end; a chord (p, q) has its
+    midpoint on the bisector p + q of its shorter arc, or p + q + n when that
+    arc passes position 0.
+    """
+    n = 2 * k - 2
+    p, q = (int(x) for x in _d_position(k, seg))
+    if n in (p, q):
+        return 2 * (p + q - n)
+    return (p + q + n * (abs(p - q) > n // 2)) % (2 * n)
 
 
-def _d_midpoint_angle(t: LieType, seg: tuple[int, int]) -> float:
-    pos = _d_positions(t)
-    (x1, y1), (x2, y2) = pos[seg[0]], pos[seg[1]]
-    return math.atan2((y1 + y2) / 2, (x1 + x2) / 2) % (2 * math.pi)
-
-
-_CLASS_CACHE: dict[str, list[SegmentClass]] = {}
-
-
+@per_type
 def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
-    """Segment classes in root order; they biject with the root system."""
-    t = _as_type(t)
-    if t.label in _CLASS_CACHE:
-        return _CLASS_CACHE[t.label]
+    """Segment classes in root order; they biject with the root system.
+
+    D representatives are listed counterclockwise by the angle of their
+    midpoint, starting from the ray through v_1.
+    """
     rs = enumerate_roots(t)
     groups: dict[Root, list[tuple[int, ...]]] = {}
     if t.family == "A":
@@ -211,7 +212,7 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
         for seg in _d_segments(t):
             groups.setdefault(segment_class(t, seg), []).append(seg)
         for root, segs in groups.items():
-            segs.sort(key=lambda s: _d_midpoint_angle(t, s))
+            segs.sort(key=lambda s: _d_midpoint_key(t.rank, s))
     else:
         model = build_wheel(t)
         signs = (1, -1) if model.signed_orbits else (1,)
@@ -226,9 +227,7 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
                 v = M @ v
     if set(groups) != set(rs.roots):
         raise RuntimeError(f"{t}: segment classes do not biject with the roots")
-    out = [SegmentClass(r, tuple(groups[r])) for r in rs.roots]
-    _CLASS_CACHE[t.label] = out
-    return out
+    return [SegmentClass(r, tuple(groups[r])) for r in rs.roots]
 
 
 def _d_position(k: int, label):
@@ -268,7 +267,7 @@ def d_geometric_sign(t: LieType | str, alpha, beta) -> int:
     pair (alpha, beta), negated when the triangle strictly contains the
     center; the entry of :func:`d_sign_pairs` for the pair.
     """
-    t = _as_type(t)
+    t = as_type(t)
     if t.family != "D":
         raise ValueError("the planar sign rule is for D types")
     rs = enumerate_roots(t)
@@ -290,7 +289,7 @@ def d_sign_pairs(t: LieType | str) -> np.ndarray:
     segments is one triangle: it signs (class(x, y), class(y, z)) with its
     triangle sign and the reversed pair with the opposite sign.
     """
-    t = _as_type(t)
+    t = as_type(t)
     if t.family != "D":
         raise ValueError("the planar sign rule is for D types")
     rs = enumerate_roots(t)
@@ -326,7 +325,7 @@ def d_sign_pairs(t: LieType | str) -> np.ndarray:
 
 def rotation_angle(t: LieType | str) -> Fraction:
     """Wheel rotation of the monodromy, as an exact multiple of pi."""
-    t = _as_type(t)
+    t = as_type(t)
     if t.family == "A":
         raise ValueError("the A wheel is not rotated by the monodromy")
     if t.family == "D":
@@ -336,7 +335,7 @@ def rotation_angle(t: LieType | str) -> Fraction:
 
 def classes_payload(t: LieType | str) -> dict:
     """JSON payload: {"type", "classes": [{"root", "segments"}]}."""
-    t = _as_type(t)
+    t = as_type(t)
     return {
         "type": t.label,
         "classes": [

@@ -19,12 +19,7 @@ PLANE_LABELS = [f"A{k}" for k in range(2, 9)] + [f"D{k}" for k in range(3, 9)] +
 INJECTIVE = {"A2", "A4", "A6", "A8", "E7", "E8"}
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 def test_a1_degenerate():

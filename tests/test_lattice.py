@@ -15,18 +15,14 @@ from geomlie.lattice import (AbsoluteCycle, RelativeCycle, cartan_matrix,
                              seifert_form, seifert_matrix,
                              stabilized_pairing_matrix, variation,
                              variation_inverse)
-from geomlie.rootsys import enumerate_roots, monodromy_matrix
+from geomlie.rootsys import coxeter_matrix, enumerate_roots, monodromy_matrix
+from geomlie.wheel import enumerate_classes
 
 ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 def test_make_type_constants():
@@ -49,6 +45,22 @@ def test_make_type_rejects(bad):
 def test_d3_warns():
     with pytest.warns(UserWarning):
         make_type("D3")
+
+
+@pytest.mark.parametrize("builder", [seifert_matrix, cartan_matrix, projective_basis,
+                                     coxeter_matrix, enumerate_roots, enumerate_classes],
+                         ids=lambda f: f.__name__)
+def test_per_type_builders_memoize_by_label(builder):
+    assert builder("A2") is builder(make_type("A2")) is builder("a2")
+
+
+@pytest.mark.parametrize("builder", [seifert_matrix, cartan_matrix, projective_basis,
+                                     coxeter_matrix], ids=lambda f: f.__name__)
+def test_per_type_arrays_are_read_only(builder):
+    m = builder("D4")
+    with pytest.raises(ValueError):
+        m[0, 0] = 7
+    assert builder("D4")[0, 0] == m[0, 0] != 7
 
 
 def test_seifert_matrix_printed_forms():

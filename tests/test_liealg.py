@@ -26,12 +26,7 @@ from geomlie.verify import A2_TABLE
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "D4", "D5"]
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 def test_n_sign_examples():

@@ -17,12 +17,7 @@ ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -216,6 +211,19 @@ def test_fold_classical_families():
     for name in ("D4:B3", "D5:B4", "D8:B7", "A3:C2", "A5:C3", "A7:C4", "E6:F4", "D4:G2"):
         spec = classical_folding(name)
         assert np.array_equal(fold(spec), expected_folded_cartan(name))
+
+
+def test_classical_folding_is_public():
+    import geomlie
+    spec = geomlie.classical_folding("e6 : f4")
+    assert (spec.source.label, spec.permutation, spec.target_name) == \
+        ("E6", (3, 4, 1, 2, 5, 6), "F4")
+
+
+def test_orbit_decomposition_rejects_unknown_operator():
+    # "rhobar" is only the command-line alias of "coxeter_bar".
+    with pytest.raises(ValueError, match="unknown operator"):
+        orbit_decomposition("A2", "rhobar")
 
 
 def test_fold_identity_involution():

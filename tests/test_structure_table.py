@@ -14,12 +14,7 @@ from geomlie.rootsys import enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 def closed_form_killing(label: str) -> np.ndarray:

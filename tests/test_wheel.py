@@ -17,12 +17,7 @@ from geomlie.wheel import (build_wheel, classes_payload, d_geometric_sign,
                            segment_class)
 
 
-@pytest.fixture(autouse=True)
-def _quiet_d3_warning():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        yield
+pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 
 def test_build_wheel_a5():
@@ -107,6 +102,35 @@ def test_d5_class_counts():
         counts[kind] += 1
         assert len(c.segments) == (2 if kind in ("i", "ii") else 1)
     assert counts == {"i": 12, "ii": 12, "iii": 8, "iv": 8}
+
+
+def test_d5_segments_in_midpoint_order():
+    # The midpoint of the chord -4 -> 2 lies exactly on the ray through v_1.
+    segments = {c.root: c.segments for c in enumerate_classes("D5")}
+    assert segments[(1, 1, 2, 1, 1)] == ((-4, 2), (-2, 4))
+    assert segments[(-1, -1, -2, -1, -1)] == ((2, -4), (4, -2))
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_d_segments_sorted_by_exact_midpoint_angle(k):
+    """Representatives ascend in midpoint angle, an exact multiple of pi/n."""
+    n = 2 * k - 2
+    vertices = build_wheel(f"D{k}").vertices  # boundary positions 0 .. n-1, center last
+    position = {v.label: m for m, v in enumerate(vertices)}
+
+    def key(seg):
+        p, q = (position[x] for x in seg)
+        if n in (p, q):
+            return 2 * (p + q - n)
+        return (p + q + n * (abs(p - q) > n / 2)) % (2 * n)
+
+    for cls in enumerate_classes(f"D{k}"):
+        keys = [key(s) for s in cls.segments]
+        assert keys == sorted(set(keys))
+        for seg, exact in zip(cls.segments, keys):
+            a, b = (vertices[position[x]] for x in seg)
+            off = (math.atan2(a.y + b.y, a.x + b.x) - exact * math.pi / n) % (2 * math.pi)
+            assert min(off, 2 * math.pi - off) < 1e-9
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
