@@ -98,29 +98,6 @@ def is_nonsingular(m) -> bool:
     return det_exact(m) != 0
 
 
-def rank_exact(m) -> int:
-    """Rank of an integer matrix over the rationals."""
-    a = [[Fraction(int(x)) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def short_vectors(gram, norm: int) -> list[tuple[int, ...]]:
     """All integer vectors v with v^t G v == norm, for positive definite G.
 

@@ -6,13 +6,14 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 
 import numpy as np
 
 from . import coxplane, liealg, verify, wheel
 from .lattice import cartan_matrix, make_type, matrix_payload, seifert_matrix
-from .rootsys import (FreenessError, classical_folding, enumerate_roots, fold,
-                      monodromy_matrix, orbit_decomposition, rootsystem_payload)
+from .rootsys import (classical_folding, enumerate_roots, fold, monodromy_matrix,
+                      orbit_decomposition, rootsystem_payload)
 
 
 def _color_enabled() -> bool:
@@ -69,11 +70,9 @@ def _cmd_roots(args) -> int:
 def _cmd_orbits(args) -> int:
     t = make_type(args.type)
     operator = {"monodromy": "monodromy", "rhobar": "coxeter_bar"}[args.operator]
-    try:
-        dec = orbit_decomposition(t, operator)
-    except FreenessError as exc:
-        print(f"note: {exc}", file=sys.stderr)
-        dec = orbit_decomposition(t, operator, require_free=False)
+    dec = orbit_decomposition(t, operator, require_free=False)
+    if not dec.is_free:
+        print(f"note: {dec.not_free_message()}", file=sys.stderr)
     if args.json:
         print(json.dumps(dec.to_json()))
     else:
@@ -201,16 +200,21 @@ def _cmd_fold(args) -> int:
 
 def _cmd_verify(args) -> int:
     labels = None if args.all or not args.types else args.types
-    results = verify.run_verify(labels)
+    by_criterion: dict[str, list[verify.CheckResult]] = {}
+    for r in verify.run_verify(labels):
+        by_criterion.setdefault(r.name, []).append(r)
     failed = 0
-    for r in sorted(results, key=lambda r: r.name):
-        mark = _paint("PASS", "32") if r.passed else _paint("FAIL", "31")
-        print(f"{r.name:28s} {mark}  ({r.millis} ms)")
-        if not r.passed:
-            failed += 1
-            print(f"    expected: {r.expected}")
-            print(f"    actual:   {r.actual}")
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    for name, records in by_criterion.items():
+        bad = [r for r in records if not r.ok]
+        mark = _paint("FAIL", "31") if bad else _paint("PASS", "32")
+        print(f"{name:28s} {mark}  ({sum(r.millis for r in records):.0f} ms)")
+        failed += bool(bad)
+        for r in bad:
+            print(f"    {r.label} expected: {r.expected}")
+            print(f"    {r.label} actual:   {r.actual}")
+            if r.traceback:
+                print(textwrap.indent(r.traceback.rstrip(), "      "))
+    print(f"{len(by_criterion) - failed}/{len(by_criterion)} criteria passed")
     return 0 if failed == 0 else 1
 
 

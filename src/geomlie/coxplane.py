@@ -182,18 +182,16 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
     if show_edges:
         drawn = set()
         lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                diff = tuple(a - b for a, b in zip(rs.roots[i], rs.roots[j]))
-                if diff not in rs.index:
-                    continue
-                key = (round(pts[i][0], 4), round(pts[i][1], 4),
-                       round(pts[j][0], 4), round(pts[j][1], 4))
-                if key in drawn:
-                    continue
-                drawn.add(key)
-                lines.append(f'<line x1="{pts[i][0]:.4f}" y1="{pts[i][1]:.4f}" '
-                             f'x2="{pts[j][0]:.4f}" y2="{pts[j][1]:.4f}"/>')
+        # a - b is a root exactly when |a - b|^2 = 4 - 2 (a, b) = 2, i.e. (a, b) = 1.
+        X = rs.coords
+        for i, j in np.argwhere(np.triu(X @ cartan_matrix(t) @ X.T == 1, 1)):
+            key = (round(pts[i][0], 4), round(pts[i][1], 4),
+                   round(pts[j][0], 4), round(pts[j][1], 4))
+            if key in drawn:
+                continue
+            drawn.add(key)
+            lines.append(f'<line x1="{pts[i][0]:.4f}" y1="{pts[i][1]:.4f}" '
+                         f'x2="{pts[j][0]:.4f}" y2="{pts[j][1]:.4f}"/>')
         lines.append("</g>")
     for group in point_clusters(projected):
         i = group[0]

@@ -203,6 +203,11 @@ class OrbitDecomposition:
     def is_free(self) -> bool:
         return all(len(o) == self.operator_order for o in self.orbits)
 
+    def not_free_message(self) -> str:
+        sizes = sorted({len(o) for o in self.orbits})
+        return (f"{self.lie_type}: {self.operator} action is not free "
+                f"(orbit sizes {sizes}, order {self.operator_order})")
+
     def orbit_roots(self) -> tuple[tuple[Root, ...], ...]:
         return tuple(tuple(self.root_system.roots[i] for i in orbit) for orbit in self.orbits)
 
@@ -247,9 +252,7 @@ def orbit_decomposition(t: LieType | str, operator: str = "monodromy",
         orbits.append(tuple(orbit))
     dec = OrbitDecomposition(t, operator, order, tuple(orbits), rs)
     if require_free and not dec.is_free:
-        sizes = sorted({len(o) for o in orbits})
-        raise FreenessError(
-            f"{t}: {operator} action is not free (orbit sizes {sizes}, order {order})")
+        raise FreenessError(dec.not_free_message())
     return dec
 
 

@@ -1,16 +1,26 @@
-"""The acceptance suite: every check the package promises, run end to end.
+"""The acceptance suite: every check the package promises, run type by type.
 
-Each criterion is a named function returning (passed, expected, actual); the
-runner times them and collects :class:`CheckResult` records.  Checks compare
-the library against data frozen from independent sources: the printed
-monodromy matrices, hand-folded Cartan matrices, the bracket table of the
-rank-2 matrix algebra, and a lattice-point enumerator that shares nothing
+A criterion is a one-type check returning its failure descriptions (none
+means pass), an ``applies`` rule (every type by default) and the ``expected``
+text of its claim.  :func:`run_verify`, the one driver, returns a
+:class:`CheckResult` per (criterion, type): ``n/a`` where the criterion does
+not apply, and ``error`` with the traceback where the check raised, so a
+crash names its type and hides no other.  :data:`CRITERIA` holds ``(name,
+criterion)`` pairs; calling a criterion on a list of labels gives the
+label-list form ``(passed, expected, actual)`` that the benchmark reads,
+from the same records, with ``n/a`` counted as a pass.
+
+Checks compare the library against data frozen from independent sources: the
+printed monodromy matrices, hand-folded Cartan matrices, the bracket table of
+the rank-2 matrix algebra, and a lattice-point enumerator that shares nothing
 with the reflection-closure path.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -18,27 +28,54 @@ import numpy as np
 
 from . import coxplane, liealg, wheel
 from ._exact import short_vectors
-from .lattice import (LieType, cartan_matrix, make_type, seifert_matrix,
+from .lattice import (LieType, as_type, cartan_matrix, make_type, seifert_matrix,
                       stabilized_pairing_matrix)
-from .rootsys import (CLASSICAL_FOLDINGS, FreenessError, classical_folding,
-                      coxeter_matrix, enumerate_roots, fold, matrix_order,
-                      monodromy_matrix, orbit_decomposition, verify_sT_identity)
+from .rootsys import (CLASSICAL_FOLDINGS, OPERATORS, classical_folding, coxeter_matrix,
+                      enumerate_roots, fold, matrix_order, monodromy_matrix,
+                      orbit_decomposition, verify_sT_identity)
 
-__all__ = ["CheckResult", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
+__all__ = ["CheckResult", "Criterion", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
            "PRINTED_MONODROMY", "expected_orbit_table", "expected_folded_cartan"]
 
 ALL_TYPE_LABELS = tuple(
     [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + ["E6", "E7", "E8"]
 )
 
+PASS, FAIL, ERROR, NA = "pass", "fail", "error", "n/a"
+
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One criterion on one type; ``traceback`` is set only for ``error``."""
+
     name: str
-    passed: bool
+    label: str
+    status: str
     expected: str
     actual: str
-    millis: int
+    millis: float
+    traceback: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """False when the check failed or raised; ``n/a`` counts as a pass."""
+        return self.status in (PASS, NA)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A one-type check, the types it applies to and the claim it checks."""
+
+    name: str
+    expected: str
+    check: Callable[[LieType], list[str]]
+    applies: Callable[[LieType], bool] = lambda t: True
+
+    def __call__(self, labels: Sequence[str]) -> tuple[bool, str, str]:
+        """Label-list form: (passed, expected, actual) over ``labels``."""
+        records = _records([self], labels)
+        actual = "; ".join(f"{r.label}: {r.actual}" for r in records if r.status != PASS)
+        return all(r.ok for r in records), self.expected, actual or self.expected
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +171,24 @@ def expected_folded_cartan(name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Criterion implementations
+# Criteria: one check per type, registered in order
 # ---------------------------------------------------------------------------
 
-def _fmt_fail(fails: list[str], ok_msg: str) -> tuple[bool, str, str]:
-    if fails:
-        return False, ok_msg, "; ".join(fails)
-    return True, ok_msg, ok_msg
+_REGISTRY: list[Criterion] = []
 
 
-def _c01_root_counts(labels: Sequence[str]):
-    fails = []
-    for lab in labels:
-        t = make_type(lab)
-        n = len(enumerate_roots(t))
-        if n != t.root_count:
-            fails.append(f"{lab}: {n} != {t.root_count}")
-    return _fmt_fail(fails, "closure count equals k(k+1) / 2k(k-1) / 72,126,240")
+def _criterion(name: str, expected: str, **applies):
+    """Register the decorated one-type check as the next criterion."""
+    def register(check: Callable[[LieType], list[str]]):
+        _REGISTRY.append(Criterion(name, expected, check, **applies))
+        return check
+    return register
+
+
+@_criterion("C01-root-counts", "closure count equals k(k+1) / 2k(k-1) / 72,126,240")
+def _c01_root_counts(t: LieType) -> list[str]:
+    n = len(enumerate_roots(t))
+    return [f"{n} != {t.root_count}"] if n != t.root_count else []
 
 
 def _graph_shape_ok(t: LieType) -> bool:
@@ -184,96 +222,79 @@ def _graph_shape_ok(t: LieType) -> bool:
     return sorted(arms) == {6: [1, 2, 2], 7: [1, 2, 3], 8: [1, 2, 4]}[k]
 
 
-def _c02_cartan(labels: Sequence[str]):
+@_criterion("C02-cartan-recovery", "B + B^t is the standard Cartan matrix with the right graph")
+def _c02_cartan(t: LieType) -> list[str]:
+    B = seifert_matrix(t)
     fails = []
-    for lab in labels:
-        t = make_type(lab)
-        B = seifert_matrix(t)
-        if not np.array_equal(cartan_matrix(t), B + B.T) or not _graph_shape_ok(t):
-            fails.append(lab)
-    return _fmt_fail(fails, "B + B^t is the standard Cartan matrix with the right graph")
+    if not np.array_equal(cartan_matrix(t), B + B.T):
+        fails.append("B + B^t differs from the Cartan matrix")
+    if not _graph_shape_ok(t):
+        fails.append("wrong Dynkin graph")
+    return fails
 
 
-def _c03_printed_monodromy(labels: Sequence[str]):
+@_criterion("C03-printed-monodromy",
+            "projective monodromy equals the printed matrices, orders 12/9/15",
+            applies=lambda t: t.label in PRINTED_MONODROMY)
+def _c03_printed_monodromy(t: LieType) -> list[str]:
+    P = monodromy_matrix(t, basis="projective")
+    if not np.array_equal(P, np.array(PRINTED_MONODROMY[t.label], dtype=np.int64)):
+        return ["matrix mismatch"]
+    order, want = matrix_order(P), _PRINTED_POWER[t.label]
+    return [f"order {order} != {want}"] if order != want else []
+
+
+@_criterion("C04-sT-identity", "S_1..S_k = -(T_1..T_k) for every type")
+def _c04_sT(t: LieType) -> list[str]:
+    return [] if verify_sT_identity(t) else ["S_1..S_k != -(T_1..T_k)"]
+
+
+@_criterion("C05-orbit-tables", "orbit tables match, both operators free except the A5 monodromy")
+def _c05_orbits(t: LieType) -> list[str]:
     fails = []
-    targets = [lab for lab in labels if lab in PRINTED_MONODROMY]
-    for lab in targets:
-        P = monodromy_matrix(lab, basis="projective")
-        if not np.array_equal(P, np.array(PRINTED_MONODROMY[lab], dtype=np.int64)):
-            fails.append(f"{lab}: matrix mismatch")
-            continue
-        order = matrix_order(P)
-        if order != _PRINTED_POWER[lab]:
-            fails.append(f"{lab}: order {order} != {_PRINTED_POWER[lab]}")
-    msg = "projective monodromy equals the printed matrices, orders 12/9/15"
-    if not targets:
-        return True, msg, "n/a (no E types selected)"
-    return _fmt_fail(fails, msg)
+    for op in OPERATORS:
+        want = expected_orbit_table(t.label, op)
+        dec = orbit_decomposition(t, op, require_free=False)
+        got = (dec.operator_order, len(dec.orbits), dec.is_free)
+        if got != want:
+            fails.append(f"{op}: {got} != {want}")
+    return fails
 
 
-def _c04_sT(labels: Sequence[str]):
-    fails = [lab for lab in labels if not verify_sT_identity(lab)]
-    return _fmt_fail(fails, "S_1..S_k = -(T_1..T_k) for every type")
+@_criterion("C06-pairing-invariance", "P^t C P = C for the monodromy of every type")
+def _c06_pairing_invariance(t: LieType) -> list[str]:
+    C = cartan_matrix(t)
+    P = monodromy_matrix(t)
+    return [] if np.array_equal(P.T @ C @ P, C) else ["P^t C P != C"]
 
 
-def _c05_orbits(labels: Sequence[str]):
+@_criterion("C07-lie-algebra-laws", "antisymmetry + Jacobi clean, dims k+|Phi|, E8 within budget")
+def _c07_lie_laws(t: LieType) -> list[str]:
     fails = []
-    for lab in labels:
-        for op in ("monodromy", "coxeter_bar"):
-            order, orbits, free = expected_orbit_table(lab, op)
-            try:
-                dec = orbit_decomposition(lab, op, require_free=free)
-            except FreenessError as exc:
-                fails.append(f"{lab}/{op}: {exc}")
-                continue
-            got = (dec.operator_order, len(dec.orbits), dec.is_free)
-            if got != (order, orbits, free):
-                fails.append(f"{lab}/{op}: {got} != {(order, orbits, free)}")
-    return _fmt_fail(fails, "orbit tables match, both operators free except the A5 monodromy")
+    L = liealg.build(t)
+    if L.dimension != t.rank + t.root_count:
+        fails.append(f"dim {L.dimension}")
+    if liealg.check_antisymmetry(L):
+        fails.append("antisymmetry violated")
+    start = time.perf_counter()
+    report = liealg.check_jacobi(L)
+    elapsed = (time.perf_counter() - start) * 1000
+    if report.violations:
+        fails.append(f"{len(report.violations)} Jacobi violations")
+    if t.label == "E8" and elapsed > 90_000:
+        fails.append(f"E8 sweep took {elapsed:.0f} ms > 90 s")
+    return fails
 
 
-def _c06_pairing_invariance(labels: Sequence[str]):
-    fails = []
-    for lab in labels:
-        C = cartan_matrix(lab)
-        P = monodromy_matrix(lab)
-        if not np.array_equal(P.T @ C @ P, C):
-            fails.append(lab)
-    return _fmt_fail(fails, "P^t C P = C for the monodromy of every type")
-
-
-def _c07_lie_laws(labels: Sequence[str]):
-    fails = []
-    e8_ms = None
-    for lab in labels:
-        t = make_type(lab)
-        L = liealg.build(t)
-        if L.dimension != t.rank + t.root_count:
-            fails.append(f"{lab}: dim {L.dimension}")
-        if liealg.check_antisymmetry(L):
-            fails.append(f"{lab}: antisymmetry violated")
-        start = time.perf_counter()
-        report = liealg.check_jacobi(L)
-        elapsed = (time.perf_counter() - start) * 1000
-        if lab == "E8":
-            e8_ms = elapsed
-        if report.violations:
-            fails.append(f"{lab}: {len(report.violations)} Jacobi violations")
-    if e8_ms is not None and e8_ms > 90_000:
-        fails.append(f"E8 sweep took {e8_ms:.0f} ms > 90 s")
-    return _fmt_fail(fails, "antisymmetry + Jacobi clean, dims k+|Phi|, E8 within budget")
-
-
-def _c08_sl2(labels: Sequence[str]):
-    fails = []
-    for lab in labels:
-        L = liealg.build(make_type(lab))
-        try:
-            for r in L.root_system.roots:
-                liealg.sl2_triple(L, r)
-        except RuntimeError as exc:
-            fails.append(f"{lab}: {exc}")
-    return _fmt_fail(fails, "[h,e]=2e, [h,f]=-2f, [e,f]=-h for every root")
+@_criterion("C08-sl2-triples", "[h,e]=2e, [h,f]=-2f, [e,f]=-h for every root")
+def _c08_sl2(t: LieType) -> list[str]:
+    L = liealg.build(t)
+    try:
+        for r in L.root_system.roots:
+            liealg.sl2_triple(L, r)
+    except RuntimeError as exc:
+        return [str(exc)]
+    return []
 
 
 def _symbol_elements(L: liealg.LieAlgebra) -> dict[str, liealg.AlgebraElement]:
@@ -285,14 +306,13 @@ def _symbol_elements(L: liealg.LieAlgebra) -> dict[str, liealg.AlgebraElement]:
     return out
 
 
-def _c09_type_a_model(labels: Sequence[str]):
-    fails = []
-    ranks = sorted(make_type(lab).rank for lab in labels if lab.upper().startswith("A"))
-    for k in ranks:
-        if not liealg.slk_model_check(k):
-            fails.append(f"A{k}: model mismatch")
-    if 2 in ranks:
-        L = liealg.build(make_type("A2"))
+@_criterion("C09-type-A-matrix-model",
+            "traceless-matrix model bracket-preserving, A2 table verbatim",
+            applies=lambda t: t.family == "A")
+def _c09_type_a_model(t: LieType) -> list[str]:
+    fails = [] if liealg.slk_model_check(t.rank) else ["model mismatch"]
+    if t.label == "A2":
+        L = liealg.build(t)
         sym = _symbol_elements(L)
         for lhs, rhs, expect in A2_TABLE:
             want = liealg.AlgebraElement(())
@@ -300,77 +320,63 @@ def _c09_type_a_model(labels: Sequence[str]):
                 want = want + sym[name].scaled(coef)
             if liealg.bracket(L, sym[lhs], sym[rhs]) != want:
                 fails.append(f"A2 table: [{lhs},{rhs}]")
-    msg = "traceless-matrix model bracket-preserving, A2 table verbatim"
-    if not ranks:
-        return True, msg, "n/a (no A types selected)"
-    return _fmt_fail(fails, msg)
+    return fails
 
 
-def _c10_killing(labels: Sequence[str]):
+@_criterion("C10-killing-nondegenerate", "det of the Killing form is nonzero for every type")
+def _c10_killing(t: LieType) -> list[str]:
+    L = liealg.build(t)
+    return [] if liealg.is_nondegenerate(liealg.killing_form(L)) else ["Killing form degenerate"]
+
+
+@_criterion("C11-d-sign-rule",
+            "planar triangle sign equals the algebraic sign on all summable pairs",
+            applies=lambda t: t.family == "D")
+def _c11_d_sign(t: LieType) -> list[str]:
+    X = enumerate_roots(t).coords
+    S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a
+    # N(a, b) = (-1)^(var(b) . a) on the summable pairs (a, b) = -1, 0 elsewhere.
+    algebraic = np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
+    bad = int(np.count_nonzero(wheel.d_sign_pairs(t) != algebraic))
+    return [f"{bad} mismatches"] if bad else []
+
+
+@_criterion("C12-wheel-bijections",
+            "A segments biject with the formula; D class counts match; E labels biject")
+def _c12_wheel_bijections(t: LieType) -> list[str]:
+    k = t.rank
+    classes = wheel.enumerate_classes(t)
     fails = []
-    for lab in labels:
-        L = liealg.build(make_type(lab))
-        if not liealg.is_nondegenerate(liealg.killing_form(L)):
-            fails.append(lab)
-    return _fmt_fail(fails, "det of the Killing form is nonzero for every type")
+    if t.family == "D":
+        if len(classes) != 2 * k * (k - 1):
+            return [f"{len(classes)} classes"]
+        counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0}
+        for c in classes:
+            first, second = abs(c.root[0]), abs(c.root[1])
+            kind = {(0, 0): "i", (1, 1): "ii", (1, 0): "iii", (0, 1): "iv"}[(first, second)]
+            counts[kind] += 1
+            want_reps = 2 if kind in ("i", "ii") else 1
+            if len(c.segments) != want_reps:
+                fails.append(f"class {c.root} has {len(c.segments)} reps")
+        expected = {"i": (k - 1) * (k - 2), "ii": (k - 1) * (k - 2),
+                    "iii": 2 * (k - 1), "iv": 2 * (k - 1)}
+        if counts != expected:
+            fails.append(f"pattern counts {counts} != {expected}")
+    elif len(classes) != t.root_count or any(len(c.segments) != 1 for c in classes):
+        fails.append("segment map is not a bijection")
+    elif t.family == "A":
+        for i in range(1, k + 2):
+            for j in range(i + 1, k + 2):
+                want = tuple(1 if i <= m + 1 < j else 0 for m in range(k))
+                if wheel.segment_class(t, (i, j)) != want:
+                    fails.append(f"segment ({i},{j}) formula")
+    return fails
 
 
-def _c11_d_sign(labels: Sequence[str]):
+@_criterion("C13-stabilization", "stabilized pairing equals C for n = 2..6")
+def _c13_stabilization(t: LieType) -> list[str]:
     fails = []
-    d_labels = [lab for lab in labels if lab.upper().startswith("D")]
-    for lab in d_labels:
-        t = make_type(lab)
-        X = enumerate_roots(t).coords
-        S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a
-        # N(a, b) = (-1)^(var(b) . a) on the summable pairs (a, b) = -1, 0 elsewhere.
-        algebraic = np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
-        bad = int(np.count_nonzero(wheel.d_sign_pairs(t) != algebraic))
-        if bad:
-            fails.append(f"{lab}: {bad} mismatches")
-    msg = "planar triangle sign equals the algebraic sign on all summable pairs"
-    if not d_labels:
-        return True, msg, "n/a (no D types selected)"
-    return _fmt_fail(fails, msg)
-
-
-def _c12_wheel_bijections(labels: Sequence[str]):
-    fails = []
-    for lab in labels:
-        t = make_type(lab)
-        if t.family == "A":
-            classes = wheel.enumerate_classes(t)
-            if len(classes) != t.root_count or any(len(c.segments) != 1 for c in classes):
-                fails.append(f"{lab}: segment map is not a bijection")
-                continue
-            k = t.rank
-            for i in range(1, k + 2):
-                for j in range(i + 1, k + 2):
-                    want = tuple(1 if i <= m + 1 < j else 0 for m in range(k))
-                    if wheel.segment_class(t, (i, j)) != want:
-                        fails.append(f"{lab}: segment ({i},{j}) formula")
-        elif t.family == "D":
-            k = t.rank
-            classes = wheel.enumerate_classes(t)
-            if len(classes) != 2 * k * (k - 1):
-                fails.append(f"{lab}: {len(classes)} classes")
-                continue
-            counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0}
-            for c in classes:
-                first, second = abs(c.root[0]), abs(c.root[1])
-                kind = {(0, 0): "i", (1, 1): "ii", (1, 0): "iii", (0, 1): "iv"}[(first, second)]
-                counts[kind] += 1
-                want_reps = 2 if kind in ("i", "ii") else 1
-                if len(c.segments) != want_reps:
-                    fails.append(f"{lab}: class {c.root} has {len(c.segments)} reps")
-            expected = {"i": (k - 1) * (k - 2), "ii": (k - 1) * (k - 2),
-                        "iii": 2 * (k - 1), "iv": 2 * (k - 1)}
-            if counts != expected:
-                fails.append(f"{lab}: pattern counts {counts} != {expected}")
-    return _fmt_fail(fails, "A segments biject with the formula; D class counts match")
-
-
-def _c13_stabilization(labels: Sequence[str]):
-    fails = []
+    C = cartan_matrix(t)
     # Independent sign oracle: expanding the suspension formula step by step
     # must make the n-variable pairing constant in n.
     sign = 1  # Seifert sign s_n relative to the curve case, n = 2
@@ -379,17 +385,20 @@ def _c13_stabilization(labels: Sequence[str]):
             sign *= (-1) ** (n - 1) * (-1)  # tensor factor times the 1-variable value
         if ((-1) ** (n * (n + 1) // 2)) * sign != -1:
             fails.append(f"sign oracle fails at n={n}")
-    for lab in labels:
-        C = cartan_matrix(lab)
-        for n in range(2, 7):
-            if not np.array_equal(stabilized_pairing_matrix(lab, n), C):
-                fails.append(f"{lab}, n={n}")
-    return _fmt_fail(fails, "stabilized pairing equals C for n = 2..6")
+        if not np.array_equal(stabilized_pairing_matrix(t, n), C):
+            fails.append(f"n={n}")
+    return fails
 
 
-def _c14_folding(labels: Sequence[str]):
+def _foldings_from(t: LieType) -> list[str]:
+    return [name for name in CLASSICAL_FOLDINGS if name.partition(":")[0] == t.label]
+
+
+@_criterion("C14-folding", "the four classical folding families fold correctly",
+            applies=lambda t: bool(_foldings_from(t)))
+def _c14_folding(t: LieType) -> list[str]:
     fails = []
-    for name in CLASSICAL_FOLDINGS:
+    for name in _foldings_from(t):
         try:
             got = fold(classical_folding(name))
         except ValueError as exc:
@@ -397,34 +406,32 @@ def _c14_folding(labels: Sequence[str]):
             continue
         if not np.array_equal(got, expected_folded_cartan(name)):
             fails.append(f"{name}: matrix mismatch")
-    return _fmt_fail(fails, "the four classical folding families fold correctly")
+    return fails
 
 
-def _c15_coxplane(labels: Sequence[str]):
+_INJECTIVE_LABELS = {"A2", "A4", "A6", "A8", "E7", "E8"}
+
+
+@_criterion("C15-coxeter-plane", "rotation equivariance within 1e-9, injectivity per type",
+            applies=lambda t: t.rank >= 2)
+def _c15_coxplane(t: LieType) -> list[str]:
     fails = []
-    injective_labels = {"A2", "A4", "A6", "A8", "E7", "E8"}
-    for lab in labels:
-        t = make_type(lab)
-        if t.rank < 2:
-            continue
-        theta = 2 * np.pi / t.coxeter_number
-        projected = coxplane.project_all(t)
-        rs = enumerate_roots(t)
-        c = coxeter_matrix(t)
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        worst = 0.0
-        for i, pr in enumerate(projected):
-            image = tuple(int(x) for x in (c @ np.array(pr.root)))
-            target = np.array(projected[rs.index[image]].point)
-            err = float(np.max(np.abs(target - rot @ np.array(pr.point))))
-            worst = max(worst, err)
-        if worst > 1e-9:
-            fails.append(f"{lab}: equivariance residual {worst:.2e}")
-        clusters = coxplane.point_clusters(projected)
-        injective = all(len(g) == 1 for g in clusters)
-        if injective != (lab in injective_labels):
-            fails.append(f"{lab}: injectivity {injective}")
-    return _fmt_fail(fails, "rotation equivariance within 1e-9, injectivity per type")
+    theta = 2 * np.pi / t.coxeter_number
+    projected = coxplane.project_all(t)
+    rs = enumerate_roots(t)
+    c = coxeter_matrix(t)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    worst = 0.0
+    for pr in projected:
+        image = tuple(int(x) for x in (c @ np.array(pr.root)))
+        target = np.array(projected[rs.index[image]].point)
+        worst = max(worst, float(np.max(np.abs(target - rot @ np.array(pr.point)))))
+    if worst > 1e-9:
+        fails.append(f"equivariance residual {worst:.2e}")
+    injective = all(len(g) == 1 for g in coxplane.point_clusters(projected))
+    if injective != (t.label in _INJECTIVE_LABELS):
+        fails.append(f"injectivity {injective}")
+    return fails
 
 
 _BOX_SCAN_MAX_RANK = 6
@@ -452,57 +459,47 @@ def _box_scan(C: np.ndarray) -> set[tuple[int, ...]]:
     return out
 
 
-def _c16_scan_oracle(labels: Sequence[str]):
+@_criterion("C16-scan-oracle", "reflection closure equals the independent lattice scan")
+def _c16_scan_oracle(t: LieType) -> list[str]:
     fails = []
-    for lab in labels:
-        t = make_type(lab)
-        C = cartan_matrix(t)
-        closure = set(enumerate_roots(t).roots)
-        enumerated = set(short_vectors(C, 2))
-        if closure != enumerated:
-            fails.append(f"{lab}: closure and lattice enumeration differ")
-        if t.rank <= _BOX_SCAN_MAX_RANK and closure != _box_scan(C):
-            fails.append(f"{lab}: closure and box scan differ")
-    return _fmt_fail(fails, "reflection closure equals the independent lattice scan")
+    C = cartan_matrix(t)
+    closure = set(enumerate_roots(t).roots)
+    if closure != set(short_vectors(C, 2)):
+        fails.append("closure and lattice enumeration differ")
+    if t.rank <= _BOX_SCAN_MAX_RANK and closure != _box_scan(C):
+        fails.append("closure and box scan differ")
+    return fails
 
 
-CRITERIA: tuple[tuple[str, Callable], ...] = (
-    ("C01-root-counts", _c01_root_counts),
-    ("C02-cartan-recovery", _c02_cartan),
-    ("C03-printed-monodromy", _c03_printed_monodromy),
-    ("C04-sT-identity", _c04_sT),
-    ("C05-orbit-tables", _c05_orbits),
-    ("C06-pairing-invariance", _c06_pairing_invariance),
-    ("C07-lie-algebra-laws", _c07_lie_laws),
-    ("C08-sl2-triples", _c08_sl2),
-    ("C09-type-A-matrix-model", _c09_type_a_model),
-    ("C10-killing-nondegenerate", _c10_killing),
-    ("C11-d-sign-rule", _c11_d_sign),
-    ("C12-wheel-bijections", _c12_wheel_bijections),
-    ("C13-stabilization", _c13_stabilization),
-    ("C14-folding", _c14_folding),
-    ("C15-coxeter-plane", _c15_coxplane),
-    ("C16-scan-oracle", _c16_scan_oracle),
-)
+CRITERIA: tuple[tuple[str, Criterion], ...] = tuple((c.name, c) for c in _REGISTRY)
 
 
-def run_verify(labels: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run every acceptance criterion over the given types (default: all)."""
-    import warnings
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
 
-    labels = list(labels) if labels is not None else list(ALL_TYPE_LABELS)
-    results = []
+def _evaluate(c: Criterion, t: LieType) -> CheckResult:
+    if not c.applies(t):
+        return CheckResult(c.name, t.label, NA, c.expected, NA, 0.0)
+    start = time.perf_counter()
+    try:
+        fails = c.check(t)
+    except Exception as exc:  # a crashed check is an error record for this type only
+        status, actual, trace = ERROR, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+    else:
+        status, actual, trace = (FAIL, "; ".join(fails), "") if fails else (PASS, c.expected, "")
+    millis = (time.perf_counter() - start) * 1000
+    return CheckResult(c.name, t.label, status, c.expected, actual, millis, trace)
+
+
+def _records(criteria: Iterable[Criterion], labels: Iterable[str]) -> list[CheckResult]:
     with warnings.catch_warnings():
         # The D3 rank-floor notice is the user's concern, not the sweep's.
         warnings.filterwarnings("ignore", message="D3 coincides with A3")
-        labels = [make_type(lab).label for lab in labels]
-        for name, func in CRITERIA:
-            start = time.perf_counter()
-            try:
-                passed, expected, actual = func(labels)
-            except Exception as exc:  # a crashed check is a failed check
-                passed, expected = False, "check to complete"
-                actual = f"{type(exc).__name__}: {exc}"
-            millis = int((time.perf_counter() - start) * 1000)
-            results.append(CheckResult(name, passed, expected, actual, millis))
-    return results
+        types = [as_type(lab) for lab in labels]
+        return [_evaluate(c, t) for c in criteria for t in types]
+
+
+def run_verify(labels: Iterable[str] | None = None) -> list[CheckResult]:
+    """One record per (criterion, type), criterion by criterion (default: all types)."""
+    return _records([c for _, c in CRITERIA], ALL_TYPE_LABELS if labels is None else labels)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from geomlie import cli, verify
 from geomlie.cli import main
 from geomlie.verify import PRINTED_MONODROMY
 
@@ -80,6 +82,17 @@ def test_orbits_a5_not_free_still_prints(capsys):
     payload = json.loads(out)
     assert sorted(len(o) for o in payload["orbits"]) == [3, 3, 6, 6, 6, 6]
     assert "not free" in err
+
+
+def test_orbits_decomposes_once(capsys, monkeypatch):
+    calls = []
+    real = cli.orbit_decomposition
+    monkeypatch.setattr(cli, "orbit_decomposition",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    code, _, err = run(capsys, "orbits", "A5")
+    assert code == 0
+    assert len(calls) == 1
+    assert err == "note: A5: monodromy action is not free (orbit sizes [3, 6], order 6)\n"
 
 
 def test_lie_check_all(capsys):
@@ -162,3 +175,25 @@ def test_verify_repeat_is_deterministic(capsys, monkeypatch):
     _, out2, _ = run(capsys, "verify", "A2", "A3")
     strip = lambda s: [line.rsplit("(", 1)[0] for line in s.splitlines()]
     assert strip(out1) == strip(out2)
+
+
+def test_verify_reports_a_crashed_type(capsys, monkeypatch):
+    monkeypatch.setenv("GEOMLIE_COLOR", "0")
+    name, c01 = verify.CRITERIA[0]
+
+    def check(t):
+        if t.label == "D5":
+            raise RuntimeError("lost the table")
+        return c01.check(t)
+
+    monkeypatch.setattr(verify, "CRITERIA", ((name, dataclasses.replace(c01, check=check)),)
+                        + verify.CRITERIA[1:])
+    code, out, _ = run(capsys, "verify", "A2", "D5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("C01-root-counts              FAIL  (")
+    assert lines[1] == f"    D5 expected: {c01.expected}"
+    assert lines[2] == "    D5 actual:   RuntimeError: lost the table"
+    assert lines[3] == "      Traceback (most recent call last):"
+    assert '      RuntimeError: lost the table' in lines
+    assert lines[-1] == "15/16 criteria passed"

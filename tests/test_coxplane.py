@@ -125,6 +125,28 @@ def test_svg_deterministic_and_wellformed():
     assert circles and lines
 
 
+@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+def test_svg_edges_join_root_differences(label):
+    # Reference rule: every pair i < j whose difference is in the root index,
+    # in row-major order, one line per distinct pair of rounded endpoints.
+    rs = enumerate_roots(label)
+    projected = project_all(label)
+    radius = max(math.hypot(*p.point) for p in projected)
+    scale = 0.45 * 600  # render_svg at its default size
+    pts = [(x / radius * scale, -y / radius * scale) for x, y in (p.point for p in projected)]
+    want = []
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
+            if tuple(a - b for a, b in zip(rs.roots[i], rs.roots[j])) in rs.index:
+                line = tuple(f"{v:.4f}" for v in (*pts[i], *pts[j]))
+                if line not in want:
+                    want.append(line)
+    root = ET.fromstring(render_svg(label, show_edges=True))
+    got = [tuple(el.get(k) for k in ("x1", "y1", "x2", "y2"))
+           for el in root.iter() if el.tag.endswith("line")]
+    assert got == want
+
+
 def test_svg_a2_hexagon():
     svg = render_svg("A2")
     root = ET.fromstring(svg)
