@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -112,8 +113,9 @@ def _cmd_lie(args) -> int:
                 ok = False
             label = "sl2 triples"
         elif check == "model":
-            ok = t.family != "A" or liealg.slk_model_check(t.rank)
-            label = "matrix model" if t.family == "A" else "matrix model (n/a)"
+            modelled = t.family == "A" and t.rank <= liealg.SLK_MAX_RANK
+            ok = not modelled or liealg.slk_model_check(t.rank)
+            label = "matrix model" if modelled else "matrix model (n/a)"
         else:
             raise ValueError(check)
         failed |= not ok
@@ -218,7 +220,13 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged and returns a fresh namespace, so one
+    command's options never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="geomlie",
         description="Exact ADE root systems and Lie algebras from Seifert-form data")

@@ -18,7 +18,6 @@ corrupted coefficient shows up in every check.
 
 from __future__ import annotations
 
-import csv
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ __all__ = [
     "is_nondegenerate",
     "sl2_triple",
     "slk_model_check",
+    "SLK_MAX_RANK",
     "export_structure_constants",
     "load_structure_constants",
     "structure_constants_payload",
@@ -57,6 +57,8 @@ __all__ = [
 MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
+# slk_model_check covers A1 up to A_SLK_MAX_RANK.
+SLK_MAX_RANK = 8
 
 
 def n_sign(t: LieType | str, alpha, beta) -> int:
@@ -400,8 +402,8 @@ def slk_model_check(k: int) -> bool:
     the flattened images must also be independent, i.e. their Gram matrix
     nonsingular (an exact mod-p certificate with a Bareiss fallback).
     """
-    if not 1 <= k <= 8:
-        raise ValueError("k out of range 1..8")
+    if not 1 <= k <= SLK_MAX_RANK:
+        raise ValueError(f"k out of range 1..{SLK_MAX_RANK}")
     L = build(make_type(f"A{k}"))
     n = L.dimension
     images = np.array([_slk_image(L, idx) for idx in range(n)])
@@ -415,13 +417,22 @@ def slk_model_check(k: int) -> bool:
     return np.array_equal(expected, left @ right - right @ left)
 
 
-def structure_constants_payload(L: LieAlgebra) -> dict:
-    """JSON payload with only the i < j half of the table (antisymmetry implied)."""
+def _upper_rows(L: LieAlgebra) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The i < j rows of the table as lists (i, j, m, c) and the row bounds of each bracket.
+
+    Bracket ``b`` is rows ``bounds[b]`` to ``bounds[b + 1]``; antisymmetry
+    implies the other half.
+    """
     T = L.table
     upper = np.flatnonzero(T.i < T.j)
-    key = T.i[upper] * L.dimension + T.j[upper]
-    bounds = np.r_[_run_starts(key), len(upper)].tolist()
+    bounds = np.r_[_run_starts(T.i[upper] * L.dimension + T.j[upper]), len(upper)].tolist()
     i, j, m, c = (col[upper].tolist() for col in (T.i, T.j, T.m, T.c))
+    return i, j, m, c, bounds
+
+
+def structure_constants_payload(L: LieAlgebra) -> dict:
+    """JSON payload with only the i < j half of the table (antisymmetry implied)."""
+    i, j, m, c, bounds = _upper_rows(L)
     brackets = [{"i": i[lo], "j": j[lo], "terms": [[m[r], c[r]] for r in range(lo, hi)]}
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
     return {
@@ -432,26 +443,52 @@ def structure_constants_payload(L: LieAlgebra) -> dict:
     }
 
 
+def _json_text(L: LieAlgebra) -> str:
+    i, j, m, c, bounds = _upper_rows(L)
+    # Each row is one [m, c] term; the first row of a bracket opens its
+    # object and the last closes it, so the rows join with ",\n" throughout.
+    head, tail = [""] * len(m), [""] * len(m)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        head[lo] = f'  {{\n   "i": {i[lo]},\n   "j": {j[lo]},\n   "terms": [\n'
+        tail[hi - 1] = "\n   ]\n  }"
+    rows = [f"{h}    [\n     {mr},\n     {cr}\n    ]{t}"
+            for h, mr, cr, t in zip(head, m, c, tail)]
+    basis = [f"  {json.dumps(label)}" for label in L.basis_labels()]
+    # The keys in sort_keys order: basis, brackets, dimension, type.
+    return ('{\n "basis": [\n' + ",\n".join(basis) + '\n ],\n "brackets": [\n' + ",\n".join(rows)
+            + f'\n ],\n "dimension": {L.dimension},\n "type": {json.dumps(L.lie_type.label)}\n}}\n')
+
+
+def _csv_text(L: LieAlgebra) -> str:
+    i, j, m, c, bounds = _upper_rows(L)
+    # One line per bracket: the first term carries "i,j,", the rest follow ";".
+    head, tail = [""] * len(m), [";"] * len(m)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        head[lo] = f"{i[lo]},{j[lo]},"
+        tail[hi - 1] = "\n"
+    return "i,j,terms\n" + "".join(f"{h}{mr}:{cr}{t}" for h, mr, cr, t in zip(head, m, c, tail))
+
+
+_RENDERERS = {"json": _json_text, "csv": _csv_text}
+
+
 def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
-    """Write the structure constants deterministically as JSON or CSV."""
-    payload = structure_constants_payload(L)
-    own = isinstance(sink, (str, bytes))
-    fh = open(sink, "w", encoding="utf-8") if own else sink
-    try:
-        if fmt == "json":
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        elif fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "terms"])
-            for row in payload["brackets"]:
-                terms = ";".join(f"{m}:{c}" for m, c in row["terms"])
-                writer.writerow([row["i"], row["j"], terms])
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if own:
-            fh.close()
+    """Write the i < j structure constants deterministically as JSON or CSV.
+
+    JSON is byte for byte ``json.dumps(structure_constants_payload(L),
+    indent=1, sort_keys=True)`` plus a newline.  CSV has the header
+    ``i,j,terms`` and one line ``i,j,m:c;m:c...`` per bracket; no field holds
+    a comma or a quote, so nothing is quoted.  ``sink`` is a path or a text
+    file; an unknown ``fmt`` raises ValueError before any file is opened.
+    """
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    text = _RENDERERS[fmt](L)
+    if isinstance(sink, (str, bytes)):
+        with open(sink, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sink.write(text)
 
 
 def load_structure_constants(source) -> dict:

@@ -208,9 +208,6 @@ class OrbitDecomposition:
         return (f"{self.lie_type}: {self.operator} action is not free "
                 f"(orbit sizes {sizes}, order {self.operator_order})")
 
-    def orbit_roots(self) -> tuple[tuple[Root, ...], ...]:
-        return tuple(tuple(self.root_system.roots[i] for i in orbit) for orbit in self.orbits)
-
     def to_json(self) -> dict:
         return {
             "operator": self.operator,

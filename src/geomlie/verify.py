@@ -115,27 +115,29 @@ A2_TABLE = [
 def expected_orbit_table(label: str, operator: str) -> tuple[int, int, bool]:
     """(order, orbit count, free) from the singularity-side tables.
 
-    Two monodromy entries are special cases.  A1 is recorded with the matrix
-    order 1 and two singleton orbits.  A5 is not free; see the comment there.
-    Every other entry is the table value.
+    Two kinds of monodromy entry are special.  A1 is recorded with the matrix
+    order 1 and two singleton orbits.  A_k with k >= 2 and h = k + 1 = 2
+    (mod 4) is not free; see the comment there.  Every other entry is the
+    table value.
     """
     t = make_type(label)
     k = t.rank
     if operator == "coxeter_bar":
         return t.coxeter_number, k, True
     if t.family == "A":
+        h = k + 1
         if k == 1:
             return 1, 2, True
         if k % 2 == 0:
-            return 2 * (k + 1), k // 2, True
-        if k == 5:
-            # On the hexagon wheel, -c maps the segment i -> j to j+1 -> i+1
-            # (mod h = 6), so (-c)^s with s odd fixes it only when
-            # j - i = s = h/2 = 3.  The six diameters therefore close up after
-            # 3 steps (2 orbits of 3), and the other 24 segments form 4 orbits
-            # of 6: order 6, 6 orbits, not free.  This happens whenever
-            # h = 2 (mod 4); in rank <= 8 that is A1 and A5.
-            return 6, 6, False
+            return 2 * h, k // 2, True
+        if h % 4 == 2:
+            # On the h-gon wheel, -c maps the segment i -> j to j+1 -> i+1
+            # (mod h), so (-c)^s with s odd fixes it only when j - i = s = h/2,
+            # which is odd exactly when h = 2 (mod 4).  The h diameters then
+            # close up after h/2 steps (2 orbits), and the other h(h - 2)
+            # segments form h - 2 orbits of h: order h, h orbits, not free.
+            # In rank <= 8 that is A5 (6, 6); past it A9, A13, A17, ...
+            return h, h, False
         return k + 1, k, True
     if t.family == "D":
         if k % 2 == 0:
@@ -249,7 +251,8 @@ def _c04_sT(t: LieType) -> list[str]:
     return [] if verify_sT_identity(t) else ["S_1..S_k != -(T_1..T_k)"]
 
 
-@_criterion("C05-orbit-tables", "orbit tables match, both operators free except the A5 monodromy")
+@_criterion("C05-orbit-tables",
+            "orbit tables match, both operators free except the A monodromy with h = 2 mod 4")
 def _c05_orbits(t: LieType) -> list[str]:
     fails = []
     for op in OPERATORS:
@@ -308,7 +311,7 @@ def _symbol_elements(L: liealg.LieAlgebra) -> dict[str, liealg.AlgebraElement]:
 
 @_criterion("C09-type-A-matrix-model",
             "traceless-matrix model bracket-preserving, A2 table verbatim",
-            applies=lambda t: t.family == "A")
+            applies=lambda t: t.family == "A" and t.rank <= liealg.SLK_MAX_RANK)
 def _c09_type_a_model(t: LieType) -> list[str]:
     fails = [] if liealg.slk_model_check(t.rank) else ["model mismatch"]
     if t.label == "A2":

@@ -110,3 +110,11 @@ def test_box_scan_negative_control(label, which):
     perturbed = C.copy()
     perturbed[tuple(np.argwhere(C == -1)[which])] = 0
     assert verify._box_scan(perturbed) != roots
+
+
+def test_verify_past_rank_8_has_no_fail_or_error():
+    # The A9 monodromy is not free (h = 10 = 2 mod 4) and the matrix model
+    # stops at A8, so C05 must expect (10, 10, False) and C09 must read n/a.
+    records = {r.name: r for r in run_verify(["A9"])}
+    assert [r for r in records.values() if r.status in ("fail", "error")] == []
+    assert records["C09-type-A-matrix-model"].status == "n/a"

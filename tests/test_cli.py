@@ -197,3 +197,26 @@ def test_verify_reports_a_crashed_type(capsys, monkeypatch):
     assert lines[3] == "      Traceback (most recent call last):"
     assert '      RuntimeError: lost the table' in lines
     assert lines[-1] == "15/16 criteria passed"
+
+
+def test_lie_model_na_past_rank_8(capsys):
+    code, out, err = run(capsys, "lie", "A9", "--check", "model")
+    assert (code, err) == (0, "")
+    assert "matrix model (n/a)" in out
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run(capsys, "coxplane", "A2", "--svg", str(a), "--size", "300")[0] == 0
+    assert run(capsys, "coxplane", "A2", "--svg", str(b))[0] == 0
+    assert 'width="300"' in a.read_text()
+    assert 'width="600"' in b.read_text()
+    x, y = tmp_path / "x", tmp_path / "y"
+    assert run(capsys, "export", "A2", "-o", str(x), "--format", "csv")[0] == 0
+    assert run(capsys, "export", "A2", "-o", str(y))[0] == 0
+    assert x.read_text().startswith("i,j,terms\n")
+    assert json.loads(y.read_text())["type"] == "A2"
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from geomlie.coxplane import (DegeneratePlaneError, multiplicity_report,
-                              plane_basis, point_clusters, project_all,
-                              render_svg)
+                              plane_basis, project_all, render_svg)
 from geomlie.lattice import make_type
 from geomlie.rootsys import coxeter_matrix, enumerate_roots, orbit_decomposition
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             slk_model_check, structure_constants_payload)
 from geomlie.lattice import make_type
 from geomlie.rootsys import enumerate_roots
-from geomlie.verify import A2_TABLE
+from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "D4", "D5"]
 
@@ -336,3 +337,33 @@ def test_export_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "i,j,terms"
     assert len(lines) > 1
+
+
+def _csv_oracle(payload: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "j", "terms"])
+    for row in payload["brackets"]:
+        writer.writerow([row["i"], row["j"], ";".join(f"{m}:{c}" for m, c in row["terms"])])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+def test_export_bytes_match_stdlib_writers(label, tmp_path):
+    # The writer builds its text from the table columns; the json and csv
+    # modules rendering the payload dict are the independent reference.
+    L = build(make_type(label))
+    payload = structure_constants_payload(L)
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    export_structure_constants(L, str(json_path))
+    export_structure_constants(L, str(csv_path), fmt="csv")
+    want_json = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert json_path.read_bytes() == want_json.encode("utf-8")
+    assert csv_path.read_bytes() == _csv_oracle(payload).encode("utf-8")
+
+
+def test_export_unknown_format_creates_no_file(tmp_path):
+    path = tmp_path / "a2.xml"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        export_structure_constants(build(make_type("A2")), str(path), fmt="xml")
+    assert not path.exists()
