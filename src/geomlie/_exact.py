@@ -1,7 +1,9 @@
 """Exact integer linear algebra helpers.
 
-Everything here works over Python ints or Fractions so results are exact
-regardless of magnitude; numpy arrays are accepted and converted.
+Determinants and inverses work over Python ints or Fractions, so they are
+exact regardless of magnitude; numpy arrays are accepted and converted.
+``short_vectors`` enumerates in numpy int64 after an exact integer
+elimination, and refuses inputs whose intermediates could overflow.
 """
 
 from __future__ import annotations
@@ -98,49 +100,80 @@ def is_nonsingular(m) -> bool:
     return det_exact(m) != 0
 
 
+# Bound on every int64 intermediate of short_vectors; squares of isqrt
+# results just above it still fit in 2**63.
+_INT64_BUDGET = 2 ** 62
+
+
 def short_vectors(gram, norm: int) -> list[tuple[int, ...]]:
     """All integer vectors v with v^t G v == norm, for positive definite G.
 
-    Complete enumeration by exact rational LDL^t decomposition and
-    branch-and-bound over the last-to-first coordinates.  Independent of any
-    reflection-based generation: only positive definiteness is used.
+    Integer Fincke-Pohst enumeration (Fincke-Pohst, Math. Comp. 44, 1985;
+    Cohen, Alg. 2.7.5).  Fraction-free (Bareiss) elimination of G gives the
+    leading minors delta_j = det G[:j, :j] and the integer matrices
+    M_j = delta_j S_j, S_j the Schur complement of G[:j, :j].  A tail
+    w = (v_j, ..., v_{n-1}) extends to a real point of v^t G v <= norm iff
+    its slack s_j = delta_j norm - w^t M_j w is >= 0.  With
+    t = delta_{j+1} v_j + M_j[0, 1:] . (v_{j+1}, ...), one step obeys
+    delta_{j+1} s_j = delta_j s_{j+1} - t^2, so v_j runs exactly over
+    |t| <= isqrt(delta_j s_{j+1}), and s_0 = norm - v^t G v.  All tails of a
+    level are extended at once in int64; every membership test and range
+    endpoint is an integer computation.  Independent of any reflection-based
+    generation: only positive definiteness is used.
+
+    Raises ValueError for a non-square, non-symmetric or non-positive-definite
+    G (decided by the Bareiss pivots, Sylvester's criterion), and when an
+    intermediate could pass 2**62.
     """
-    G = [[Fraction(int(x)) for x in row] for row in gram]
+    G = _rows(gram)
     n = len(G)
-    # LDL^t: G = L D L^t with unit lower-triangular L and positive diagonal D.
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
+    if any(len(row) != n for row in G):
+        raise ValueError("matrix must be square")
+    if any(G[i][j] != G[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    # After Bareiss step j the block A[j:, j:] is M_j; its first row gives t.
+    A = [row[:] for row in G]
+    delta = [1]
+    pivot_rows = []
     for j in range(n):
-        D[j] = G[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if D[j] <= 0:
+        if A[j][j] <= 0:
             raise ValueError("matrix is not positive definite")
-        for i in range(j + 1, n):
-            L[i][j] = (G[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    # v^t G v = sum_j D[j] * (v_j + sum_{i>j} L[i][j] v_i)^2; recurse j = n-1..0.
-    target = Fraction(norm)
-    out: list[tuple[int, ...]] = []
-    v = [0] * n
+        pivot_rows.append(A[j][j + 1:])
+        for r in range(j + 1, n):
+            for c in range(j + 1, n):
+                A[r][c] = (A[j][j] * A[r][c] - A[r][j] * A[j][c]) // delta[j]
+        delta.append(A[j][j])
+    if norm < 0:
+        return []
+    # |v_i| <= sqrt(norm (G^-1)_ii) on the ellipsoid, and Hadamard's inequality
+    # bounds det(G) (G^-1)_ii, a principal minor, by the other diagonal entries.
+    diag = [G[i][i] for i in range(n)]
+    reach = [math.isqrt(norm * math.prod(diag[:i] + diag[i + 1:]) // delta[n]) + 1
+             for i in range(n)]
+    need = 0
+    for j in range(n):
+        d = delta[j] * delta[j + 1] * norm
+        b = sum(abs(e) * reach[i] for i, e in enumerate(pivot_rows[j], j + 1))
+        need = max(need, d, math.isqrt(d) + b + delta[j + 1])
+    if need > _INT64_BUDGET:
+        raise ValueError(f"short_vectors intermediates may reach {need} > 2**62")
 
-    def descend(j: int, remaining: Fraction) -> None:
-        if j < 0:
-            if remaining == 0:
-                out.append(tuple(v))
-            return
-        shift = sum(L[i][j] * v[i] for i in range(j + 1, n))
-        # Integer v_j with D[j] * (v_j + shift)^2 <= remaining; the radius
-        # overestimate (isqrt(pq) + 1)/q >= sqrt(p/q) keeps the range complete,
-        # and each candidate is re-tested exactly below.
-        bound2 = remaining / D[j]
-        radius = Fraction(math.isqrt(bound2.numerator * bound2.denominator) + 1,
-                          bound2.denominator)
-        low = math.ceil(-shift - radius)
-        high = math.floor(-shift + radius)
-        for x in range(low, high + 1):
-            q = D[j] * (x + shift) * (x + shift)
-            if q <= remaining:
-                v[j] = x
-                descend(j - 1, remaining - q)
-        v[j] = 0
-
-    descend(n - 1, target)
-    return sorted(out)
+    tails = np.zeros((1, 0), dtype=np.int64)
+    slack = np.array([delta[n] * norm], dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        a = delta[j + 1]
+        b = tails @ np.array(pivot_rows[j], dtype=np.int64)
+        disc = delta[j] * slack
+        # Float seed for isqrt(disc); disc <= 2**62 keeps it within one of the
+        # true value, and the two integer corrections make it exact.
+        r = np.floor(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+        r -= r * r > disc
+        r += (r + 1) * (r + 1) <= disc
+        low = -((r + b) // a)
+        count = np.maximum((r - b) // a - low + 1, 0)
+        parent = np.repeat(np.arange(len(tails)), count)
+        x = np.repeat(low - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        t = a * x + b[parent]
+        slack = (disc[parent] - t * t) // a
+        tails = np.column_stack((x, tails[parent]))
+    return sorted(map(tuple, tails[slack == 0].tolist()))

@@ -412,7 +412,11 @@ def _c14_folding(t: LieType) -> list[str]:
     return fails
 
 
-_INJECTIVE_LABELS = {"A2", "A4", "A6", "A8", "E7", "E8"}
+def _coxeter_projection_injective(t: LieType) -> bool:
+    """Whether the Coxeter-plane projection separates all roots: exactly for
+    A_k with k even (h odd) and for E7, E8, never for D_k or E6 (measured on
+    A2-A16, D3-D16 and E6-E8)."""
+    return (t.family == "A" and t.rank % 2 == 0) or t.label in ("E7", "E8")
 
 
 @_criterion("C15-coxeter-plane", "rotation equivariance within 1e-9, injectivity per type",
@@ -432,7 +436,7 @@ def _c15_coxplane(t: LieType) -> list[str]:
     if worst > 1e-9:
         fails.append(f"equivariance residual {worst:.2e}")
     injective = all(len(g) == 1 for g in coxplane.point_clusters(projected))
-    if injective != (t.label in _INJECTIVE_LABELS):
+    if injective != _coxeter_projection_injective(t):
         fails.append(f"injectivity {injective}")
     return fails
 
@@ -444,21 +448,39 @@ _BOX_SCAN_BOUND = 6
 def _box_scan(C: np.ndarray) -> set[tuple[int, ...]]:
     """Literal scan of the integer box |v_i| <= _BOX_SCAN_BOUND for v^t C v = 2.
 
-    Every point of the box is tested in int64.  With v = (lead, tail),
+    Every point of the box is tested in integers.  With v = (lead, tail),
     v^t C v = C_00 lead^2 + lead ((C_0,1: + C_1:,0) . tail) + tail^t C' tail
-    for any C; the two tail terms are computed once, so each leading value
-    costs one vector pass.
+    for any C.  The two tail terms are built once by broadcasting over the
+    (2 bound + 1)^(k-1) grid of tails, so each leading value costs one pass,
+    and only the hits are decoded.
     """
     k, bound = C.shape[0], _BOX_SCAN_BOUND
-    side = 2 * bound + 1
-    # Every tail in the box of the k - 1 trailing coordinates; one empty tail for k = 1.
-    tail = np.indices((side,) * (k - 1)).reshape(k - 1, side ** (k - 1)).T - bound
-    cross = tail @ (C[0, 1:] + C[1:, 0])
-    quad = np.einsum("vi,vi->v", tail @ C[1:, 1:], tail)
+    c = [[int(x) for x in row] for row in C]
+    # Every term is at most bound^2 |C_il|, so int32 is exact below this sum.
+    dtype = np.int32 if bound * bound * sum(abs(x) for row in c for x in row) + 2 < 2 ** 31 \
+        else np.int64
+    # axis[i] varies along grid axis i; summing the highest axes first keeps
+    # every partial sum smaller than the grid until the last term.
+    axis = [np.arange(-bound, bound + 1, dtype=dtype).reshape((-1,) + (1,) * (k - 2 - i))
+            for i in range(k - 1)]
+
+    def linear(coef, first):
+        return sum((coef[i] * axis[i] for i in reversed(range(first, k - 1))),
+                   np.zeros((), dtype))
+
+    cross = linear([c[0][i + 1] + c[i + 1][0] for i in range(k - 1)], 0)
+    quad = np.zeros((), dtype)
+    for i in reversed(range(k - 1)):
+        # Tail coordinate i contributes C'_ii t_i^2 + sum_{l > i} (C'_il + C'_li) t_i t_l.
+        coef = [c[i + 1][l + 1] + c[l + 1][i + 1] for l in range(k - 1)]
+        coef[i] = c[i + 1][i + 1]
+        quad = quad + axis[i] * linear(coef, i)
     out: set[tuple[int, ...]] = set()
     for lead in range(-bound, bound + 1):
-        hits = tail[C[0, 0] * lead * lead + lead * cross + quad == 2]
-        out.update((lead, *(int(x) for x in row)) for row in hits)
+        hits = np.flatnonzero(quad + lead * cross == 2 - c[0][0] * lead * lead)
+        # A leading axis of length one keeps the decode uniform for k = 1.
+        tails = np.stack(np.unravel_index(hits, (1,) + quad.shape), axis=1)[:, 1:] - bound
+        out.update((lead, *row) for row in tails.tolist())
     return out
 
 

@@ -5,6 +5,12 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import settings
+
+# Derandomized, so every run draws the same examples and two commits compare
+# on equal footing; a failure prints the blob that reproduces it.
+settings.register_profile("tier1", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

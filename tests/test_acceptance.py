@@ -98,23 +98,28 @@ def test_label_list_form():
     assert c03(["A2"]) == (True, c03.expected, "A2: n/a")
 
 
-@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+@pytest.mark.usefixtures("quiet_d3_warning")
+@pytest.mark.parametrize("label", [lab for lab in ALL_TYPE_LABELS if int(lab[1:]) <= 6])
 @pytest.mark.parametrize("which", [0, -1])
 def test_box_scan_negative_control(label, which):
     # Zeroing one -1 entry changes the quadratic form, so the scan must see
     # a different vector set; the first entry sits in the leading row, the
-    # last in the tail block.
+    # last in the tail block.  A1 (an empty tail) has no -1 entry, so its
+    # diagonal entry is zeroed instead.
     C = cartan_matrix(label)
     roots = set(enumerate_roots(label).roots)
     assert verify._box_scan(C) == roots
     perturbed = C.copy()
-    perturbed[tuple(np.argwhere(C == -1)[which])] = 0
+    spots = np.argwhere(C == -1) if len(C) > 1 else [(0, 0)]
+    perturbed[tuple(spots[which])] = 0
     assert verify._box_scan(perturbed) != roots
 
 
 def test_verify_past_rank_8_has_no_fail_or_error():
     # The A9 monodromy is not free (h = 10 = 2 mod 4) and the matrix model
     # stops at A8, so C05 must expect (10, 10, False) and C09 must read n/a.
-    records = {r.name: r for r in run_verify(["A9"])}
-    assert [r for r in records.values() if r.status in ("fail", "error")] == []
-    assert records["C09-type-A-matrix-model"].status == "n/a"
+    # C15 must expect an injective projection on A10 and A12 (h odd) only.
+    records = run_verify(["A9", "A10", "A11", "A12", "D9", "D10"])
+    assert [(r.name, r.label, r.actual) for r in records if r.status in ("fail", "error")] == []
+    assert {r.label for r in records if r.name == "C09-type-A-matrix-model"
+            and r.status == "n/a"} == {"A9", "A10", "A11", "A12", "D9", "D10"}

@@ -1,0 +1,78 @@
+"""The integer lattice enumerator ``short_vectors`` against oracles that share no code with it."""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+
+from geomlie._exact import short_vectors
+from geomlie.lattice import cartan_matrix, make_type
+from geomlie.rootsys import enumerate_roots
+
+
+def _block_diag(a, b):
+    out = np.zeros((len(a) + len(b),) * 2, dtype=np.int64)
+    out[:len(a), :len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+@pytest.mark.parametrize("first, second", [("E8", "E8"), ("D8", "E8"), ("A8", "D8"), ("E7", "A1")])
+def test_direct_sum_norm_two_is_union_of_root_systems(first, second):
+    # In C1 (+) C2 a norm-2 vector has norm 2 in one block and 0 in the other,
+    # so the norm-2 set is the disjoint union of the two embedded root sets.
+    r1, r2 = make_type(first).rank, make_type(second).rank
+    got = short_vectors(_block_diag(cartan_matrix(first), cartan_matrix(second)), 2)
+    want = {root + (0,) * r2 for root in enumerate_roots(first).roots}
+    want |= {(0,) * r1 + root for root in enumerate_roots(second).roots}
+    assert len(got) == make_type(first).root_count + make_type(second).root_count
+    assert set(got) == want
+
+
+@st.composite
+def _gram_and_norm(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    M = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.int64)
+    return M.T @ M + np.eye(n, dtype=np.int64), draw(st.integers(1, 6))
+
+
+@given(_gram_and_norm())
+def test_short_vectors_equal_brute_force_over_the_ellipsoid_box(case):
+    # |v_i| <= sqrt(N (G^-1)_ii) is the exact half-width of v^t G v <= N along
+    # axis i; for (G^-1)_ii = p/q its floor is isqrt(N p q) // q.
+    G, norm = case
+    inv = sympy.Matrix(G.tolist()).inv()
+    half = [math.isqrt(norm * inv[i, i].p * inv[i, i].q) // inv[i, i].q for i in range(len(G))]
+    want = [v for v in itertools.product(*(range(-h, h + 1) for h in half))
+            if int(np.array(v) @ G @ np.array(v)) == norm]
+    assert short_vectors(G, norm) == want
+
+
+@pytest.mark.parametrize("gram, message", [
+    ([[2, -1, 0], [-1, 2, -1]], "square"),
+    ([[2, -1], [0, 2]], "symmetric"),
+    ([[1, 2], [2, 1]], "positive definite"),
+])
+def test_short_vectors_refuses_bad_matrix(gram, message):
+    with pytest.raises(ValueError, match=message):
+        short_vectors(gram, 2)
+
+
+@pytest.mark.parametrize("gram, norm", [
+    # The discriminant delta_1 delta_2 N = 2**82.
+    ([[2 ** 20, 0], [0, 2 ** 20]], 2 ** 22),
+    # A discriminant of at most N = 2**46, but the Bareiss entry 2**40 times
+    # |v_1| <= 2**23 reaches 2**63.
+    ([[1, 2 ** 40], [2 ** 40, 2 ** 80 + 1]], 2 ** 46),
+], ids=["discriminant", "bareiss-entry"])
+def test_short_vectors_refuses_int64_overflow(gram, norm):
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        short_vectors(gram, norm)
