@@ -3,8 +3,9 @@
 The package derives everything from one upper-triangular integer matrix per
 type: root systems by reflection closure, monodromy and Coxeter operators,
 orbit decompositions, the Lie algebra with its geometric bracket signs,
-planar wheel models whose segments realize the roots, and projections to
-the rotation-invariant plane.
+wheel models whose segments realize the roots (planar for A and D, where
+one triangle rule gives the bracket signs), and projections to the
+rotation-invariant plane.
 """
 
 from .lattice import (AbsoluteCycle, LieType, RelativeCycle, cartan_matrix,
@@ -17,8 +18,8 @@ from .rootsys import (FoldingSpec, OrbitDecomposition, RootSystem,
                       classical_folding, coxeter_matrix, enumerate_roots, fold,
                       monodromy_matrix, orbit_decomposition, reflect,
                       sT_matrices, verify_sT_identity)
-from .wheel import (build_wheel, d_geometric_sign, d_sign_pairs,
-                    enumerate_classes, rotation_angle, segment_class)
+from .wheel import (build_wheel, enumerate_classes, geometric_sign,
+                    rotation_angle, segment_class, sign_pairs)
 from .coxplane import multiplicity_report, plane_basis, project_all, render_svg
 
 __version__ = "0.1.0"

@@ -71,7 +71,7 @@ def _cmd_roots(args) -> int:
 def _cmd_orbits(args) -> int:
     t = make_type(args.type)
     operator = {"monodromy": "monodromy", "rhobar": "coxeter_bar"}[args.operator]
-    dec = orbit_decomposition(t, operator, require_free=False)
+    dec = orbit_decomposition(t, operator)
     if not dec.is_free:
         print(f"note: {dec.not_free_message()}", file=sys.stderr)
     if args.json:

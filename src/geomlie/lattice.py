@@ -128,8 +128,8 @@ def per_type(build: Callable[[LieType], _R]) -> Callable[[LieType | str], _R]:
     """Memoize a one-argument builder of per-type data by the type's label.
 
     The builder runs once per type; later calls return the same object.  An
-    array result is made read-only first, so no caller can change what the
-    others see.
+    array result, or each array in a tuple result, is made read-only first,
+    so no caller can change what the others see.
     """
     memo: dict[str, _R] = {}
 
@@ -138,8 +138,9 @@ def per_type(build: Callable[[LieType], _R]) -> Callable[[LieType | str], _R]:
         t = as_type(t)
         if t.label not in memo:
             out = build(t)
-            if isinstance(out, np.ndarray):
-                out.setflags(write=False)
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
             memo[t.label] = out
         return memo[t.label]
 

@@ -24,7 +24,6 @@ __all__ = [
     "RootSystem",
     "OrbitDecomposition",
     "FoldingSpec",
-    "FreenessError",
     "enumerate_roots",
     "reflect",
     "coxeter_matrix",
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 Root = tuple[int, ...]
-
-
-class FreenessError(RuntimeError):
-    """Raised when an orbit decomposition required to be free is not."""
 
 
 @dataclass(frozen=True)
@@ -216,14 +211,31 @@ class OrbitDecomposition:
         }
 
 
-def orbit_decomposition(t: LieType | str, operator: str = "monodromy",
-                        require_free: bool = True) -> OrbitDecomposition:
+def _cycles(step) -> list[tuple[int, ...]]:
+    """Cycles of the permutation i -> step[i], by smallest member, each traversed from it."""
+    seen = [False] * len(step)
+    cycles = []
+    for start in range(len(step)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        cur = step[start]
+        while cur != start:
+            cycle.append(cur)
+            seen[cur] = True
+            cur = step[cur]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def orbit_decomposition(t: LieType | str, operator: str = "monodromy") -> OrbitDecomposition:
     """Decompose the root system into orbits of the chosen operator.
 
-    ``operator`` is ``"monodromy"`` for -c or ``"coxeter_bar"`` for c.  With
-    ``require_free`` a non-free action raises :class:`FreenessError`; the only
-    such case in rank <= 8 is the A5 monodromy, whose three diameter classes
-    and their negatives close up after 3 of the 6 steps.
+    ``operator`` is ``"monodromy"`` for -c or ``"coxeter_bar"`` for c.  The
+    action need not be free (see ``is_free``): the only non-free case in
+    rank <= 8 is the A5 monodromy, whose three diameter classes and their
+    negatives close up after 3 of the 6 steps.
     """
     t = as_type(t)
     if operator not in OPERATORS:
@@ -233,24 +245,8 @@ def orbit_decomposition(t: LieType | str, operator: str = "monodromy",
     order = matrix_order(M)
     X = rs.coords
     images = X @ M.T  # row i is M @ roots[i]
-    step = np.array([rs.index[tuple(int(x) for x in row)] for row in images])
-    seen = np.zeros(len(rs), dtype=bool)
-    orbits: list[tuple[int, ...]] = []
-    for start in range(len(rs)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        cur = int(step[start])
-        while cur != start:
-            orbit.append(cur)
-            seen[cur] = True
-            cur = int(step[cur])
-        orbits.append(tuple(orbit))
-    dec = OrbitDecomposition(t, operator, order, tuple(orbits), rs)
-    if require_free and not dec.is_free:
-        raise FreenessError(dec.not_free_message())
-    return dec
+    step = [rs.index[tuple(row)] for row in images.tolist()]
+    return OrbitDecomposition(t, operator, order, tuple(_cycles(step)), rs)
 
 
 @dataclass(frozen=True)
@@ -265,24 +261,6 @@ class FoldingSpec:
     source: LieType
     permutation: tuple[int, ...]
     target_name: str = ""
-
-
-def _perm_orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    k = len(perm)
-    seen = [False] * k
-    orbits = []
-    for i in range(k):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i] - 1
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j] - 1
-        orbits.append(tuple(sorted(cyc)))
-    return sorted(orbits)
 
 
 def fold(spec: FoldingSpec) -> np.ndarray:
@@ -303,7 +281,7 @@ def fold(spec: FoldingSpec) -> np.ndarray:
         for j in range(k):
             if C[perm[i] - 1, perm[j] - 1] != C[i, j]:
                 raise ValueError("permutation does not preserve the pairing")
-    orbits = _perm_orbits(perm)
+    orbits = sorted(tuple(sorted(c)) for c in _cycles([p - 1 for p in perm]))
     for orb in orbits:
         for a in orb:
             for b in orb:

@@ -257,7 +257,7 @@ def _c05_orbits(t: LieType) -> list[str]:
     fails = []
     for op in OPERATORS:
         want = expected_orbit_table(t.label, op)
-        dec = orbit_decomposition(t, op, require_free=False)
+        dec = orbit_decomposition(t, op)
         got = (dec.operator_order, len(dec.orbits), dec.is_free)
         if got != want:
             fails.append(f"{op}: {got} != {want}")
@@ -332,15 +332,15 @@ def _c10_killing(t: LieType) -> list[str]:
     return [] if liealg.is_nondegenerate(liealg.killing_form(L)) else ["Killing form degenerate"]
 
 
-@_criterion("C11-d-sign-rule",
+@_criterion("C11-planar-sign-rule",
             "planar triangle sign equals the algebraic sign on all summable pairs",
-            applies=lambda t: t.family == "D")
-def _c11_d_sign(t: LieType) -> list[str]:
+            applies=lambda t: t.family in ("A", "D"))
+def _c11_planar_sign(t: LieType) -> list[str]:
     X = enumerate_roots(t).coords
     S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a
     # N(a, b) = (-1)^(var(b) . a) on the summable pairs (a, b) = -1, 0 elsewhere.
     algebraic = np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
-    bad = int(np.count_nonzero(wheel.d_sign_pairs(t) != algebraic))
+    bad = int(np.count_nonzero(wheel.sign_pairs(t) != algebraic))
     return [f"{bad} mismatches"] if bad else []
 
 

@@ -1,36 +1,40 @@
 """Planar wheel models whose oriented segments realize the roots.
 
-The A wheel is a regular (k+1)-gon of punctures; every oriented segment
-between punctures is one root, via the potential phi(v_i) = a_1 + .. +
-a_{i-1} and class(i -> j) = phi(j) - phi(i).
-
-The D wheel is a regular (2k-2)-gon with vertices labelled counterclockwise
+The A_k wheel is a regular (k+1)-gon of punctures v_1 .. v_{k+1}.  The D_k
+wheel is a regular (2k-2)-gon with vertices labelled counterclockwise
 v_1 .. v_{k-1}, v_{-1} .. v_{-(k-1)} plus a center puncture v_0.  Opposite
-boundary edges of the polygon are identified in the underlying surface, so a
-chord equals its reversed antipode (same direction vector) while the two
-parallel spokes through the center stay distinct.  Segment classes again
-come from a potential; antipodal chords are excluded by the center puncture.
+boundary edges of the D polygon are identified in the underlying surface, so
+a chord equals its reversed antipode (same direction vector) while the two
+parallel spokes through the center stay distinct; antipodal chords are
+blocked by the center puncture.  On both wheels the segment i -> j realizes
+the root phi(v_j) - phi(v_i) of a vertex potential:
+
+* A: phi(v_i) = a_1 + .. + a_{i-1};
+* D: phi(v_i) = a_1 + a_3 + .. + a_{i+1}, phi(v_{-i}) = -a_2 - .. - a_{i+1}
+  and phi(v_0) = 0.
 
 The E wheels are kept combinatorial: a label (j, m, s) stands for s times
 the m-th monodromy image of the j-th projective-basis spoke, which covers
 every root exactly once.
 
-The D bracket sign has a purely planar description: orient the two summand
-segments so they concatenate, take the right-hand-rule sign of their
-direction vectors, and flip it when the closed triangle strictly contains
-the center puncture.  On the regular polygon both tests are integer
-predicates on the vertex positions 0 .. n-1 (n = 2k - 2, counterclockwise):
+The bracket sign has one planar description for A and D: orient the two
+summand segments so they concatenate, x -> y -> z, and take the orientation
+of the triangle (x, y, z).  The D wheel adds its center: a triangle with the
+center as a vertex takes the sign of its spoke, and a boundary triangle that
+strictly contains the center is negated.  On the regular polygon every test
+is an integer predicate on the vertex positions 0 .. n-1 (counterclockwise;
+the D center is position n, n = 2k - 2):
 
 * three boundary vertices are positively oriented iff they are in
   counterclockwise cyclic order;
-* a triangle with the center as a vertex takes the sign of its spoke arc:
-  positive iff the arc d (mod n) between its two boundary vertices, taken
-  after the center in the triangle's order, satisfies 0 < d < n/2;
+* a triangle with the center as a vertex is positive iff the arc d (mod n)
+  between its two boundary vertices, taken after the center in the
+  triangle's order, satisfies 0 < d < n/2;
 * a boundary triangle strictly contains the center iff every arc between
   its vertices, in counterclockwise order, is shorter than n/2.
 
-An arc of exactly n/2 puts the center on an edge; the sign is then
-undefined and the rule raises.
+On the D wheel an arc of exactly n/2 puts the center on an edge; the sign
+is then undefined and the rule raises.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ __all__ = [
     "build_wheel",
     "segment_class",
     "enumerate_classes",
-    "d_geometric_sign",
-    "d_sign_pairs",
+    "geometric_sign",
+    "sign_pairs",
     "rotation_angle",
     "classes_payload",
 ]
@@ -77,82 +81,75 @@ class WheelModel:
     signed_orbits: bool = False
 
 
-def _a_vertices(k: int) -> list[VertexPoint]:
-    n = k + 1
-    return [VertexPoint(i + 1, math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
-            for i in range(n)]
+@per_type
+def _planar(t: LieType) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex labels by polygon position (D center last) and the potential of each vertex."""
+    k = t.rank
+    if t.family == "A":
+        return np.arange(1, k + 2), np.tri(k + 1, k, -1, dtype=np.int64)
+    i = np.arange(1, k)
+    up = np.zeros((k - 1, k), dtype=np.int64)
+    up[:, 0] = 1
+    up[:, 2:] = np.tri(k - 1, k - 2, -1, dtype=np.int64)
+    down = -up
+    down[:, :2] = (0, -1)
+    return np.r_[i, -i, 0], np.vstack([up, down, np.zeros((1, k), dtype=np.int64)])
 
 
-def _d_labels(k: int) -> list[int]:
-    return [m + 1 if m < k - 1 else -(m - k + 2) for m in range(2 * (k - 1))]
+@per_type
+def _segment_roots(t: LieType) -> np.ndarray:
+    """root_of[p, q]: index of the root realized by the segment from position p to q.
 
-
-def _d_vertices(k: int) -> list[VertexPoint]:
-    labels = _d_labels(k)
-    n = 2 * (k - 1)
-    pts = [VertexPoint(lab, math.cos(2 * math.pi * m / n), math.sin(2 * math.pi * m / n))
-           for m, lab in enumerate(labels)]
-    return pts + [VertexPoint(0, 0.0, 0.0)]
+    The entry is -1 where there is no segment: p = q, and the antipodal
+    pairs that the D center blocks.
+    """
+    labels, phi = _planar(t)
+    index = enumerate_roots(t).index
+    root_of = np.full((len(labels),) * 2, -1, dtype=np.int64)
+    for p, q in np.argwhere(labels[:, None] != -labels[None, :]):
+        if p != q:
+            root = tuple(int(x) for x in phi[q] - phi[p])
+            if root not in index:
+                raise RuntimeError(f"{t}: segment {labels[p]} -> {labels[q]} realizes no root")
+            root_of[p, q] = index[root]
+    return root_of
 
 
 def build_wheel(t: LieType | str) -> WheelModel:
     """Planar model for A/D; orbit-label model for the E types."""
     t = as_type(t)
-    if t.family == "A":
-        verts = tuple(_a_vertices(t.rank))
-        return WheelModel(t, verts, tuple(v.label for v in verts), has_center=False)
-    if t.family == "D":
-        verts = tuple(_d_vertices(t.rank))
-        return WheelModel(t, verts, tuple(v.label for v in verts), has_center=True)
+    if t.family in ("A", "D"):
+        labels, _ = _planar(t)
+        center = t.family == "D"
+        n = len(labels) - center
+        verts = tuple(VertexPoint(int(lab), math.cos(2 * math.pi * m / n),
+                                  math.sin(2 * math.pi * m / n))
+                      for m, lab in enumerate(labels[:n]))
+        verts += (VertexPoint(0, 0.0, 0.0),) * center
+        return WheelModel(t, verts, tuple(v.label for v in verts), has_center=center)
     order = matrix_order(monodromy_matrix(t))
     signed = t.rank in (7, 8)  # E6 orbits already contain the negatives
     return WheelModel(t, (), (), has_center=False,
                       orbit_count=t.rank, orbit_steps=order, signed_orbits=signed)
 
 
-def _a_potential(t: LieType, label: int) -> np.ndarray:
-    v = np.zeros(t.rank, dtype=np.int64)
-    v[: label - 1] = 1
-    return v
-
-
-def _d_potential(t: LieType, label: int) -> np.ndarray:
-    k = t.rank
-    v = np.zeros(k, dtype=np.int64)
-    if label == 0:
-        return v
-    i = abs(label)
-    v[0] = 1
-    v[2:i + 1] = 1
-    if label > 0:
-        return v
-    s = np.zeros(k, dtype=np.int64)
-    s[0] = 1
-    s[1] = -1
-    return s - v
-
-
 def segment_class(t: LieType | str, segment: Sequence[int]) -> Root:
     """Root realized by an oriented segment (A/D) or an orbit label (E)."""
     t = as_type(t)
-    if t.family == "A":
+    if t.family in ("A", "D"):
         src, dst = segment
-        n = t.rank + 1
-        if not (1 <= src <= n and 1 <= dst <= n) or src == dst:
+        labels, phi = _planar(t)
+        position = {int(lab): p for p, lab in enumerate(labels)}
+        valid = src in position and dst in position
+        if t.family == "A" and not (valid and src != dst):
             raise ValueError(f"invalid A{t.rank} segment {segment}")
-        out = _a_potential(t, dst) - _a_potential(t, src)
-        return tuple(int(x) for x in out)
-    if t.family == "D":
-        src, dst = segment
-        valid = set(_d_labels(t.rank)) | {0}
-        if src not in valid or dst not in valid:
+        if not valid:
             raise ValueError(f"invalid D{t.rank} vertex in {segment}")
         if src == dst:
             raise ValueError("degenerate segment")
         if src == -dst:
             raise ValueError("antipodal segments are blocked by the center puncture")
-        out = _d_potential(t, dst) - _d_potential(t, src)
-        return tuple(int(x) for x in out)
+        return tuple(int(x) for x in phi[position[dst]] - phi[position[src]])
     j, m, s = segment
     model = build_wheel(t)
     if not (1 <= j <= t.rank and 0 <= m < model.orbit_steps and s in (1, -1)):
@@ -173,24 +170,16 @@ class SegmentClass:
     segments: tuple[tuple[int, ...], ...]
 
 
-def _d_segments(t: LieType) -> list[tuple[int, int]]:
-    labels = [0] + _d_labels(t.rank)
-    return [(a, b) for a in labels for b in labels if a != b and a != -b]
-
-
-def _d_midpoint_key(k: int, seg: tuple[int, int]) -> int:
-    """Polar angle of a D-wheel segment's midpoint, exactly, in units of pi/n.
+def _midpoint_key(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Polar angle of D-wheel segment midpoints, exactly, in units of pi/n.
 
     Boundary position p (n = 2k - 2 of them) lies at angle 2p.  A spoke's
     midpoint lies on the ray to its boundary end; a chord (p, q) has its
     midpoint on the bisector p + q of its shorter arc, or p + q + n when that
     arc passes position 0.
     """
-    n = 2 * k - 2
-    p, q = (int(x) for x in _d_position(k, seg))
-    if n in (p, q):
-        return 2 * (p + q - n)
-    return (p + q + n * (abs(p - q) > n // 2)) % (2 * n)
+    chord = (p + q + n * (np.abs(p - q) > n // 2)) % (2 * n)
+    return np.where((p == n) | (q == n), 2 * (p + q - n), chord)
 
 
 @per_type
@@ -202,17 +191,16 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
     """
     rs = enumerate_roots(t)
     groups: dict[Root, list[tuple[int, ...]]] = {}
-    if t.family == "A":
-        n = t.rank + 1
-        for src in range(1, n + 1):
-            for dst in range(1, n + 1):
-                if src != dst:
-                    groups.setdefault(segment_class(t, (src, dst)), []).append((src, dst))
-    elif t.family == "D":
-        for seg in _d_segments(t):
-            groups.setdefault(segment_class(t, seg), []).append(seg)
-        for root, segs in groups.items():
-            segs.sort(key=lambda s: _d_midpoint_key(t.rank, s))
+    if t.family in ("A", "D"):
+        labels, _ = _planar(t)
+        root_of = _segment_roots(t)
+        src, dst = np.nonzero(root_of >= 0)
+        if t.family == "D":
+            order = np.argsort(_midpoint_key(len(labels) - 1, src, dst), kind="stable")
+            src, dst = src[order], dst[order]
+        for r, a, b in zip(root_of[src, dst].tolist(), labels[src].tolist(),
+                           labels[dst].tolist()):
+            groups.setdefault(rs.roots[r], []).append((a, b))
     else:
         model = build_wheel(t)
         signs = (1, -1) if model.signed_orbits else (1,)
@@ -230,46 +218,39 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
     return [SegmentClass(r, tuple(groups[r])) for r in rs.roots]
 
 
-def _d_position(k: int, label):
-    """Polygon position of D-wheel vertex labels: 0 .. n-1 counterclockwise, n the center."""
-    label = np.asarray(label, dtype=np.int64)
-    return np.where(label > 0, label - 1, np.where(label < 0, k - 2 - label, 2 * k - 2))
+def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:
+    """Planar sign of the concatenation x -> y -> z of two wheel segments.
 
-
-def _triangle_sign(n: int, x, y, z) -> np.ndarray:
-    """Planar sign of the concatenation x -> y -> z of two D-wheel segments.
-
-    Positions are integer arrays (0 .. n-1 on the boundary, n the center).
-    The sign is the orientation of the triangle (x, y, z), negated when the
-    triangle strictly contains the center; 0 marks an arc of exactly n/2,
-    where one of the two tests is degenerate.  The three vertices are
-    pairwise distinct.
+    Positions are integer arrays (0 .. n-1 on the boundary; n is the center
+    of a wheel that has one) and the three vertices are pairwise distinct.
+    The sign is the orientation of the triangle (x, y, z).  With a center, a
+    spoke triangle takes the sign of its spoke arc and a triangle that
+    strictly contains the center is negated; 0 marks an arc of exactly n/2,
+    where one of the two tests is degenerate.
     """
+    ccw = np.where((y - x) % n < (z - x) % n, 1, -1)
+    if not center:
+        return ccw
     half = n // 2
     cx, cy, cz = x == n, y == n, z == n
-    spoke = cx | cy | cz
     # Rotate the center to the front: orient(0, u, v) has the sign of the arc u -> v.
     u = np.where(cx, y, np.where(cy, z, x))
     v = np.where(cx, z, np.where(cy, x, y))
     spoke_sign = np.sign(half - (v - u) % n)
-    ccw = np.where((y - x) % n < (z - x) % n, 1, -1)
     p = np.sort(np.stack([x, y, z]), axis=0)
     arcs = np.stack([p[1] - p[0], p[2] - p[1], n - p[2] + p[0]])
     inside = np.where((arcs == half).any(axis=0), 0, np.where((arcs < half).all(axis=0), -1, 1))
-    return np.where(spoke, spoke_sign, ccw * inside)
+    return np.where(cx | cy | cz, spoke_sign, ccw * inside)
 
 
-def d_geometric_sign(t: LieType | str, alpha, beta) -> int:
-    """Planar bracket sign for two summable D roots.
+def geometric_sign(t: LieType | str, alpha, beta) -> int:
+    """Planar bracket sign for two summable A or D roots.
 
     Representatives that concatenate (head of one at the tail of the other,
-    in either order) give the right-hand-rule sign of the ordered direction
-    pair (alpha, beta), negated when the triangle strictly contains the
-    center; the entry of :func:`d_sign_pairs` for the pair.
+    in either order) give the orientation of their triangle, with the D
+    center rules; the entry of :func:`sign_pairs` for the pair (alpha, beta).
     """
     t = as_type(t)
-    if t.family != "D":
-        raise ValueError("the planar sign rule is for D types")
     rs = enumerate_roots(t)
     a = tuple(int(x) for x in alpha)
     b = tuple(int(x) for x in beta)
@@ -277,35 +258,32 @@ def d_geometric_sign(t: LieType | str, alpha, beta) -> int:
     for r in (a, b, total):
         if r not in rs.index:
             raise ValueError(f"{r} is not a root (inputs must be summable roots)")
-    return int(d_sign_pairs(t)[rs.index[a], rs.index[b]])
+    return int(sign_pairs(t)[rs.index[a], rs.index[b]])
 
 
-def d_sign_pairs(t: LieType | str) -> np.ndarray:
-    """Planar bracket sign of every ordered pair of D roots, as one array.
+def sign_pairs(t: LieType | str) -> np.ndarray:
+    """Planar bracket sign of every ordered pair of A or D roots, as one array.
 
     Entry [a, b] (root indices in :func:`enumerate_roots` order) is
-    ``d_geometric_sign`` of roots a and b when a + b is a root, i.e. when
+    ``geometric_sign`` of roots a and b when a + b is a root, i.e. when
     (a, b) = -1, and 0 otherwise.  Every concatenation x -> y -> z of two
     segments is one triangle: it signs (class(x, y), class(y, z)) with its
     triangle sign and the reversed pair with the opposite sign.
     """
     t = as_type(t)
-    if t.family != "D":
-        raise ValueError("the planar sign rule is for D types")
+    if t.family not in ("A", "D"):
+        raise ValueError("the planar sign rule is for A and D types")
     rs = enumerate_roots(t)
-    k, n = t.rank, 2 * t.rank - 2
     X = rs.coords
     summable = X @ cartan_matrix(t) @ X.T == -1
-    root_of = np.full((n + 1, n + 1), -1, dtype=np.int64)  # root index per segment
-    for r, cls in enumerate(enumerate_classes(t)):
-        src, dst = _d_position(k, np.array(cls.segments).T)
-        root_of[src, dst] = r
-    x, y, z = np.indices((n + 1,) * 3).reshape(3, -1)
+    root_of = _segment_roots(t)
+    center = t.family == "D"
+    x, y, z = np.indices((len(root_of),) * 3).reshape(3, -1)
     first, second = root_of[x, y], root_of[y, z]
     keep = (first >= 0) & (second >= 0)
     keep[keep] = summable[first[keep], second[keep]]
     x, y, z, first, second = x[keep], y[keep], z[keep], first[keep], second[keep]
-    sign = _triangle_sign(n, x, y, z)
+    sign = _triangle_sign(len(root_of) - center, x, y, z, center)
     a, b, sign = np.r_[first, second], np.r_[second, first], np.r_[sign, -sign]
     if not sign.all():
         q = int(np.flatnonzero(sign == 0)[0])

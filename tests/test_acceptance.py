@@ -22,7 +22,7 @@ from geomlie.verify import ALL_TYPE_LABELS, CRITERIA, Criterion, run_verify
 NOT_APPLICABLE = {
     "C03-printed-monodromy": {lab for lab in ALL_TYPE_LABELS if lab[0] != "E"},
     "C09-type-A-matrix-model": {lab for lab in ALL_TYPE_LABELS if lab[0] != "A"},
-    "C11-d-sign-rule": {lab for lab in ALL_TYPE_LABELS if lab[0] != "D"},
+    "C11-planar-sign-rule": {"E6", "E7", "E8"},
     # No classical folding starts from these.
     "C14-folding": {"A1", "A2", "A4", "A6", "A8", "D3", "E7", "E8"},
     "C15-coxeter-plane": {"A1"},

@@ -12,9 +12,9 @@ from geomlie.lattice import make_type
 from geomlie.liealg import n_sign
 from geomlie.rootsys import enumerate_roots, monodromy_matrix
 from geomlie import wheel
-from geomlie.wheel import (build_wheel, classes_payload, d_geometric_sign,
-                           d_sign_pairs, enumerate_classes, rotation_angle,
-                           segment_class)
+from geomlie.wheel import (build_wheel, classes_payload, enumerate_classes,
+                           geometric_sign, rotation_angle, segment_class,
+                           sign_pairs)
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
@@ -205,25 +205,38 @@ def _summable_pairs(t):
             if tuple(int(x) for x in (X[a] + X[b])) in rs.index]
 
 
-@pytest.mark.parametrize("k", range(3, 13))
-def test_d_sign_rule_matches_algebra(k):
-    t = make_type(f"D{k}")
+def _check_sign_rule_matches_algebra(label):
+    t = make_type(label)
     rs = enumerate_roots(t)
-    signs = d_sign_pairs(t)
+    signs = sign_pairs(t)
     pairs = _summable_pairs(t)
-    assert pairs
     assert np.count_nonzero(signs) == len(pairs)
+    if label == "A1":  # one positive root: nothing is summable
+        assert not pairs
+        return
     for a, b in pairs:
         assert signs[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
     a, b = pairs[len(pairs) // 2]
-    assert d_geometric_sign(t, rs.roots[a], rs.roots[b]) == signs[a, b]
+    assert geometric_sign(t, rs.roots[a], rs.roots[b]) == signs[a, b]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_a_sign_rule_matches_algebra(k):
+    _check_sign_rule_matches_algebra(f"A{k}")
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_d_sign_rule_matches_algebra(k):
+    _check_sign_rule_matches_algebra(f"D{k}")
 
 
 def _float_reference_sign(t, positions, classes, a, b):
     """The floating-point planar rule: cross products with a 1e-9 guard.
 
-    The smallest nonzero cross product among chords of the D3..D8 wheels is
-    about 1e-1, so the guard is sound there and only there.
+    The sign is that of the cross product of the two segment directions; on
+    the D wheel it is negated when the triangle contains the center.  The
+    smallest nonzero cross product among chords of the A2..A8 and D3..D8
+    wheels is about 1e-1, so the guard is sound there and only there.
     """
     guard = 1e-9
 
@@ -231,7 +244,7 @@ def _float_reference_sign(t, positions, classes, a, b):
         return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
     def contains_origin(tri):
-        if 0 in tri:
+        if t.family == "A" or 0 in tri:
             return False
         pts = [positions[v] for v in tri]
         signs = []
@@ -260,36 +273,46 @@ def _float_reference_sign(t, positions, classes, a, b):
     return results.pop()
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
-def test_d_sign_pairs_match_float_reference(k):
-    t = make_type(f"D{k}")
+def _check_sign_pairs_match_float_reference(label):
+    t = make_type(label)
     positions = {v.label: (v.x, v.y) for v in build_wheel(t).vertices}
     classes = [c.segments for c in enumerate_classes(t)]
-    signs = d_sign_pairs(t)
+    signs = sign_pairs(t)
     pairs = _summable_pairs(t)
     assert np.count_nonzero(signs) == len(pairs)
     for a, b in pairs:
         assert signs[a, b] == _float_reference_sign(t, positions, classes, a, b)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_sign_pairs_match_float_reference(k):
+    _check_sign_pairs_match_float_reference(f"A{k}")
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_d_sign_pairs_match_float_reference(k):
+    _check_sign_pairs_match_float_reference(f"D{k}")
+
+
 @pytest.mark.parametrize("func", ["pairs", "scalar"])
 def test_d_sign_errors_name_type_and_roots(monkeypatch, func):
     # Every triangle made degenerate: the error names the type and a root pair.
-    monkeypatch.setattr(wheel, "_triangle_sign", lambda n, x, y, z: np.zeros_like(x))
+    monkeypatch.setattr(wheel, "_triangle_sign", lambda n, x, y, z, center: np.zeros_like(x))
     with pytest.raises(RuntimeError, match=r"D4: degenerate wheel triangle .* for \(.*\), \("):
         if func == "pairs":
-            d_sign_pairs("D4")
+            sign_pairs("D4")
         else:
-            d_geometric_sign("D4", (1, 0, 0, 0), (0, 0, 1, 0))
+            geometric_sign("D4", (1, 0, 0, 0), (0, 0, 1, 0))
 
 
 def test_d_sign_pairs_inconsistent_signs_named(monkeypatch):
     real = wheel._triangle_sign
     # Flip every other triangle: some pair with two concatenations disagrees.
     monkeypatch.setattr(wheel, "_triangle_sign",
-                        lambda n, x, y, z: real(n, x, y, z) * (1 - 2 * (np.arange(len(x)) % 2)))
+                        lambda n, x, y, z, center:
+                        real(n, x, y, z, center) * (1 - 2 * (np.arange(len(x)) % 2)))
     with pytest.raises(RuntimeError, match=r"D5: inconsistent planar signs for \("):
-        d_sign_pairs("D5")
+        sign_pairs("D5")
 
 
 def test_d_sign_antisymmetric_example():
@@ -300,18 +323,19 @@ def test_d_sign_antisymmetric_example():
         for b in range(len(rs)):
             total = tuple(int(x) for x in (X[a] + X[b]))
             if total in rs.index:
-                assert d_geometric_sign(t, rs.roots[a], rs.roots[b]) == \
-                    -d_geometric_sign(t, rs.roots[b], rs.roots[a])
+                assert geometric_sign(t, rs.roots[a], rs.roots[b]) == \
+                    -geometric_sign(t, rs.roots[b], rs.roots[a])
                 return
 
 
 def test_d_sign_requires_summable_roots():
     with pytest.raises(ValueError):
-        d_geometric_sign("D4", (1, 0, 0, 0), (-1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        d_geometric_sign("A4", (1, 0, 0, 0), (0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        d_sign_pairs("E6")
+        geometric_sign("D4", (1, 0, 0, 0), (-1, 0, 0, 0))
+    assert geometric_sign("A4", (1, 0, 0, 0), (0, 1, 0, 0)) in (1, -1)
+    with pytest.raises(ValueError, match="for A and D types"):
+        geometric_sign("E6", (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="for A and D types"):
+        sign_pairs("E6")
 
 
 def test_rotation_angles():
