@@ -19,6 +19,7 @@ corrupted coefficient shows up in every check.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -51,9 +52,10 @@ __all__ = [
 ]
 
 # ``build`` refuses a type whose Jacobi join could exceed this many terms.
-# check_jacobi holds 64 bytes per actual term at its peak (E8: 1.17M terms,
-# 75 MB), so the limit keeps it under 640 MB.  The join is never smaller than
-# the table, so this bounds the table too.  A31 is the largest A type accepted.
+# check_jacobi holds about 24 bytes per actual term at its peak (tracemalloc,
+# E8: 1.17M terms, 28 MB), so the limit keeps it under about 250 MB.  The
+# join is never smaller than the table, so this bounds the table too.  A31
+# (dimension 1023, within check_jacobi's 1024) is the largest A type accepted.
 MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
@@ -312,6 +314,14 @@ class JacobiReport:
         return not self.violations
 
 
+def _rotate(key: np.ndarray) -> np.ndarray:
+    """(x, y, z) -> (y, z, x) on triples packed as x << 20 | y << 10 | z."""
+    out = key & 0xFFFFF
+    out <<= 10
+    out |= key >> 20
+    return out
+
+
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Exhaustive Jacobi check, as a join of the structure table with itself.
 
@@ -319,22 +329,64 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     [[x, y], z] on e_p.  J(x, y, z) is the sum of that term over the three
     rotations of (x, y, z), so terms are summed per (smallest rotation, p);
     a nonzero sum is a violation, reported as its basis-index triple (at most
-    MAX_JACOBI_VIOLATIONS of them).
+    MAX_JACOBI_VIOLATIONS of them, in lexicographic order).
+
+    Each term is one int64 word: the smallest rotation packed as
+    x << 20 | y << 10 | z, then p in 10 bits, then the coefficient offset to
+    be nonnegative in the low w bits, w the bit width of twice the largest
+    |c_a c_b|.  Sorting the words by value groups the terms by (triple, p).
+    Two inputs cannot be packed, and both are refused with ValueError before
+    the join is allocated: a dimension over 1024, and coefficients so wide
+    that 40 + w > 63 bits (max |c| of about 2^11 or more).
     """
     T, n = L.table, L.dimension
-    a, b = _join(T.m, T.i)
-    x, y, z, p, coef = T.i[a], T.j[a], T.j[b], T.m[b], T.c[a] * T.c[b]
-    del a, b  # MAX_JACOBI_TERMS bounds the peak, so drop join columns early
-    # Indices are below n, so base-n keys order the triples lexicographically;
-    # n^4 fits in int64 for every dimension that build accepts.
-    key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x),
-                     (z * n + x) * n + y) * n + p
-    del x, y, z, p
-    key, total = _group_sums(key, coef)
-    checked = len(_run_starts(key // n))
-    bad = key[total != 0] // n
+    if n > 1 << 10:
+        raise ValueError(f"check_jacobi packs basis indices in 10 bits; dimension {n} > 1024")
+    cmax = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0))) ** 2
+    w = (2 * cmax).bit_length()
+    if 40 + w > 63:
+        raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
+                         f"are too wide to pack a Jacobi term in 63 bits")
+    i, j, m, c = (col.astype(np.int32) for col in (T.i, T.j, T.m, T.c))
+    # Rows are sorted by (i, j, m), so the rows [m, .] are one block: row
+    # [x, y] -> m meets count[row] of them, and b lists the rows it meets.
+    # Each per-term column is dropped once used; the peak is about 24 bytes
+    # per term (see MAX_JACOBI_TERMS).
+    start = i.searchsorted(np.arange(n + 1, dtype=np.int32))
+    count = start[m + 1] - start[m]
+    b = np.arange(count.sum())
+    b += np.repeat(start[m] - np.cumsum(count) + count, count)
+    coef = np.repeat(c, count)
+    coef *= c.take(b)
+    coef += cmax
+    key = np.repeat(i << 20 | j << 10, count)
+    key |= j.take(b)
+    p = m.take(b)
+    del b
+    turned = _rotate(key)
+    np.minimum(key, turned, out=key)
+    np.minimum(key, _rotate(turned), out=key)
+    del turned
+    word = key.astype(np.int64)
+    del key
+    word <<= 10
+    word |= p
+    word <<= w
+    word |= coef
+    del p, coef
+    word.sort()
+    coef = word & ((1 << w) - 1)
+    coef -= cmax
+    word >>= w  # now triple << 10 | p
+    first = _run_starts(word)
+    total = np.add.reduceat(coef, first)
+    del coef
+    triple = word[first] >> 10
+    del word, first
+    checked = len(_run_starts(triple))
+    bad = triple[total != 0]
     bad = bad[_run_starts(bad)][:MAX_JACOBI_VIOLATIONS]
-    violations = [(int(q // (n * n)), int(q // n % n), int(q % n)) for q in bad]
+    violations = [(int(q >> 20), int(q >> 10 & 1023), int(q & 1023)) for q in bad]
     return JacobiReport(L.lie_type, checked, violations)
 
 

@@ -42,7 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -150,16 +151,14 @@ def segment_class(t: LieType | str, segment: Sequence[int]) -> Root:
         if src == -dst:
             raise ValueError("antipodal segments are blocked by the center puncture")
         return tuple(int(x) for x in phi[position[dst]] - phi[position[src]])
-    j, m, s = segment
-    model = build_wheel(t)
-    if not (1 <= j <= t.rank and 0 <= m < model.orbit_steps and s in (1, -1)):
+    label = tuple(segment)
+    root = _label_roots(t).get(label)
+    if root is None:
+        j, m, s = label
+        if s == -1 and (j, m, 1) in _label_roots(t):
+            raise ValueError(f"E{t.rank} orbit labels are unsigned")
         raise ValueError(f"invalid E{t.rank} orbit label {segment}")
-    if not model.signed_orbits and s != 1:
-        raise ValueError(f"E{t.rank} orbit labels are unsigned")
-    M = monodromy_matrix(t)
-    v = projective_basis(t)[j - 1]
-    v = np.linalg.matrix_power(M, m) @ v
-    return tuple(int(x) for x in (s * v))
+    return root
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,12 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
     if set(groups) != set(rs.roots):
         raise RuntimeError(f"{t}: segment classes do not biject with the roots")
     return [SegmentClass(r, tuple(groups[r])) for r in rs.roots]
+
+
+@per_type
+def _label_roots(t: LieType) -> Mapping[tuple[int, ...], Root]:
+    """The root of every E orbit label (j, m, s), read-only."""
+    return MappingProxyType({label: c.root for c in enumerate_classes(t) for label in c.segments})
 
 
 def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:

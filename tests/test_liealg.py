@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             is_nondegenerate, killing_form,
                             load_structure_constants, n_sign, sl2_triple,
                             slk_model_check, structure_constants_payload)
-from geomlie.lattice import make_type
+from geomlie.lattice import make_type, seifert_matrix
 from geomlie.rootsys import enumerate_roots
 from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS
 
@@ -154,6 +156,113 @@ def test_jacobi_negative_control():
     report = check_jacobi(L)
     assert len(report.violations) >= 1
     assert check_antisymmetry(L)
+
+
+def reference_jacobi(L) -> tuple[int, list[tuple[int, int, int]]]:
+    """Jacobi sweep over Python dicts: (classes with a term, violating classes).
+
+    Every term [[x, y], z] on e_p is summed per (smallest rotation of
+    (x, y, z), p); the violating classes are listed in ascending order.
+    """
+    T = L.table
+    rows: dict[int, list[tuple[int, int, int]]] = {}
+    for x, y, m, c in zip(T.i.tolist(), T.j.tolist(), T.m.tolist(), T.c.tolist()):
+        rows.setdefault(x, []).append((y, m, c))
+    sums: dict[tuple[tuple[int, int, int], int], int] = {}
+    for x, outgoing in rows.items():
+        for y, m, c1 in outgoing:
+            for z, p, c2 in rows.get(m, ()):
+                triple = min((x, y, z), (y, z, x), (z, x, y))
+                sums[triple, p] = sums.get((triple, p), 0) + c1 * c2
+    classes = {triple for triple, _ in sums}
+    bad = sorted({triple for (triple, _), total in sums.items() if total})
+    return len(classes), bad[:liealg.MAX_JACOBI_VIOLATIONS]
+
+
+# The new coefficient from the old one; 2047 is the widest value check_jacobi packs.
+CORRUPTIONS = {"flip": lambda c: -c, "double": lambda c: 2 * c,
+               "plus-one": lambda c: c + 1, "wide": lambda c: 2047}
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS])
+def test_jacobi_matches_reference_sweep(label, corruption):
+    L = build(make_type(label))
+    if corruption is not None:
+        change = CORRUPTIONS[corruption]
+        rng = random.Random(f"{label}-{corruption}")
+        for row in rng.sample(range(len(L.table.c)), 3):
+            L.table.c[row] = change(int(L.table.c[row]))
+    report = check_jacobi(L)
+    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert report.ok == (corruption is None)
+
+
+def _refusal_peak(L) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pack"):
+            check_jacobi(L)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jacobi_refuses_dimension_past_1024_before_allocating():
+    L = build(make_type("E8"))  # a join of 1.17M terms, were it built
+    assert _refusal_peak(dataclasses.replace(L, dimension=1025)) < 1_000_000
+
+
+def test_jacobi_refuses_unpackable_coefficient_before_allocating():
+    L = build(make_type("E8"))
+    L.table.c[0] = 2048
+    assert _refusal_peak(L) < 1_000_000
+
+
+def test_sign_cocycle():
+    # eps(a, b) = (-1)^(b^t B a) is the bracket sign N(a, b).  Its symmetric
+    # part is (-1)^((a, b)) and it is bimultiplicative (Kac, Infinite-
+    # Dimensional Lie Algebras, 7.8; Frenkel-Kac 1980).  (a, b) comes from
+    # the root list alone: 2 for b = a, -2 for b = -a, -1 when a + b is a
+    # root, 1 when a - b is one, else 0.
+    for label in ALL_TYPE_LABELS:
+        rs = enumerate_roots(label)
+        X = rs.coords
+        eps = 1 - 2 * ((X @ seifert_matrix(label) @ X.T) % 2).T  # eps[a, b]
+        total = X[:, None, :] + X[None, :, :]
+        differ = X[:, None, :] - X[None, :, :]
+        roots = set(rs.roots)
+        summable = np.array([[tuple(v) in roots for v in row] for row in total.tolist()])
+        opposite = np.array([[tuple(v) in roots for v in row] for row in differ.tolist()])
+        same = np.eye(len(X), dtype=bool)
+        negated = (total == 0).all(axis=2)
+        form = 2 * same - 2 * negated - summable + opposite
+        assert np.array_equal(eps * eps.T, 1 - 2 * (form % 2)), label
+        a, b = np.nonzero(summable)
+        ab = [rs.index[tuple(v)] for v in total[a, b].tolist()]
+        assert np.array_equal(eps[ab, :], eps[a, :] * eps[b, :]), label
+
+
+@st.composite
+def algebra_elements(draw, dimension: int) -> AlgebraElement:
+    terms = draw(st.dictionaries(st.integers(0, dimension - 1), st.integers(-3, 3),
+                                 min_size=1, max_size=4))
+    return AlgebraElement.from_dict(terms)
+
+
+JACOBI_ALGEBRAS = {label: build(make_type(label)) for label in ("A3", "D4", "E6")}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(JACOBI_ALGEBRAS)), st.data())
+def test_jacobi_on_random_elements(label, data):
+    # bracket reads the table pair by pair (bisect), sharing nothing with
+    # the sort kernel of check_jacobi.
+    L = JACOBI_ALGEBRAS[label]
+    x, y, z = (data.draw(algebra_elements(L.dimension)) for _ in range(3))
+    cyclic = (bracket(L, bracket(L, x, y), z) + bracket(L, bracket(L, y, z), x)
+              + bracket(L, bracket(L, z, x), y))
+    assert cyclic.is_zero
 
 
 def test_root_space_grading():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geomlie.lattice import make_type
-from geomlie.liealg import MAX_JACOBI_TERMS, build, killing_form, term_bounds
+from geomlie.liealg import MAX_JACOBI_TERMS, build, check_jacobi, killing_form, term_bounds
 from geomlie.rootsys import enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
 
@@ -92,3 +92,17 @@ def test_build_refuses_oversized_type_before_allocating():
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1_000_000
+
+
+def test_jacobi_peak_per_join_term():
+    # MAX_JACOBI_TERMS is sized by this figure: about 24 bytes per term.
+    L = build("E8")
+    T = L.table
+    terms = int(np.bincount(T.i, minlength=L.dimension)[T.m].sum())
+    tracemalloc.start()
+    try:
+        assert check_jacobi(L).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * terms
