@@ -1,11 +1,12 @@
-"""Projection of roots to the rotation-invariant plane, and SVG rendering.
+"""Which roots share a point of the Coxeter plane, and the SVG that draws it.
 
-This is the only module that touches floating point.  The Coxeter element c
-preserves the pairing C and acts on a distinguished 2-plane as a rotation by
-2*pi/h; the plane is the real span of an eigenvector for exp(-2*pi*i/h),
-with the eigenvalue branch chosen so that c moves projected points
-counterclockwise.  Projections are C-inner products against a C-orthonormal
-frame (u, v) of that plane, with a deterministic phase and sign convention.
+The Coxeter element c preserves the pairing C and rotates a distinguished
+2-plane by 2*pi/h.  Integers decide which roots share a projected point: K,
+the product over primes p | h of (c^(h/p) - I), kills the non-primitive h-th
+roots of unity and is invertible on the primitive ones, so roots x and y
+share a point iff K x = K y.  Floats only place the dots: C-inner products
+with a C-orthonormal frame (u, v) of the real span of an exp(-2*pi*i/h)
+eigenvector, phased so that c turns the picture counterclockwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LieType, as_type, cartan_matrix
+from .lattice import LieType, as_type, cartan_matrix, per_type
 from .rootsys import Root, coxeter_matrix, enumerate_roots, orbit_decomposition
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-9
-CLUSTER_TOLERANCE = 1e-6
 
 # Fixed 16-entry palette for orbit coloring.
 PALETTE = (
@@ -112,58 +112,59 @@ def project_all(t: LieType | str) -> list[ProjectedRoot]:
     return [ProjectedRoot(r, (float(xs[i]), float(ys[i]))) for i, r in enumerate(rs.roots)]
 
 
-def point_clusters(projected: list[ProjectedRoot]) -> list[list[int]]:
-    """Group projection indices whose points lie within CLUSTER_TOLERANCE (union-find)."""
-    n = len(projected)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    pts = [p.point for p in projected]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.dist(pts[i], pts[j]) <= CLUSTER_TOLERANCE:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
+@per_type
+def _fibre_map(t: LieType) -> np.ndarray:
+    """K = prod over primes p | h of (c^(h/p) - I): K x = K y iff x, y share a point."""
+    c = coxeter_matrix(t)
+    eye = np.eye(t.rank, dtype=np.int64)
+    h = t.coxeter_number
+    if not np.array_equal(np.linalg.matrix_power(c, h), eye):
+        raise RuntimeError(f"{t}: c^h is not the identity")
+    K = eye
+    for p in range(2, h + 1):
+        if h % p == 0 and all(p % q for q in range(2, p)):
+            K = K @ (np.linalg.matrix_power(c, h // p) - eye)
+    return K
 
 
-def multiplicity_report(t: LieType | str) -> dict[tuple[float, float], int]:
-    """Cluster sizes of the projected points, keyed by a representative point."""
-    t = as_type(t)
-    projected = project_all(t)
-    report: dict[tuple[float, float], int] = {}
-    for group in point_clusters(projected):
-        x, y = projected[group[0]].point
-        report[(round(x, 6), round(y, 6))] = len(group)
-    return report
+def _fibres(t: LieType) -> dict[tuple[int, ...], list[int]]:
+    """Root indices by their key K x, in order of the smallest member."""
+    if t.rank < 2:
+        raise DegeneratePlaneError(f"{t}: no invariant plane in rank 1")
+    fibres: dict[tuple[int, ...], list[int]] = {}
+    keys = enumerate_roots(t).coords @ _fibre_map(t).T
+    for i, key in enumerate(keys.tolist()):
+        fibres.setdefault(tuple(key), []).append(i)
+    return fibres
 
 
-def _svg_header(size: int) -> list[str]:
-    s = size / 2
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="{-s:.1f} {-s:.1f} {size} {size}">',
-        f'<rect x="{-s:.1f}" y="{-s:.1f}" width="{size}" height="{size}" fill="white"/>',
-    ]
+def point_clusters(t: LieType | str) -> list[list[int]]:
+    """Root indices sharing a projected point (exact fibres of K), by smallest member."""
+    return list(_fibres(as_type(t)).values())
+
+
+def multiplicity_report(t: LieType | str) -> dict[tuple[int, ...], int]:
+    """Number of roots at each projected point, keyed by the integer vector K x."""
+    return {key: len(group) for key, group in _fibres(as_type(t)).items()}
 
 
 def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> str:
     """Deterministic SVG of the projected roots.
 
-    One dot per projection cluster; optional edges between projections of
+    One dot per fibre of K; optional edges, one per pair of fibres holding
     roots whose difference is again a root; colors follow the orbit of the
     coxeter_bar operator through a fixed palette.  Rank 1 degenerates to two
     dots on a fixed axis.
     """
+    if size < 1:
+        raise ValueError(f"SVG size must be a positive number of pixels, got {size}")
     t = as_type(t)
-    lines = _svg_header(size)
+    s = size / 2
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="{-s:.1f} {-s:.1f} {size} {size}">',
+        f'<rect x="{-s:.1f}" y="{-s:.1f}" width="{size}" height="{size}" fill="white"/>',
+    ]
     scale = 0.45 * size
     if t.rank < 2:
         for x in (-0.5, 0.5):
@@ -179,21 +180,20 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
     for orbit_idx, orbit in enumerate(orbit_decomposition(t, "coxeter_bar").orbits):
         for r in orbit:
             color_of_root[r] = PALETTE[orbit_idx % len(PALETTE)]
+    fibres = point_clusters(t)
     if show_edges:
-        drawn = set()
-        lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')
+        rep = {i: group[0] for group in fibres for i in group}
+        edges: dict[tuple[int, int], tuple[int, int]] = {}
         # a - b is a root exactly when |a - b|^2 = 4 - 2 (a, b) = 2, i.e. (a, b) = 1.
         X = rs.coords
-        for i, j in np.argwhere(np.triu(X @ cartan_matrix(t) @ X.T == 1, 1)):
-            key = (round(pts[i][0], 4), round(pts[i][1], 4),
-                   round(pts[j][0], 4), round(pts[j][1], 4))
-            if key in drawn:
-                continue
-            drawn.add(key)
+        for i, j in np.argwhere(np.triu(X @ cartan_matrix(t) @ X.T == 1, 1)).tolist():
+            edges.setdefault((rep[i], rep[j]), (i, j))
+        lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')
+        for i, j in edges.values():
             lines.append(f'<line x1="{pts[i][0]:.4f}" y1="{pts[i][1]:.4f}" '
                          f'x2="{pts[j][0]:.4f}" y2="{pts[j][1]:.4f}"/>')
         lines.append("</g>")
-    for group in point_clusters(projected):
+    for group in fibres:
         i = group[0]
         lines.append(f'<circle cx="{pts[i][0]:.4f}" cy="{pts[i][1]:.4f}" r="4.0" '
                      f'fill="{color_of_root[i]}"/>')

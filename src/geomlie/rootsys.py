@@ -11,6 +11,7 @@ automorphism orbits to produce the non-simply-laced Cartan matrices.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,7 +307,8 @@ def classical_folding(name: str) -> FoldingSpec:
     if not dst_label:
         raise ValueError("folding spec must look like 'E6:F4'")
     src = make_type(src_label)
-    fam, rank = dst_label[0], int(dst_label[1:] or 0)
+    target = re.fullmatch(r"([A-Z])([1-9][0-9]*)", dst_label)
+    fam, rank = (target[1], int(target[2])) if target else ("", 0)
     if fam == "B" and src.family == "D" and src.rank == rank + 1:
         perm = [2, 1] + list(range(3, src.rank + 1))
     elif fam == "C" and src.family == "A" and src.rank == 2 * rank - 1:

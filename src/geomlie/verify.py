@@ -12,8 +12,9 @@ from the same records, with ``n/a`` counted as a pass.
 
 Checks compare the library against data frozen from independent sources: the
 printed monodromy matrices, hand-folded Cartan matrices, the bracket table of
-the rank-2 matrix algebra, and a lattice-point enumerator that shares nothing
-with the reflection-closure path.
+the rank-2 matrix algebra, a lattice-point enumerator that shares nothing
+with the reflection-closure path, and the types whose Coxeter-plane
+projection is injective, which C15 decides exactly, without floats.
 """
 
 from __future__ import annotations
@@ -419,23 +420,17 @@ def _coxeter_projection_injective(t: LieType) -> bool:
     return (t.family == "A" and t.rank % 2 == 0) or t.label in ("E7", "E8")
 
 
-@_criterion("C15-coxeter-plane", "rotation equivariance within 1e-9, injectivity per type",
+@_criterion("C15-coxeter-plane", "K != 0, key(c x) = c key(x), injectivity per type",
             applies=lambda t: t.rank >= 2)
 def _c15_coxplane(t: LieType) -> list[str]:
-    fails = []
-    theta = 2 * np.pi / t.coxeter_number
-    projected = coxplane.project_all(t)
-    rs = enumerate_roots(t)
-    c = coxeter_matrix(t)
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    worst = 0.0
-    for pr in projected:
-        image = tuple(int(x) for x in (c @ np.array(pr.root)))
-        target = np.array(projected[rs.index[image]].point)
-        worst = max(worst, float(np.max(np.abs(target - rot @ np.array(pr.point)))))
-    if worst > 1e-9:
-        fails.append(f"equivariance residual {worst:.2e}")
-    injective = all(len(g) == 1 for g in coxplane.point_clusters(projected))
+    rs, c, K = enumerate_roots(t), coxeter_matrix(t), coxplane._fibre_map(t)
+    fails = [] if K.any() else ["K = 0: no rotation eigenvalue exp(2 pi i / h)"]
+    keys = rs.coords @ K.T
+    image = [rs.index[tuple(row)] for row in (rs.coords @ c.T).tolist()]
+    moved = int(np.sum(np.any(keys[image] != keys @ c.T, axis=1)))
+    if moved:
+        fails.append(f"key(c x) != c key(x) for {moved} roots")
+    injective = all(len(g) == 1 for g in coxplane.point_clusters(t))
     if injective != _coxeter_projection_injective(t):
         fails.append(f"injectivity {injective}")
     return fails

@@ -307,13 +307,11 @@ def sign_pairs(t: LieType | str) -> np.ndarray:
 
 
 def rotation_angle(t: LieType | str) -> Fraction:
-    """Wheel rotation of the monodromy, as an exact multiple of pi."""
+    """Wheel rotation of the monodromy -c, pi + 2 pi / h, as an exact multiple of pi."""
     t = as_type(t)
     if t.family == "A":
         raise ValueError("the A wheel is not rotated by the monodromy")
-    if t.family == "D":
-        return Fraction(t.rank, t.rank - 1)
-    return {6: Fraction(7, 6), 7: Fraction(10, 9), 8: Fraction(16, 15)}[t.rank]
+    return Fraction(t.coxeter_number + 2, t.coxeter_number)
 
 
 def classes_payload(t: LieType | str) -> dict:

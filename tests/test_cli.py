@@ -161,6 +161,24 @@ def test_fold_bad_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["A5:C3x", "E6:F4:G2", "D5:B04"])
+def test_fold_malformed_target(capsys, spec):
+    # The target must be one letter and a rank without a leading zero; no raw
+    # int() message leaks and no half-parsed target is accepted.
+    code, out, err = run(capsys, "fold", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: unsupported classical folding {spec.upper()!r}\n"
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_coxplane_svg_size_refused(tmp_path, capsys, size):
+    target = tmp_path / "e6.svg"
+    code, out, err = run(capsys, "coxplane", "E6", "--svg", str(target), "--size", size)
+    assert (code, out) == (2, "")
+    assert "size" in err
+    assert not target.exists()
+
+
 def test_verify_single_type(capsys, monkeypatch):
     monkeypatch.setenv("GEOMLIE_COLOR", "0")
     code, out, _ = run(capsys, "verify", "A2")

@@ -7,15 +7,19 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import sympy
 
+from geomlie import cli, coxplane, verify
 from geomlie.coxplane import (DegeneratePlaneError, multiplicity_report,
-                              plane_basis, project_all, render_svg)
+                              plane_basis, point_clusters, project_all, render_svg)
 from geomlie.lattice import make_type
 from geomlie.rootsys import coxeter_matrix, enumerate_roots, orbit_decomposition
 
 PLANE_LABELS = [f"A{k}" for k in range(2, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
 INJECTIVE = {"A2", "A4", "A6", "A8", "E7", "E8"}
+SERIES_LABELS = [f"A{k}" for k in range(2, 17)] + [f"D{k}" for k in range(3, 17)] + \
+    ["E6", "E7", "E8"]
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
@@ -89,6 +93,67 @@ def test_injectivity_table(label):
     assert sum(report.values()) == t.root_count
     injective = all(v == 1 for v in report.values())
     assert injective == (label in INJECTIVE)
+
+
+def float_clusters(label: str, tol: float = 1e-6) -> list[list[int]]:
+    """Test-only oracle: union-find over float projections within ``tol``."""
+    pts = [p.point for p in project_all(label)]
+    parent = list(range(len(pts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if math.dist(pts[i], pts[j]) <= tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(pts)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+@pytest.mark.parametrize("label", SERIES_LABELS)
+def test_exact_fibres_match_float_clusters(label):
+    fibres = point_clusters(label)
+    assert fibres == float_clusters(label)
+    injective = all(len(g) == 1 for g in fibres)
+    assert injective == verify._coxeter_projection_injective(make_type(label))
+
+
+@pytest.mark.parametrize("label", ["A1"] + SERIES_LABELS)
+def test_fibre_map_is_the_primitive_part(label):
+    # rank K = phi(h) and Phi_h(c) K = 0: the primitive h-th roots of unity
+    # are simple eigenvalues of c and K maps onto their sum of eigenspaces.
+    t = make_type(label)
+    h = t.coxeter_number
+    K = coxplane._fibre_map(t)
+    assert sympy.Matrix(K.tolist()).rank() == sympy.totient(h)
+    c = coxeter_matrix(t).astype(object)
+    x = sympy.Symbol("x")
+    phi_c = np.zeros_like(c)
+    for coeff in sympy.Poly(sympy.cyclotomic_poly(h, x), x).all_coeffs():
+        phi_c = phi_c @ c + int(coeff) * np.eye(t.rank, dtype=object)
+    assert not (phi_c @ K.astype(object)).any()
+
+
+def test_floats_only_draw(monkeypatch, capsys):
+    want = cli.main(["coxplane", "E6"]), capsys.readouterr().out
+
+    def refuse(t):
+        raise AssertionError("the fibres must not use the float plane")
+
+    monkeypatch.setattr(coxplane, "plane_basis", refuse)
+    monkeypatch.setattr(coxplane, "project_all", refuse)
+    got = cli.main(["coxplane", "E6"]), capsys.readouterr().out
+    assert got == want == (0, "E6: 48 projection clusters over 72 roots\n"
+                              "cluster sizes: [1, 2]\n")
+    (c15,) = [c for name, c in verify.CRITERIA if name == "C15-coxeter-plane"]
+    passed, _, actual = c15(verify.ALL_TYPE_LABELS)
+    assert passed, actual
 
 
 def test_multiplicity_examples():

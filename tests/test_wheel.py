@@ -11,7 +11,7 @@ import pytest
 from geomlie.lattice import make_type
 from geomlie.liealg import n_sign
 from geomlie.rootsys import enumerate_roots, monodromy_matrix
-from geomlie import wheel
+from geomlie import coxplane, wheel
 from geomlie.wheel import (build_wheel, classes_payload, enumerate_classes,
                            geometric_sign, rotation_angle, segment_class,
                            sign_pairs)
@@ -345,6 +345,16 @@ def test_rotation_angles():
     assert rotation_angle("D5") == Fraction(5, 4)
     with pytest.raises(ValueError):
         rotation_angle("A4")
+
+
+@pytest.mark.parametrize("label", [f"D{k}" for k in range(3, 17)] + ["E6", "E7", "E8"])
+def test_rotation_angle_from_float_frame(label):
+    # Independent of the closed form: the monodromy -c turns the float frame
+    # (u, v) of the Coxeter plane by theta = pi * rotation_angle.
+    basis = coxplane.plane_basis(label)
+    theta = math.pi * rotation_angle(label)
+    image = monodromy_matrix(label).astype(float) @ basis.u
+    assert np.max(np.abs(image - (math.cos(theta) * basis.u + math.sin(theta) * basis.v))) < 1e-9
 
 
 def test_classes_payload_schema():
