@@ -4,13 +4,11 @@ The central object is the upper-triangular intersection matrix B of a simple
 basis of relative 1-cycles on the Milnor fiber of the corresponding plane
 curve singularity, with B[i][j] the intersection of the i-th vanishing cycle
 with the j-th basis arc.  Everything else is derived from B over the
-integers: the symmetric pairing C = B + B^t, the Seifert form -B^t, the
-skew intersection form B^t - B, and the stabilized pairings.
+integers: the symmetric pairing C = B + B^t, the Seifert form -B^t and the
+stabilized pairings.
 
-Two coordinate systems are used throughout the package.  Relative cycles
-carry coordinates in the simple arc basis a_1..a_k; absolute cycles carry
-coordinates in the image basis D_i = var(a_i).  The variation operator is
-the identity on coordinates and only swaps the basis tag.
+Roots carry coordinates in the simple arc basis a_1..a_k, and the variation
+operator a_i -> D_i = var(a_i) is the identity on them.
 
 This module also owns the package's per-type conventions: :func:`as_type` is
 the one normalizer of a type argument (a :class:`LieType` or a label), and
@@ -24,7 +22,7 @@ import functools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -32,22 +30,14 @@ from ._exact import det_exact
 
 __all__ = [
     "LieType",
-    "RelativeCycle",
-    "AbsoluteCycle",
     "make_type",
     "as_type",
     "per_type",
     "seifert_matrix",
     "cartan_matrix",
     "pairing",
-    "mixed_intersection",
-    "intersection_abs",
-    "seifert_form",
-    "variation",
-    "variation_inverse",
     "stabilized_pairing_matrix",
     "projective_basis",
-    "is_distinguished",
     "matrix_payload",
 ]
 
@@ -79,30 +69,14 @@ class LieType:
         return self.label
 
 
-@dataclass(frozen=True)
-class RelativeCycle:
-    """Integer coordinates in the simple arc basis of H1(M, dM)."""
-
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AbsoluteCycle:
-    """Integer coordinates in the vanishing-cycle basis of H1(M)."""
-
-    coords: tuple[int, ...]
-
-
 def make_type(spec: str) -> LieType:
     """Parse a label like ``A4``, ``d5`` or ``E8`` into a :class:`LieType`."""
-    m = re.fullmatch(r"([ADEade])(\d+)", spec.strip())
+    m = re.fullmatch(r"([ADEade])([1-9][0-9]*)", spec.strip())
     if not m:
         raise ValueError(f"malformed type label: {spec!r}")
     family = m.group(1).upper()
     k = int(m.group(2))
     if family == "A":
-        if k < 1:
-            raise ValueError("A requires rank >= 1")
         return LieType("A", k, k + 1, k * (k + 1))
     if family == "D":
         if k < 3:
@@ -172,53 +146,14 @@ def cartan_matrix(t: LieType | str) -> np.ndarray:
     return B + B.T
 
 
-def _coords(v, k: int) -> np.ndarray:
-    if isinstance(v, (RelativeCycle, AbsoluteCycle)):
-        v = v.coords
-    arr = np.asarray(v, dtype=np.int64)
-    if arr.shape != (k,):
-        raise ValueError(f"expected a length-{k} integer vector, got shape {arr.shape}")
-    return arr
-
-
 def pairing(t: LieType | str, a, b) -> int:
     """Symmetric pairing (a, b) = a^t C b of two relative cycles."""
     t = as_type(t)
-    C = cartan_matrix(t)
-    return int(_coords(a, t.rank) @ C @ _coords(b, t.rank))
-
-
-def mixed_intersection(t: LieType | str, a, b) -> int:
-    """Intersection a . b of an absolute cycle a with a relative cycle b (a^t B b)."""
-    t = as_type(t)
-    B = seifert_matrix(t)
-    return int(_coords(a, t.rank) @ B @ _coords(b, t.rank))
-
-
-def intersection_abs(t: LieType | str, a, b) -> int:
-    """Skew intersection a . b of two absolute cycles (a^t (B^t - B) b)."""
-    t = as_type(t)
-    B = seifert_matrix(t)
-    return int(_coords(a, t.rank) @ (B.T - B) @ _coords(b, t.rank))
-
-
-def seifert_form(t: LieType | str, a, b) -> int:
-    """Seifert form L(a, b) = a^t L b with the convention L = -B^t."""
-    t = as_type(t)
-    L = -seifert_matrix(t).T
-    return int(_coords(a, t.rank) @ L @ _coords(b, t.rank))
-
-
-def variation(a: RelativeCycle | Sequence[int]) -> AbsoluteCycle:
-    """Variation image of a relative cycle: identity on coordinates."""
-    coords = a.coords if isinstance(a, RelativeCycle) else tuple(int(x) for x in a)
-    return AbsoluteCycle(coords)
-
-
-def variation_inverse(a: AbsoluteCycle | Sequence[int]) -> RelativeCycle:
-    """Inverse variation: identity on coordinates, back to the arc basis."""
-    coords = a.coords if isinstance(a, AbsoluteCycle) else tuple(int(x) for x in a)
-    return RelativeCycle(coords)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    for v in (a, b):
+        if v.shape != (t.rank,):
+            raise ValueError(f"expected a length-{t.rank} integer vector, got shape {v.shape}")
+    return int(a @ cartan_matrix(t) @ b)
 
 
 def stabilized_pairing_matrix(t: LieType | str, n: int) -> np.ndarray:
@@ -275,22 +210,6 @@ def projective_basis(t: LieType | str) -> np.ndarray:
         Q = np.array(rows, dtype=np.int64)
     assert abs(det_exact(Q)) == 1
     return Q
-
-
-def is_distinguished(m, upper: bool = True) -> bool:
-    """Triangularity criterion for a distinguished collection.
-
-    True iff the matrix is triangular (upper by default, lower with
-    ``upper=False``) with every diagonal entry equal to 1.
-    """
-    arr = np.asarray(m, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.diagonal(arr) == 1):
-        return False
-    lower_part = np.tril(arr, -1)
-    upper_part = np.triu(arr, 1)
-    return not np.any(lower_part) if upper else not np.any(upper_part)
 
 
 def matrix_payload(t: LieType | str, m) -> dict:

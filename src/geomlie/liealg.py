@@ -201,22 +201,6 @@ def term_bounds(t: LieType | str) -> tuple[int, int]:
     return table, join
 
 
-def _row_index(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Position of each row of Q among the rows of X (lexicographically sorted).
-
-    Rows become byte strings of x + 128; root coordinates lie well inside
-    -128..127, so byte order is the lexicographic order of the rows.  Every
-    match is then checked in full.
-    """
-    def keys(A: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
-
-    idx = keys(X).searchsorted(keys(Q))
-    if not np.array_equal(X[np.minimum(idx, len(X) - 1)], Q):
-        raise RuntimeError("a looked-up vector is not a root")
-    return idx
-
-
 def build(t: LieType | str) -> LieAlgebra:
     """Populate the sparse structure-constant table for one type."""
     t = as_type(t)
@@ -239,11 +223,11 @@ def build(t: LieType | str) -> LieAlgebra:
     # [g_a, g_-a] = -var(a), one row per nonzero coordinate of a.
     na, nm = np.nonzero(X)
     nv = -X[na, nm]
-    nb = k + _row_index(X, -X[na])
+    nb = k + rs.locate(-X[na])
     # [g_a, g_b] = N(a, b) g_{a+b}; a + b is a root exactly when (a, b) = -1.
     S = X @ B @ X.T  # S[b, a] = var(b) . a, so (a, b) = S[a, b] + S[b, a]
     ra, rb = np.nonzero(S + S.T == -1)
-    rm = k + _row_index(X, X[ra] + X[rb])
+    rm = k + rs.locate(X[ra] + X[rb])
     rv = 1 - 2 * (S[rb, ra] % 2)
     i = np.concatenate([hi, hb, na + k, ra + k])
     j = np.concatenate([hb, hi, nb, rb + k])

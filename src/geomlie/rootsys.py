@@ -11,6 +11,7 @@ automorphism orbits to produce the non-simply-laced Cartan matrices.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ __all__ = [
     "OrbitDecomposition",
     "FoldingSpec",
     "enumerate_roots",
-    "reflect",
     "coxeter_matrix",
     "monodromy_matrix",
     "matrix_order",
@@ -49,16 +49,30 @@ class RootSystem:
     lie_type: LieType
     roots: tuple[Root, ...]
     index: dict[Root, int] = field(repr=False)
+    coords: np.ndarray = field(repr=False, compare=False)  # the roots as read-only int64 rows
 
     def __len__(self) -> int:
         return len(self.roots)
 
-    def __contains__(self, v) -> bool:
-        return tuple(int(x) for x in v) in self.index
+    def locate(self, vectors) -> np.ndarray:
+        """Index of each row of ``vectors`` among the roots.
 
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array(self.roots, dtype=np.int64)
+        Rows become byte strings of x + 128; root coordinates lie well inside
+        -128..127, so byte order is the lexicographic order of the roots.
+        Every match is then checked in full, so a row that is not a root
+        raises RuntimeError even where its bytes wrap onto a root's.
+        """
+        X, Q = self.coords, np.asarray(vectors, dtype=np.int64)
+
+        def keys(A: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
+
+        idx = keys(X).searchsorted(keys(Q))
+        found = X[np.minimum(idx, len(X) - 1)]
+        if not np.array_equal(found, Q):
+            miss = Q[np.any(found != Q, axis=1)][0]
+            raise RuntimeError(f"{self.lie_type}: {tuple(miss.tolist())} is not a root")
+        return idx
 
 
 @per_type
@@ -89,21 +103,9 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
         arr = np.array(r)
         if not (np.all(arr >= 0) or np.all(arr <= 0)):
             raise RuntimeError(f"{t}: root {r} has mixed signs")
-    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)})
-
-
-def reflect(t: LieType | str, alpha, beta) -> Root:
-    """Reflection s_alpha(beta) = beta - (alpha, beta) alpha for a root alpha."""
-    t = as_type(t)
-    C = cartan_matrix(t)
-    a = np.asarray(alpha, dtype=np.int64)
-    b = np.asarray(beta, dtype=np.int64)
-    if a.shape != (t.rank,) or b.shape != (t.rank,):
-        raise ValueError("dimension mismatch")
-    if int(a @ C @ a) != 2:
-        raise ValueError("alpha is not a root: (alpha, alpha) != 2")
-    out = b - int(a @ C @ b) * a
-    return tuple(int(x) for x in out)
+    coords = np.array(roots, dtype=np.int64)
+    coords.setflags(write=False)
+    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)}, coords)
 
 
 def _reflection_matrix(C: np.ndarray, i: int) -> np.ndarray:
@@ -243,11 +245,10 @@ def orbit_decomposition(t: LieType | str, operator: str = "monodromy") -> OrbitD
         raise ValueError(f"unknown operator {operator!r}")
     rs = enumerate_roots(t)
     M = monodromy_matrix(t) if operator == "monodromy" else coxeter_matrix(t)
-    order = matrix_order(M)
-    X = rs.coords
-    images = X @ M.T  # row i is M @ roots[i]
-    step = [rs.index[tuple(row)] for row in images.tolist()]
-    return OrbitDecomposition(t, operator, order, tuple(_cycles(step)), rs)
+    cycles = _cycles(rs.locate(rs.coords @ M.T).tolist())  # root i -> M @ roots[i]
+    # The roots span the lattice, so the order of M is that of its permutation.
+    order = math.lcm(*map(len, cycles))
+    return OrbitDecomposition(t, operator, order, tuple(cycles), rs)
 
 
 @dataclass(frozen=True)

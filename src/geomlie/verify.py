@@ -426,7 +426,7 @@ def _c15_coxplane(t: LieType) -> list[str]:
     rs, c, K = enumerate_roots(t), coxeter_matrix(t), coxplane._fibre_map(t)
     fails = [] if K.any() else ["K = 0: no rotation eigenvalue exp(2 pi i / h)"]
     keys = rs.coords @ K.T
-    image = [rs.index[tuple(row)] for row in (rs.coords @ c.T).tolist()]
+    image = rs.locate(rs.coords @ c.T)
     moved = int(np.sum(np.any(keys[image] != keys @ c.T, axis=1)))
     if moved:
         fails.append(f"key(c x) != c key(x) for {moved} roots")

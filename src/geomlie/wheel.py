@@ -57,7 +57,6 @@ __all__ = [
     "build_wheel",
     "segment_class",
     "enumerate_classes",
-    "geometric_sign",
     "sign_pairs",
     "rotation_angle",
     "classes_payload",
@@ -105,14 +104,9 @@ def _segment_roots(t: LieType) -> np.ndarray:
     pairs that the D center blocks.
     """
     labels, phi = _planar(t)
-    index = enumerate_roots(t).index
     root_of = np.full((len(labels),) * 2, -1, dtype=np.int64)
-    for p, q in np.argwhere(labels[:, None] != -labels[None, :]):
-        if p != q:
-            root = tuple(int(x) for x in phi[q] - phi[p])
-            if root not in index:
-                raise RuntimeError(f"{t}: segment {labels[p]} -> {labels[q]} realizes no root")
-            root_of[p, q] = index[root]
+    p, q = np.nonzero((labels[:, None] != -labels[None, :]) & ~np.eye(len(labels), dtype=bool))
+    root_of[p, q] = enumerate_roots(t).locate(phi[q] - phi[p])
     return root_of
 
 
@@ -248,32 +242,14 @@ def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:
     return np.where(cx | cy | cz, spoke_sign, ccw * inside)
 
 
-def geometric_sign(t: LieType | str, alpha, beta) -> int:
-    """Planar bracket sign for two summable A or D roots.
-
-    Representatives that concatenate (head of one at the tail of the other,
-    in either order) give the orientation of their triangle, with the D
-    center rules; the entry of :func:`sign_pairs` for the pair (alpha, beta).
-    """
-    t = as_type(t)
-    rs = enumerate_roots(t)
-    a = tuple(int(x) for x in alpha)
-    b = tuple(int(x) for x in beta)
-    total = tuple(x + y for x, y in zip(a, b))
-    for r in (a, b, total):
-        if r not in rs.index:
-            raise ValueError(f"{r} is not a root (inputs must be summable roots)")
-    return int(sign_pairs(t)[rs.index[a], rs.index[b]])
-
-
 def sign_pairs(t: LieType | str) -> np.ndarray:
     """Planar bracket sign of every ordered pair of A or D roots, as one array.
 
-    Entry [a, b] (root indices in :func:`enumerate_roots` order) is
-    ``geometric_sign`` of roots a and b when a + b is a root, i.e. when
-    (a, b) = -1, and 0 otherwise.  Every concatenation x -> y -> z of two
-    segments is one triangle: it signs (class(x, y), class(y, z)) with its
-    triangle sign and the reversed pair with the opposite sign.
+    Entry [a, b] (root indices in :func:`enumerate_roots` order) is the
+    planar sign of roots a and b when a + b is a root, i.e. when (a, b) = -1,
+    and 0 otherwise.  Every concatenation x -> y -> z of two segments is one
+    triangle: it signs (class(x, y), class(y, z)) with its triangle sign and
+    the reversed pair with the opposite sign.
     """
     t = as_type(t)
     if t.family not in ("A", "D"):

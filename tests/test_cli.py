@@ -170,6 +170,13 @@ def test_fold_malformed_target(capsys, spec):
     assert err == f"error: unsupported classical folding {spec.upper()!r}\n"
 
 
+@pytest.mark.parametrize("argv", [("fold", "A05:C3"), ("info", "A05")], ids=" ".join)
+def test_zero_padded_source_rank_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed type label: 'A05'\n"
+
+
 @pytest.mark.parametrize("size", ["-5", "0"])
 def test_coxplane_svg_size_refused(tmp_path, capsys, size):
     target = tmp_path / "e6.svg"

@@ -99,27 +99,29 @@ def test_bracket_examples_a2():
     assert bracket(L, g1, g2) == L.root_gen((1, 1))
 
 
-def test_bracket_alternating_random():
-    L = build(make_type("D4"))
-    rng = random.Random(5)
-    for _ in range(20):
-        terms = {rng.randrange(L.dimension): rng.randint(-3, 3) for _ in range(4)}
-        x = AlgebraElement.from_dict(terms)
-        assert bracket(L, x, x).is_zero
+@st.composite
+def algebra_elements(draw, dimension: int) -> AlgebraElement:
+    terms = draw(st.dictionaries(st.integers(0, dimension - 1), st.integers(-3, 3),
+                                 min_size=1, max_size=4))
+    return AlgebraElement.from_dict(terms)
 
 
-def test_bracket_bilinear():
-    L = build(make_type("A3"))
-    rng = random.Random(9)
-    for _ in range(10):
-        x = AlgebraElement.from_dict({rng.randrange(L.dimension): rng.randint(-2, 2)
-                                      for _ in range(3)})
-        y = AlgebraElement.from_dict({rng.randrange(L.dimension): rng.randint(-2, 2)
-                                      for _ in range(3)})
-        z = AlgebraElement.from_dict({rng.randrange(L.dimension): rng.randint(-2, 2)
-                                      for _ in range(3)})
-        assert bracket(L, x + y, z) == bracket(L, x, z) + bracket(L, y, z)
-        assert bracket(L, z, x + y) == bracket(L, z, x) + bracket(L, z, y)
+JACOBI_ALGEBRAS = {label: build(make_type(label)) for label in ("A3", "D4", "E6")}
+
+
+@given(st.sampled_from(sorted(JACOBI_ALGEBRAS)), st.data())
+def test_bracket_alternating_random(label, data):
+    L = JACOBI_ALGEBRAS[label]
+    x = data.draw(algebra_elements(L.dimension))
+    assert bracket(L, x, x).is_zero
+
+
+@given(st.sampled_from(sorted(JACOBI_ALGEBRAS)), st.data())
+def test_bracket_bilinear(label, data):
+    L = JACOBI_ALGEBRAS[label]
+    x, y, z = (data.draw(algebra_elements(L.dimension)) for _ in range(3))
+    assert bracket(L, x + y, z) == bracket(L, x, z) + bracket(L, y, z)
+    assert bracket(L, z, x + y) == bracket(L, z, x) + bracket(L, z, y)
 
 
 def test_a2_bracket_table_verbatim():
@@ -241,16 +243,6 @@ def test_sign_cocycle():
         a, b = np.nonzero(summable)
         ab = [rs.index[tuple(v)] for v in total[a, b].tolist()]
         assert np.array_equal(eps[ab, :], eps[a, :] * eps[b, :]), label
-
-
-@st.composite
-def algebra_elements(draw, dimension: int) -> AlgebraElement:
-    terms = draw(st.dictionaries(st.integers(0, dimension - 1), st.integers(-3, 3),
-                                 min_size=1, max_size=4))
-    return AlgebraElement.from_dict(terms)
-
-
-JACOBI_ALGEBRAS = {label: build(make_type(label)) for label in ("A3", "D4", "E6")}
 
 
 @settings(max_examples=40)

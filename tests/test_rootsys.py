@@ -1,16 +1,19 @@
-"""Root enumeration, reflections, monodromy, orbits and foldings."""
+"""Root enumeration and lookup, monodromy, orbits and foldings."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from sympy.liealgebras.cartan_matrix import CartanMatrix
 from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
 
+from geomlie import rootsys
 from geomlie.lattice import cartan_matrix, make_type, projective_basis, seifert_matrix
 from geomlie.rootsys import (CLASSICAL_FOLDINGS, FoldingSpec, coxeter_matrix,
                              enumerate_roots, fold, matrix_order, monodromy_matrix,
-                             orbit_decomposition, reflect, rootsystem_payload, sT_matrices)
+                             orbit_decomposition, rootsystem_payload, sT_matrices)
 from geomlie.verify import PRINTED_MONODROMY, expected_folded_cartan, expected_orbit_table
 
 ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
@@ -111,25 +114,29 @@ def test_root_system_axioms(label):
         assert np.all(arr >= 0) or np.all(arr <= 0)
 
 
-def test_reflect_examples():
-    alpha = (1, 0)
-    assert reflect("A2", alpha, alpha) == (-1, 0)
-    assert reflect("A2", alpha, (0, 1)) == (1, 1)
-    # orthogonal pair is fixed
-    assert reflect("A3", (1, 0, 0), (0, 0, 1)) == (0, 0, 1)
+@pytest.mark.parametrize("label", ALL_LABELS + [f"{f}{k}" for f in "AD" for k in range(9, 17)])
+def test_locate_matches_index(label):
+    rs = enumerate_roots(label)
+    assert rs.locate(rs.coords).tolist() == [rs.index[r] for r in rs.roots]
+    assert rs.locate(-rs.coords).tolist() == [rs.index[tuple(-x for x in r)] for r in rs.roots]
+
+
+# (257, 0) has the byte key of the root (1, 0); (5, 5) and (-5, 0) sort past either end.
+@pytest.mark.parametrize("label, vector", [("A2", (257, 0)), ("A2", (2, 0)), ("A2", (5, 5)),
+                                           ("A2", (-5, 0)), ("D4", (0, 0, 0, 0))], ids=str)
+def test_locate_rejects_non_roots(label, vector):
+    rs = enumerate_roots(label)
+    with pytest.raises(RuntimeError, match=rf"{label}: \(.*\) is not a root"):
+        rs.locate(np.vstack([rs.coords[:3], vector]))
+
+
+def test_root_coords_are_read_only():
+    X = enumerate_roots("D4").coords
+    assert X.dtype == np.int64
     with pytest.raises(ValueError):
-        reflect("A2", (2, 0), (0, 1))  # norm 8, not a root
-
-
-def test_reflect_involution_preserves_pairing():
-    from geomlie.lattice import pairing
-    t = make_type("D5")
-    rs = enumerate_roots(t)
-    alpha = rs.roots[3]
-    for beta in rs.roots[:10]:
-        image = reflect(t, alpha, beta)
-        assert reflect(t, alpha, image) == beta
-        assert pairing(t, image, image) == 2
+        X[0, 0] = 7
+    rs = enumerate_roots("A2")
+    assert rs == enumerate_roots("A2") == dataclasses.replace(rs, coords=rs.coords.copy())
 
 
 def test_coxeter_matrix_orders():
@@ -235,6 +242,14 @@ def test_orbit_examples():
     assert (dec.operator_order, len(dec.orbits)) == (10, 2)
     dec = orbit_decomposition("A1", "monodromy")
     assert (dec.operator_order, len(dec.orbits)) == (1, 2)
+
+
+def test_orbit_order_is_read_off_the_cycles(monkeypatch):
+    # No matrix powers: the cap of matrix_order does not bound the orbit order.
+    monkeypatch.setattr(rootsys, "MAX_MATRIX_ORDER", 5)
+    with pytest.raises(RuntimeError, match="exceeds 5"):
+        matrix_order(monodromy_matrix("A4"))
+    assert orbit_decomposition("A4").operator_order == 10
 
 
 def test_orbit_json_schema():

@@ -13,8 +13,7 @@ from geomlie.liealg import n_sign
 from geomlie.rootsys import enumerate_roots, monodromy_matrix
 from geomlie import coxplane, wheel
 from geomlie.wheel import (build_wheel, classes_payload, enumerate_classes,
-                           geometric_sign, rotation_angle, segment_class,
-                           sign_pairs)
+                           rotation_angle, segment_class, sign_pairs)
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
@@ -216,8 +215,6 @@ def _check_sign_rule_matches_algebra(label):
         return
     for a, b in pairs:
         assert signs[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
-    a, b = pairs[len(pairs) // 2]
-    assert geometric_sign(t, rs.roots[a], rs.roots[b]) == signs[a, b]
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -294,15 +291,11 @@ def test_d_sign_pairs_match_float_reference(k):
     _check_sign_pairs_match_float_reference(f"D{k}")
 
 
-@pytest.mark.parametrize("func", ["pairs", "scalar"])
-def test_d_sign_errors_name_type_and_roots(monkeypatch, func):
+def test_d_sign_errors_name_type_and_roots(monkeypatch):
     # Every triangle made degenerate: the error names the type and a root pair.
     monkeypatch.setattr(wheel, "_triangle_sign", lambda n, x, y, z, center: np.zeros_like(x))
     with pytest.raises(RuntimeError, match=r"D4: degenerate wheel triangle .* for \(.*\), \("):
-        if func == "pairs":
-            sign_pairs("D4")
-        else:
-            geometric_sign("D4", (1, 0, 0, 0), (0, 0, 1, 0))
+        sign_pairs("D4")
 
 
 def test_d_sign_pairs_inconsistent_signs_named(monkeypatch):
@@ -316,24 +309,16 @@ def test_d_sign_pairs_inconsistent_signs_named(monkeypatch):
 
 
 def test_d_sign_antisymmetric_example():
-    t = make_type("D4")
-    rs = enumerate_roots(t)
-    X = rs.coords
-    for a in range(len(rs)):
-        for b in range(len(rs)):
-            total = tuple(int(x) for x in (X[a] + X[b]))
-            if total in rs.index:
-                assert geometric_sign(t, rs.roots[a], rs.roots[b]) == \
-                    -geometric_sign(t, rs.roots[b], rs.roots[a])
-                return
+    signs = sign_pairs("D4")
+    assert np.array_equal(signs, -signs.T)
 
 
 def test_d_sign_requires_summable_roots():
-    with pytest.raises(ValueError):
-        geometric_sign("D4", (1, 0, 0, 0), (-1, 0, 0, 0))
-    assert geometric_sign("A4", (1, 0, 0, 0), (0, 1, 0, 0)) in (1, -1)
-    with pytest.raises(ValueError, match="for A and D types"):
-        geometric_sign("E6", (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    signs = sign_pairs("D4")
+    rs = enumerate_roots("D4")
+    assert signs[rs.index[(1, 0, 0, 0)], rs.index[(-1, 0, 0, 0)]] == 0
+    rs = enumerate_roots("A4")
+    assert sign_pairs("A4")[rs.index[(1, 0, 0, 0)], rs.index[(0, 1, 0, 0)]] in (1, -1)
     with pytest.raises(ValueError, match="for A and D types"):
         sign_pairs("E6")
 
