@@ -1,12 +1,12 @@
 """Exact-integer ADE root systems and Lie algebras from Seifert-form data.
 
 The package derives everything from one upper-triangular integer matrix B
-per type: root systems by reflection closure (one :class:`RootSystem` that
-also maps vectors to root indices), monodromy and Coxeter operators, orbit
+per type: root systems by reflection closure on byte keys (one
+:class:`RootSystem` that also maps vectors to root indices), monodromy and
+Coxeter operators with orders read off their root permutations, orbit
 decompositions, the Lie algebra whose bracket signs are read off B, wheel
-models whose segments realize the roots (planar for A and D, where one
-triangle rule gives the bracket signs), and projections to the
-rotation-invariant plane.
+models with one segment-to-root table (planar for A and D, where one
+triangle rule gives the bracket signs), and projections to the Coxeter plane.
 """
 
 from .lattice import (LieType, cartan_matrix, make_type, pairing, projective_basis,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -520,7 +521,7 @@ def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
     text = _RENDERERS[fmt](L)
-    if isinstance(sink, (str, bytes)):
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -528,8 +529,8 @@ def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
 
 
 def load_structure_constants(source) -> dict:
-    """Parse a JSON export back into its payload dict."""
-    if isinstance(source, (str, bytes)):
+    """Parse a JSON export, from a path or a text file, back into its payload dict."""
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     return json.load(source)

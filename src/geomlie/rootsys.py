@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_roots",
     "coxeter_matrix",
     "monodromy_matrix",
-    "matrix_order",
     "sT_matrices",
     "verify_sT_identity",
     "orbit_decomposition",
@@ -57,17 +56,12 @@ class RootSystem:
     def locate(self, vectors) -> np.ndarray:
         """Index of each row of ``vectors`` among the roots.
 
-        Rows become byte strings of x + 128; root coordinates lie well inside
-        -128..127, so byte order is the lexicographic order of the roots.
-        Every match is then checked in full, so a row that is not a root
-        raises RuntimeError even where its bytes wrap onto a root's.
+        Rows are compared by their :func:`_keys`.  Every match is then checked
+        in full, so a row that is not a root raises RuntimeError even where
+        its bytes wrap onto a root's.
         """
         X, Q = self.coords, np.asarray(vectors, dtype=np.int64)
-
-        def keys(A: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
-
-        idx = keys(X).searchsorted(keys(Q))
+        idx = _keys(X).searchsorted(_keys(Q))
         found = X[np.minimum(idx, len(X) - 1)]
         if not np.array_equal(found, Q):
             miss = Q[np.any(found != Q, axis=1)][0]
@@ -75,37 +69,45 @@ class RootSystem:
         return idx
 
 
+def _keys(A: np.ndarray) -> np.ndarray:
+    """Each row as the bytes x + 128: for entries in -128..127, byte order is row order."""
+    return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
+
+
+# The closure holds the |Phi| x k root array several times over; A128, the
+# largest type accepted, has 2.1M entries and a 135 MB peak.
+MAX_ROOT_ENTRIES = 2**22
+
+
 @per_type
 def enumerate_roots(t: LieType | str) -> RootSystem:
-    """All vectors with (v, v) = 2, by reflection closure of the simple basis."""
+    """All vectors with (v, v) = 2, by reflection closure of the simple basis.
+
+    Each round reflects the whole frontier in every simple root at once and
+    keeps the images whose keys are new; the roots come out sorted.  A type
+    with more than MAX_ROOT_ENTRIES root coordinates raises ValueError before
+    anything is allocated.
+    """
+    k, entries = t.rank, t.root_count * t.rank
+    if entries > MAX_ROOT_ENTRIES:
+        raise ValueError(f"{t}: {entries} root entries ({8 * entries} bytes) exceed "
+                         f"the limit of {MAX_ROOT_ENTRIES}")
     C = cartan_matrix(t)
-    k = t.rank
     eye = np.eye(k, dtype=np.int64)
-    seen: set[Root] = set()
-    frontier: list[Root] = []
-    for i in range(k):
-        for v in (tuple(eye[i]), tuple(-eye[i])):
-            root = tuple(int(x) for x in v)
-            seen.add(root)
-            frontier.append(root)
-    while frontier:
-        v = np.array(frontier.pop(), dtype=np.int64)
-        images = v[None, :] - (C @ v)[:, None] * eye
-        for row in images:
-            w = tuple(int(x) for x in row)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    roots = tuple(sorted(seen))
-    if len(roots) != t.root_count:
-        raise RuntimeError(f"{t}: expected {t.root_count} roots, found {len(roots)}")
-    for r in roots:
-        arr = np.array(r)
-        if not (np.all(arr >= 0) or np.all(arr <= 0)):
-            raise RuntimeError(f"{t}: root {r} has mixed signs")
-    coords = np.array(roots, dtype=np.int64)
-    coords.setflags(write=False)
-    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)}, coords)
+    X = frontier = np.r_[eye, -eye]
+    while len(frontier):
+        images = frontier[:, None, :] - (frontier @ C)[:, :, None] * eye
+        pool = np.r_[X, images.reshape(-1, k)]
+        _, first = np.unique(_keys(pool), return_index=True)
+        X, frontier = pool[first], pool[first[first >= len(X)]]
+    if len(X) != t.root_count:
+        raise RuntimeError(f"{t}: expected {t.root_count} roots, found {len(X)}")
+    mixed = (X > 0).any(axis=1) & (X < 0).any(axis=1)
+    if mixed.any():
+        raise RuntimeError(f"{t}: root {tuple(X[mixed][0].tolist())} has mixed signs")
+    X.setflags(write=False)
+    roots = tuple(map(tuple, X.tolist()))
+    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)}, X)
 
 
 def _reflection_matrix(C: np.ndarray, i: int) -> np.ndarray:
@@ -135,23 +137,6 @@ def monodromy_matrix(t: LieType | str, basis: str = "simple") -> np.ndarray:
         QT = projective_basis(t).T
         return inv_unimodular(QT) @ M @ QT
     raise ValueError(f"unknown basis {basis!r}")
-
-
-# matrix_order gives up past this many powers; the largest order in rank <= 8
-# is the Coxeter number 30 of E8.
-MAX_MATRIX_ORDER = 256
-
-
-def matrix_order(m) -> int:
-    """Smallest positive n with m^n = I, up to MAX_MATRIX_ORDER."""
-    arr = np.asarray(m, dtype=np.int64)
-    eye = np.eye(arr.shape[0], dtype=np.int64)
-    power = arr.copy()
-    for n in range(1, MAX_MATRIX_ORDER + 1):
-        if np.array_equal(power, eye):
-            return n
-        power = power @ arr
-    raise RuntimeError(f"matrix order exceeds {MAX_MATRIX_ORDER}")
 
 
 def sT_matrices(t: LieType | str, lam: int) -> tuple[np.ndarray, np.ndarray]:

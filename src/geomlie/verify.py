@@ -32,7 +32,7 @@ from ._exact import short_vectors
 from .lattice import (LieType, as_type, cartan_matrix, make_type, seifert_matrix,
                       stabilized_pairing_matrix)
 from .rootsys import (CLASSICAL_FOLDINGS, OPERATORS, classical_folding, coxeter_matrix,
-                      enumerate_roots, fold, matrix_order, monodromy_matrix,
+                      enumerate_roots, fold, monodromy_matrix,
                       orbit_decomposition, verify_sT_identity)
 
 __all__ = ["CheckResult", "Criterion", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
@@ -243,7 +243,8 @@ def _c03_printed_monodromy(t: LieType) -> list[str]:
     P = monodromy_matrix(t, basis="projective")
     if not np.array_equal(P, np.array(PRINTED_MONODROMY[t.label], dtype=np.int64)):
         return ["matrix mismatch"]
-    order, want = matrix_order(P), _PRINTED_POWER[t.label]
+    # P is -c in the projective basis, so it has the order of the monodromy.
+    order, want = orbit_decomposition(t).operator_order, _PRINTED_POWER[t.label]
     return [f"order {order} != {want}"] if order != want else []
 
 

@@ -48,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattice import LieType, as_type, cartan_matrix, per_type, projective_basis
-from .rootsys import Root, enumerate_roots, matrix_order, monodromy_matrix
+from .rootsys import Root, enumerate_roots, monodromy_matrix, orbit_decomposition
 
 __all__ = [
     "VertexPoint",
@@ -122,36 +122,21 @@ def build_wheel(t: LieType | str) -> WheelModel:
                       for m, lab in enumerate(labels[:n]))
         verts += (VertexPoint(0, 0.0, 0.0),) * center
         return WheelModel(t, verts, tuple(v.label for v in verts), has_center=center)
-    order = matrix_order(monodromy_matrix(t))
     signed = t.rank in (7, 8)  # E6 orbits already contain the negatives
-    return WheelModel(t, (), (), has_center=False,
-                      orbit_count=t.rank, orbit_steps=order, signed_orbits=signed)
+    return WheelModel(t, (), (), has_center=False, orbit_count=t.rank,
+                      orbit_steps=orbit_decomposition(t).operator_order, signed_orbits=signed)
 
 
 def segment_class(t: LieType | str, segment: Sequence[int]) -> Root:
-    """Root realized by an oriented segment (A/D) or an orbit label (E)."""
+    """Root realized by an oriented segment (A/D) or an orbit label (E).
+
+    Anything that is not a segment of the wheel raises ValueError: a
+    degenerate or antipodal segment, an unknown vertex, a signed E6 label.
+    """
     t = as_type(t)
-    if t.family in ("A", "D"):
-        src, dst = segment
-        labels, phi = _planar(t)
-        position = {int(lab): p for p, lab in enumerate(labels)}
-        valid = src in position and dst in position
-        if t.family == "A" and not (valid and src != dst):
-            raise ValueError(f"invalid A{t.rank} segment {segment}")
-        if not valid:
-            raise ValueError(f"invalid D{t.rank} vertex in {segment}")
-        if src == dst:
-            raise ValueError("degenerate segment")
-        if src == -dst:
-            raise ValueError("antipodal segments are blocked by the center puncture")
-        return tuple(int(x) for x in phi[position[dst]] - phi[position[src]])
-    label = tuple(segment)
-    root = _label_roots(t).get(label)
+    root = _segment_map(t).get(tuple(segment))
     if root is None:
-        j, m, s = label
-        if s == -1 and (j, m, 1) in _label_roots(t):
-            raise ValueError(f"E{t.rank} orbit labels are unsigned")
-        raise ValueError(f"invalid E{t.rank} orbit label {segment}")
+        raise ValueError(f"{t}: {segment} is not a segment of the wheel")
     return root
 
 
@@ -212,9 +197,9 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
 
 
 @per_type
-def _label_roots(t: LieType) -> Mapping[tuple[int, ...], Root]:
-    """The root of every E orbit label (j, m, s), read-only."""
-    return MappingProxyType({label: c.root for c in enumerate_classes(t) for label in c.segments})
+def _segment_map(t: LieType) -> Mapping[tuple[int, ...], Root]:
+    """The root of every segment (A/D) or orbit label (E), read-only."""
+    return MappingProxyType({seg: c.root for c in enumerate_classes(t) for seg in c.segments})
 
 
 def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,27 @@ def test_lie_refuses_oversized_type(capsys):
     assert code == 2
     assert "A60 is too large" in err
     assert out == ""
+
+
+def test_roots_refuses_oversized_type(capsys):
+    code, out, err = run(capsys, "roots", "A2000", "--count")
+    assert code == 2
+    assert "A2000" in err and "bytes" in err
+    assert out == ""
+
+
+# Both print well over a pipe buffer (64 KiB), so the writer is still
+# blocked on the pipe when the reader closes it.
+@pytest.mark.parametrize("argv", [("roots", "A40"), ("wheel", "A40", "--classes")], ids=" ".join)
+def test_closed_pipe_is_quiet(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "geomlie.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_sl2(capsys):

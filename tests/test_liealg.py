@@ -463,6 +463,26 @@ def test_export_bytes_match_stdlib_writers(label, tmp_path):
     assert csv_path.read_bytes() == _csv_oracle(payload).encode("utf-8")
 
 
+@given(st.sampled_from(ALL_TYPE_LABELS))
+def test_export_load_round_trip(tmp_path_factory, label):
+    # Path objects for both sinks; the CSV is parsed back by hand.
+    L = build(make_type(label))
+    payload = structure_constants_payload(L)
+    folder = tmp_path_factory.mktemp(label)
+    json_path, csv_path = folder / "out.json", folder / "out.csv"
+    export_structure_constants(L, json_path)
+    assert load_structure_constants(json_path) == payload
+    export_structure_constants(L, csv_path, fmt="csv")
+    header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert header == "i,j,terms"
+    parsed = []
+    for line in lines:
+        i, j, terms = line.split(",")
+        parsed.append((int(i), int(j), [[int(x) for x in term.split(":")]
+                                        for term in terms.split(";")]))
+    assert parsed == [(b["i"], b["j"], b["terms"]) for b in payload["brackets"]]
+
+
 def test_export_unknown_format_creates_no_file(tmp_path):
     path = tmp_path / "a2.xml"
     with pytest.raises(ValueError, match="unknown format 'xml'"):

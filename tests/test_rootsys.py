@@ -6,13 +6,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import primefactors
 from sympy.liealgebras.cartan_matrix import CartanMatrix
 from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
 
-from geomlie import rootsys
 from geomlie.lattice import cartan_matrix, make_type, projective_basis, seifert_matrix
 from geomlie.rootsys import (CLASSICAL_FOLDINGS, FoldingSpec, coxeter_matrix,
-                             enumerate_roots, fold, matrix_order, monodromy_matrix,
+                             enumerate_roots, fold, monodromy_matrix,
                              orbit_decomposition, rootsystem_payload, sT_matrices)
 from geomlie.verify import PRINTED_MONODROMY, expected_folded_cartan, expected_orbit_table
 
@@ -121,6 +123,23 @@ def test_locate_matches_index(label):
     assert rs.locate(-rs.coords).tolist() == [rs.index[tuple(-x for x in r)] for r in rs.roots]
 
 
+@given(st.sampled_from(ALL_LABELS), st.data())
+def test_weyl_words_preserve_pairing_and_roots(label, data):
+    # Reflections built here, s_i(v) = v - (Cv)_i e_i, share no code with the
+    # closure: any word W in them preserves C and permutes the roots.
+    t = make_type(label)
+    C = cartan_matrix(t)
+    word = data.draw(st.lists(st.integers(0, t.rank - 1), max_size=20))
+    W = np.eye(t.rank, dtype=np.int64)
+    for i in word:
+        s = np.eye(t.rank, dtype=np.int64)
+        s[i] -= C[i]
+        W = W @ s
+    assert np.array_equal(W.T @ C @ W, C)
+    rs = enumerate_roots(t)
+    assert sorted(rs.locate(rs.coords @ W.T).tolist()) == list(range(len(rs)))
+
+
 # (257, 0) has the byte key of the root (1, 0); (5, 5) and (-5, 0) sort past either end.
 @pytest.mark.parametrize("label, vector", [("A2", (257, 0)), ("A2", (2, 0)), ("A2", (5, 5)),
                                            ("A2", (-5, 0)), ("D4", (0, 0, 0, 0))], ids=str)
@@ -140,12 +159,15 @@ def test_root_coords_are_read_only():
 
 
 def test_coxeter_matrix_orders():
+    # By matrix powers: c^h = I and c^(h/p) != I for every prime p | h.
     assert coxeter_matrix("A1").tolist() == [[-1]]
-    assert matrix_order(coxeter_matrix("E8")) == 30
-    assert matrix_order(coxeter_matrix("D5")) == 8
+    assert (make_type("E8").coxeter_number, make_type("D5").coxeter_number) == (30, 8)
     for label in ALL_LABELS:
         t = make_type(label)
-        assert matrix_order(coxeter_matrix(t)) == t.coxeter_number
+        c, h, eye = coxeter_matrix(t), t.coxeter_number, np.eye(t.rank, dtype=np.int64)
+        assert np.array_equal(np.linalg.matrix_power(c, h), eye)
+        for p in primefactors(h):
+            assert not np.array_equal(np.linalg.matrix_power(c, h // p), eye)
 
 
 def test_monodromy_simple_basis():
@@ -242,14 +264,6 @@ def test_orbit_examples():
     assert (dec.operator_order, len(dec.orbits)) == (10, 2)
     dec = orbit_decomposition("A1", "monodromy")
     assert (dec.operator_order, len(dec.orbits)) == (1, 2)
-
-
-def test_orbit_order_is_read_off_the_cycles(monkeypatch):
-    # No matrix powers: the cap of matrix_order does not bound the orbit order.
-    monkeypatch.setattr(rootsys, "MAX_MATRIX_ORDER", 5)
-    with pytest.raises(RuntimeError, match="exceeds 5"):
-        matrix_order(monodromy_matrix("A4"))
-    assert orbit_decomposition("A4").operator_order == 10
 
 
 def test_orbit_json_schema():

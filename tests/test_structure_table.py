@@ -10,7 +10,7 @@ import pytest
 
 from geomlie.lattice import make_type
 from geomlie.liealg import MAX_JACOBI_TERMS, build, check_jacobi, killing_form, term_bounds
-from geomlie.rootsys import enumerate_roots
+from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
 
 
@@ -91,6 +91,21 @@ def test_build_refuses_oversized_type_before_allocating():
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
+
+
+def test_enumerate_roots_refuses_oversized_type_before_allocating():
+    # A128 (2.1M root entries) is the largest type accepted.
+    t = make_type("A128")
+    assert t.root_count * t.rank <= MAX_ROOT_ENTRIES
+    tracemalloc.start()
+    try:
+        want = r"A2000: 8004000000 root entries \(64032000000 bytes\)"
+        with pytest.raises(ValueError, match=want):
+            enumerate_roots("A2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1_000_000
 
 

@@ -39,6 +39,8 @@ def test_build_wheel_e6():
     model = build_wheel("E6")
     assert model.vertices == ()
     assert (model.orbit_count, model.orbit_steps, model.signed_orbits) == (6, 12, False)
+    with pytest.raises(ValueError, match="not a segment"):
+        segment_class("E6", (1, 0, -1))  # E6 orbit labels are unsigned
     e8 = build_wheel("E8")
     assert (e8.orbit_count, e8.orbit_steps, e8.signed_orbits) == (8, 15, True)
 
@@ -47,7 +49,7 @@ def test_a_segment_class_formula():
     assert segment_class("A5", (2, 4)) == (0, 1, 1, 0, 0)
     assert segment_class("A5", (4, 2)) == (0, -1, -1, 0, 0)
     assert segment_class("A3", (1, 4)) == (1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"A5: \(2, 2\) is not a segment of the wheel"):
         segment_class("A5", (2, 2))
     with pytest.raises(ValueError):
         segment_class("A5", (0, 3))
