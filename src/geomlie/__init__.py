@@ -2,9 +2,9 @@
 
 The package derives everything from one upper-triangular integer matrix B
 per type: root systems by reflection closure on byte keys (one
-:class:`RootSystem` that also maps vectors to root indices), monodromy and
-Coxeter operators with orders read off their root permutations, orbit
-decompositions, the Lie algebra whose bracket signs are read off B, wheel
+:class:`RootSystem` that also maps vectors to root indices), the monodromy
+B^{-1}B^t = -c, orbit decompositions holding each operator's root
+permutation, the Lie algebra whose bracket signs are read off B, wheel
 models with one segment-to-root table (planar for A and D, where one
 triangle rule gives the bracket signs), and projections to the Coxeter plane.
 """
@@ -18,6 +18,6 @@ from .rootsys import (FoldingSpec, OrbitDecomposition, RootSystem,
                       monodromy_matrix, orbit_decomposition, sT_matrices,
                       verify_sT_identity)
 from .wheel import build_wheel, enumerate_classes, rotation_angle, segment_class, sign_pairs
-from .coxplane import multiplicity_report, plane_basis, project_all, render_svg
+from .coxplane import plane_basis, point_clusters, project_all, render_svg
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Exact integer linear algebra helpers.
 
-Determinants and inverses work over Python ints or Fractions, so they are
-exact regardless of magnitude; numpy arrays are accepted and converted.
+Determinants and the unitriangular inverse work over Python ints, so they
+are exact regardless of magnitude; numpy arrays are accepted and converted.
 ``short_vectors`` enumerates in numpy int64 after an exact integer
 elimination, and refuses inputs whose intermediates could overflow.
 """
@@ -9,7 +9,6 @@ elimination, and refuses inputs whose intermediates could overflow.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,27 +44,26 @@ def det_exact(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inv_unimodular(m) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix (det = ±1)."""
+def inv_unitriangular(m) -> np.ndarray:
+    """Exact inverse of an upper unitriangular integer matrix.
+
+    Back-substitution over Python ints: row i of the inverse is e_i minus
+    m[i][j] times row j, summed over j > i.  Raises ValueError unless ``m`` is
+    square and upper triangular with unit diagonal, and OverflowError where
+    an entry of the inverse does not fit in int64.
+    """
     a = _rows(m)
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return np.array([[int(x) for x in row] for row in inv], dtype=np.int64)
+    if any(len(row) != n or row[:i + 1] != [0] * i + [1] for i, row in enumerate(a)):
+        raise ValueError("matrix is not upper unitriangular")
+    inv: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = [int(i == j) for j in range(n)]
+        for j in range(i + 1, n):
+            if a[i][j]:
+                row = [x - a[i][j] * y for x, y in zip(row, inv[j])]
+        inv[i] = row
+    return np.array(inv, dtype=np.int64).reshape(n, n)
 
 
 def det_mod_p(m, p: int) -> int:

@@ -181,9 +181,8 @@ def _cmd_coxplane(args) -> int:
             return 1
         print(f"wrote {args.svg}")
         return 0
-    report = coxplane.multiplicity_report(t)
-    sizes = sorted(report.values())
-    print(f"{t.label}: {len(report)} projection clusters over {sum(sizes)} roots")
+    sizes = [len(group) for group in coxplane.point_clusters(t)]
+    print(f"{t.label}: {len(sizes)} projection clusters over {sum(sizes)} roots")
     print(f"cluster sizes: {sorted(set(sizes))}")
     return 0
 

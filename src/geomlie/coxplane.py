@@ -26,7 +26,6 @@ __all__ = [
     "plane_basis",
     "project_all",
     "point_clusters",
-    "multiplicity_report",
     "render_svg",
 ]
 
@@ -127,25 +126,16 @@ def _fibre_map(t: LieType) -> np.ndarray:
     return K
 
 
-def _fibres(t: LieType) -> dict[tuple[int, ...], list[int]]:
-    """Root indices by their key K x, in order of the smallest member."""
+def point_clusters(t: LieType | str) -> list[list[int]]:
+    """Root indices sharing a projected point (exact fibres of K), by smallest member."""
+    t = as_type(t)
     if t.rank < 2:
         raise DegeneratePlaneError(f"{t}: no invariant plane in rank 1")
     fibres: dict[tuple[int, ...], list[int]] = {}
     keys = enumerate_roots(t).coords @ _fibre_map(t).T
     for i, key in enumerate(keys.tolist()):
         fibres.setdefault(tuple(key), []).append(i)
-    return fibres
-
-
-def point_clusters(t: LieType | str) -> list[list[int]]:
-    """Root indices sharing a projected point (exact fibres of K), by smallest member."""
-    return list(_fibres(as_type(t)).values())
-
-
-def multiplicity_report(t: LieType | str) -> dict[tuple[int, ...], int]:
-    """Number of roots at each projected point, keyed by the integer vector K x."""
-    return {key: len(group) for key, group in _fibres(as_type(t)).items()}
+    return list(fibres.values())
 
 
 def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> str:

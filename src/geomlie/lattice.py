@@ -26,8 +26,6 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from ._exact import det_exact
-
 __all__ = [
     "LieType",
     "make_type",
@@ -101,9 +99,9 @@ _R = TypeVar("_R")
 def per_type(build: Callable[[LieType], _R]) -> Callable[[LieType | str], _R]:
     """Memoize a one-argument builder of per-type data by the type's label.
 
-    The builder runs once per type; later calls return the same object.  An
-    array result, or each array in a tuple result, is made read-only first,
-    so no caller can change what the others see.
+    The builder runs once per type and every later call shares its result,
+    so no caller may change it: builders return tuples and read-only
+    mappings, and each array result, bare or in a tuple, is made read-only.
     """
     memo: dict[str, _R] = {}
 
@@ -180,8 +178,8 @@ def projective_basis(t: LieType | str) -> np.ndarray:
     """Rows are the projective basis roots b_1..b_k in simple coordinates.
 
     These are the spoke classes whose monodromy orbits sweep out the whole
-    root system; the matrix is unimodular and every row pairs to 2 with
-    itself.
+    root system; the matrix is lower unitriangular, so unimodular, and every
+    row pairs to 2 with itself.
     """
     k = t.rank
     Q = np.zeros((k, k), dtype=np.int64)
@@ -208,7 +206,7 @@ def projective_basis(t: LieType | str) -> np.ndarray:
                 (1, 1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1, 0, 0),
                 (1, 1, 1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 1, 1)]
         Q = np.array(rows, dtype=np.int64)
-    assert abs(det_exact(Q)) == 1
+    assert np.array_equal(np.tril(Q), Q) and (np.diagonal(Q) == 1).all()
     return Q
 
 

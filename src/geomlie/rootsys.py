@@ -2,11 +2,11 @@
 
 Roots are the integer vectors of squared length 2 for the pairing C = B+B^t,
 generated by closing the simple basis under its own reflections.  The
-monodromy operator is -c for the Coxeter element c (equivalently B^{-1}B^t),
-and c itself plays the role of the monodromy composed with an orientation
-reversal.  Orbit decompositions under either operator reproduce the
-singularity-side orbit tables, and graph foldings project the pairing onto
-automorphism orbits to produce the non-simply-laced Cartan matrices.
+variation is the identity on the simple arcs, so the monodromy is
+B^{-1}B^t = -c, where the Coxeter element c is the monodromy composed with an
+orientation reversal.  Orbit decompositions under either operator reproduce
+the singularity-side orbit tables, and graph foldings project the pairing
+onto automorphism orbits to produce the non-simply-laced Cartan matrices.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from ._exact import inv_unimodular
+from ._exact import inv_unitriangular
 from .lattice import (LieType, as_type, cartan_matrix, make_type, per_type,
                       projective_basis, seifert_matrix)
 
@@ -47,7 +49,7 @@ class RootSystem:
 
     lie_type: LieType
     roots: tuple[Root, ...]
-    index: dict[Root, int] = field(repr=False)
+    index: Mapping[Root, int] = field(repr=False)  # read-only
     coords: np.ndarray = field(repr=False, compare=False)  # the roots as read-only int64 rows
 
     def __len__(self) -> int:
@@ -107,35 +109,27 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
         raise RuntimeError(f"{t}: root {tuple(X[mixed][0].tolist())} has mixed signs")
     X.setflags(write=False)
     roots = tuple(map(tuple, X.tolist()))
-    return RootSystem(t, roots, {r: i for i, r in enumerate(roots)}, X)
-
-
-def _reflection_matrix(C: np.ndarray, i: int) -> np.ndarray:
-    k = C.shape[0]
-    R = np.eye(k, dtype=np.int64)
-    R[i, :] -= C[i, :]
-    return R
+    return RootSystem(t, roots, MappingProxyType({r: i for i, r in enumerate(roots)}), X)
 
 
 @per_type
 def coxeter_matrix(t: LieType | str) -> np.ndarray:
-    """Matrix of c = s_1 ... s_k in the simple basis (columns are images)."""
-    C = cartan_matrix(t)
-    M = np.eye(t.rank, dtype=np.int64)
-    for i in range(t.rank):
-        M = M @ _reflection_matrix(C, i)
-    return M
+    """Matrix of c = -B^{-1}B^t in the simple basis (columns are images): the
+    reflection product s_1 ... s_k, as ``verify_sT_identity`` (C04) and
+    ``test_sT_identity`` check from the reflections themselves."""
+    B = seifert_matrix(t)
+    return -inv_unitriangular(B) @ B.T
 
 
 def monodromy_matrix(t: LieType | str, basis: str = "simple") -> np.ndarray:
-    """Monodromy operator -c, in the simple or the projective basis."""
+    """Monodromy operator B^{-1}B^t = -c, in the simple or the projective basis."""
     t = as_type(t)
     M = -coxeter_matrix(t)
     if basis == "simple":
         return M
     if basis == "projective":
         QT = projective_basis(t).T
-        return inv_unimodular(QT) @ M @ QT
+        return inv_unitriangular(QT) @ M @ QT
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -181,6 +175,7 @@ class OrbitDecomposition:
     operator_order: int
     orbits: tuple[tuple[int, ...], ...]
     root_system: RootSystem = field(repr=False)
+    step: np.ndarray = field(repr=False, compare=False)  # read-only: root i -> its image
 
     @property
     def is_free(self) -> bool:
@@ -230,10 +225,12 @@ def orbit_decomposition(t: LieType | str, operator: str = "monodromy") -> OrbitD
         raise ValueError(f"unknown operator {operator!r}")
     rs = enumerate_roots(t)
     M = monodromy_matrix(t) if operator == "monodromy" else coxeter_matrix(t)
-    cycles = _cycles(rs.locate(rs.coords @ M.T).tolist())  # root i -> M @ roots[i]
+    step = rs.locate(rs.coords @ M.T)  # root i -> M @ roots[i]
+    step.setflags(write=False)
+    cycles = _cycles(step.tolist())
     # The roots span the lattice, so the order of M is that of its permutation.
     order = math.lcm(*map(len, cycles))
-    return OrbitDecomposition(t, operator, order, tuple(cycles), rs)
+    return OrbitDecomposition(t, operator, order, tuple(cycles), rs, step)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,6 @@ PRINTED_MONODROMY = {
            (0, 0, 0, -1, 0, 0, 0, 0), (0, 0, 0, 0, -1, 0, 0, 0),
            (0, 0, 0, 0, 0, -1, 0, 0), (0, 0, 0, 0, 0, 0, -1, 0)),
 }
-_PRINTED_POWER = {"E6": 12, "E7": 9, "E8": 15}
 
 # The full rank-2 bracket table of the traceless 3x3 matrix algebra, with
 # W_i = var(a_i), X_i = g at a_i, Y_i = g at -a_i and a_3 = a_1 + a_2.
@@ -244,7 +243,8 @@ def _c03_printed_monodromy(t: LieType) -> list[str]:
     if not np.array_equal(P, np.array(PRINTED_MONODROMY[t.label], dtype=np.int64)):
         return ["matrix mismatch"]
     # P is -c in the projective basis, so it has the order of the monodromy.
-    order, want = orbit_decomposition(t).operator_order, _PRINTED_POWER[t.label]
+    order = orbit_decomposition(t).operator_order
+    want = expected_orbit_table(t.label, "monodromy")[0]
     return [f"order {order} != {want}"] if order != want else []
 
 
@@ -427,7 +427,7 @@ def _c15_coxplane(t: LieType) -> list[str]:
     rs, c, K = enumerate_roots(t), coxeter_matrix(t), coxplane._fibre_map(t)
     fails = [] if K.any() else ["K = 0: no rotation eigenvalue exp(2 pi i / h)"]
     keys = rs.coords @ K.T
-    image = rs.locate(rs.coords @ c.T)
+    image = orbit_decomposition(t, "coxeter_bar").step
     moved = int(np.sum(np.any(keys[image] != keys @ c.T, axis=1)))
     if moved:
         fails.append(f"key(c x) != c key(x) for {moved} roots")

@@ -48,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattice import LieType, as_type, cartan_matrix, per_type, projective_basis
-from .rootsys import Root, enumerate_roots, monodromy_matrix, orbit_decomposition
+from .rootsys import Root, enumerate_roots, orbit_decomposition
 
 __all__ = [
     "VertexPoint",
@@ -122,9 +122,10 @@ def build_wheel(t: LieType | str) -> WheelModel:
                       for m, lab in enumerate(labels[:n]))
         verts += (VertexPoint(0, 0.0, 0.0),) * center
         return WheelModel(t, verts, tuple(v.label for v in verts), has_center=center)
-    signed = t.rank in (7, 8)  # E6 orbits already contain the negatives
+    order = orbit_decomposition(t).operator_order
+    signed = 2 * t.rank * order == t.root_count  # E6 orbits already hold the negatives
     return WheelModel(t, (), (), has_center=False, orbit_count=t.rank,
-                      orbit_steps=orbit_decomposition(t).operator_order, signed_orbits=signed)
+                      orbit_steps=order, signed_orbits=signed)
 
 
 def segment_class(t: LieType | str, segment: Sequence[int]) -> Root:
@@ -161,7 +162,7 @@ def _midpoint_key(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @per_type
-def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
+def enumerate_classes(t: LieType | str) -> tuple[SegmentClass, ...]:
     """Segment classes in root order; they biject with the root system.
 
     D representatives are listed counterclockwise by the angle of their
@@ -182,18 +183,17 @@ def enumerate_classes(t: LieType | str) -> list[SegmentClass]:
     else:
         model = build_wheel(t)
         signs = (1, -1) if model.signed_orbits else (1,)
-        M = monodromy_matrix(t)
-        Q = projective_basis(t)
-        for j in range(1, t.rank + 1):
-            v = Q[j - 1].copy()
+        step = orbit_decomposition(t).step
+        # spokes[j, n]: root index of signs[n] times the j-th projective spoke.
+        spokes = np.stack([rs.locate(s * projective_basis(t)) for s in signs], axis=1)
+        for j, at in enumerate(spokes, 1):
             for m in range(model.orbit_steps):
-                for s in signs:
-                    root = tuple(int(x) for x in (s * v))
-                    groups.setdefault(root, []).append((j, m, s))
-                v = M @ v
+                for s, i in zip(signs, at.tolist()):
+                    groups.setdefault(rs.roots[i], []).append((j, m, s))
+                at = step[at]
     if set(groups) != set(rs.roots):
         raise RuntimeError(f"{t}: segment classes do not biject with the roots")
-    return [SegmentClass(r, tuple(groups[r])) for r in rs.roots]
+    return tuple(SegmentClass(r, tuple(groups[r])) for r in rs.roots)
 
 
 @per_type

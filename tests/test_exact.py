@@ -1,4 +1,4 @@
-"""The integer lattice enumerator ``short_vectors`` against oracles that share no code with it."""
+"""The exact integer helpers against oracles that share no code with them."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomlie._exact import short_vectors
+from geomlie._exact import inv_unitriangular, short_vectors
 from geomlie.lattice import cartan_matrix, make_type
 from geomlie.rootsys import enumerate_roots
 
@@ -76,3 +76,30 @@ def test_short_vectors_refuses_bad_matrix(gram, message):
 def test_short_vectors_refuses_int64_overflow(gram, norm):
     with pytest.raises(ValueError, match=r"2\*\*62"):
         short_vectors(gram, norm)
+
+
+@st.composite
+def _upper_unitriangular(draw):
+    n = draw(st.integers(1, 6))
+    m = np.eye(n, dtype=np.int64)
+    m[np.triu_indices(n, 1)] = draw(st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    return m
+
+
+@given(_upper_unitriangular())
+def test_inv_unitriangular_equals_sympy_inverse(m):
+    assert inv_unitriangular(m).tolist() == sympy.Matrix(m.tolist()).inv().tolist()
+
+
+@pytest.mark.parametrize("m", [[[2, 1], [0, 1]], [[1, 0], [1, 1]]],
+                         ids=["diagonal-2", "below-diagonal"])
+def test_inv_unitriangular_refuses_other_matrices(m):
+    with pytest.raises(ValueError, match="unitriangular"):
+        inv_unitriangular(m)
+
+
+def test_inv_unitriangular_refuses_int64_overflow():
+    # The input fits in int64; the corner entry of its inverse is 2**80.
+    with pytest.raises(OverflowError):
+        inv_unitriangular([[1, -2 ** 40, 0], [0, 1, -2 ** 40], [0, 0, 1]])

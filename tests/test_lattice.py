@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
+import pkgutil
+from typing import Mapping
 
 import numpy as np
 import pytest
 
-from geomlie.lattice import (cartan_matrix, make_type, matrix_payload, pairing,
+import geomlie
+from geomlie.lattice import (cartan_matrix, make_type, matrix_payload, pairing, per_type,
                              projective_basis, seifert_matrix,
                              stabilized_pairing_matrix)
 from geomlie.rootsys import coxeter_matrix, enumerate_roots, monodromy_matrix
@@ -62,6 +67,55 @@ def test_per_type_arrays_are_read_only(builder):
     with pytest.raises(ValueError):
         m[0, 0] = 7
     assert builder("D4")[0, 0] == m[0, 0] != 7
+
+
+def _per_type_builders() -> dict:
+    """Every builder memoized by ``per_type`` in the package, by qualified name.
+
+    A memoized builder is ``per_type``'s wrapper: it shares the wrapper's code
+    object and carries the builder as ``__wrapped__``.
+    """
+    wrapper = per_type(lambda t: t).__code__
+    found = {}
+    for info in pkgutil.iter_modules(geomlie.__path__):
+        for value in vars(importlib.import_module(f"geomlie.{info.name}")).values():
+            if getattr(value, "__code__", None) is wrapper and hasattr(value, "__wrapped__"):
+                found[f"{value.__module__}.{value.__name__}"] = value
+    return found
+
+
+def _mutable_parts(value, path: str) -> list[str]:
+    """Every list, dict, set or writeable array reachable from ``value``
+    through tuples, dataclass fields and mapping values."""
+    if isinstance(value, (list, dict, set)):
+        return [f"{path} is a {type(value).__name__}"]
+    if isinstance(value, np.ndarray):
+        return [f"{path} is a writeable array"] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        parts = enumerate(value)
+    elif dataclasses.is_dataclass(value):
+        parts = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    elif isinstance(value, Mapping):
+        parts = value.items()
+    else:
+        return []
+    return [bad for key, part in parts for bad in _mutable_parts(part, f"{path}[{key!r}]")]
+
+
+def test_per_type_results_are_immutable():
+    # A memoized result is shared by every later caller, so none may change it.
+    builders = _per_type_builders()
+    assert {"geomlie.lattice.seifert_matrix", "geomlie.rootsys.enumerate_roots",
+            "geomlie.wheel.enumerate_classes", "geomlie.coxplane._fibre_map"} <= set(builders)
+    bad = []
+    for name, builder in builders.items():
+        for label in ("A3", "D4", "E6"):
+            try:
+                out = builder(label)
+            except RuntimeError:  # the planar wheel tables exist only for A and D
+                continue
+            bad += _mutable_parts(out, f"{name}({label})")
+    assert not bad
 
 
 def test_seifert_matrix_printed_forms():

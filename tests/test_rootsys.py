@@ -20,6 +20,8 @@ from geomlie.verify import PRINTED_MONODROMY, expected_folded_cartan, expected_o
 
 ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
+# Past the paper's ranks: c = -B^{-1}B^t against the reflection product.
+WIDE_LABELS = [f"A{k}" for k in range(9, 17)] + [f"D{k}" for k in range(9, 17)]
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
@@ -199,7 +201,7 @@ def test_monodromy_preserves_pairing(label):
     assert np.array_equal(P.T @ B @ P, B)
 
 
-@pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("label", ALL_LABELS + WIDE_LABELS + ["A64", "D40"])
 def test_projective_conjugation_consistency(label):
     # P in the projective basis is conjugate to -c by Q^t.
     QT = projective_basis(label).T
@@ -221,7 +223,7 @@ def test_sT_matrices_entries():
         sT_matrices("A2", 3)
 
 
-@pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("label", ALL_LABELS + WIDE_LABELS)
 def test_sT_identity(label):
     # Each product on its own: S_1..S_k is c and T_1..T_k is the monodromy -c.
     t = make_type(label)
