@@ -9,10 +9,11 @@ Bracket rules:
 * [g_a, g_{-a}] = -var(a),
 * [g_a, g_b] = N(a, b) g_{a+b} when a+b is a root, else 0,
 
-with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix.
-All structure constants live in one sparse :class:`StructureTable` that
-lists every nonzero ordered basis bracket.  The bracket, the antisymmetry,
-Jacobi and Killing computations and the export all read that table, so a
+with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix
+(:func:`root_signs`).  All structure constants live in one sparse
+:class:`StructureTable` that lists every nonzero ordered basis bracket.  The
+bracket, the antisymmetry, Jacobi, Killing and sl2 checks, the matrix model
+and the export all read the table of the algebra they are given, so a
 corrupted coefficient shows up in every check.
 """
 
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._exact import is_nonsingular
-from .lattice import LieType, as_type, cartan_matrix, make_type, seifert_matrix
-from .rootsys import RootSystem, enumerate_roots
+from .lattice import LieType, as_type, cartan_matrix, seifert_matrix
+from .rootsys import Root, RootSystem, enumerate_roots
 
 __all__ = [
     "AlgebraElement",
@@ -38,15 +39,16 @@ __all__ = [
     "MAX_JACOBI_TERMS",
     "term_bounds",
     "n_sign",
+    "root_signs",
     "build",
     "bracket",
     "check_antisymmetry",
     "check_jacobi",
     "killing_form",
     "is_nondegenerate",
-    "sl2_triple",
+    "check_sl2",
+    "has_slk_model",
     "slk_model_check",
-    "SLK_MAX_RANK",
     "export_structure_constants",
     "load_structure_constants",
     "structure_constants_payload",
@@ -60,8 +62,6 @@ __all__ = [
 MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
-# slk_model_check covers A1 up to A_SLK_MAX_RANK.
-SLK_MAX_RANK = 8
 
 
 def n_sign(t: LieType | str, alpha, beta) -> int:
@@ -77,6 +77,14 @@ def n_sign(t: LieType | str, alpha, beta) -> int:
     return -1 if int(b @ B @ a) % 2 else 1
 
 
+def root_signs(t: LieType | str) -> np.ndarray:
+    """N[a, b] = (-1)^(var(b) . a) where a + b is a root ((a, b) = -1), else 0, in root order."""
+    t = as_type(t)
+    X = enumerate_roots(t).coords
+    S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a, so (a, b) = S[a, b] + S[b, a]
+    return np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """Sparse integer combination of basis elements, in canonical form."""
@@ -87,11 +95,8 @@ class AlgebraElement:
     def from_dict(d: dict[int, int]) -> "AlgebraElement":
         return AlgebraElement(tuple(sorted((i, c) for i, c in d.items() if c != 0)))
 
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        d = self.to_dict()
+        d = dict(self.terms)
         for i, c in other.terms:
             d[i] = d.get(i, 0) + c
         return AlgebraElement.from_dict(d)
@@ -154,13 +159,6 @@ class LieAlgebra:
             raise ValueError(f"{r} is not a root")
         return AlgebraElement(((self.rank + self.root_system.index[r], 1),))
 
-    def cartan_element(self, coords) -> AlgebraElement:
-        """var of a relative cycle: integer combination of the D_i."""
-        c = [int(x) for x in coords]
-        if len(c) != self.rank:
-            raise ValueError("dimension mismatch")
-        return AlgebraElement.from_dict({i: c[i] for i in range(self.rank)})
-
     def basis_labels(self) -> list[str]:
         labels = [f"h{i + 1}" for i in range(self.rank)]
         labels += ["g[" + ",".join(str(x) for x in r) + "]" for r in self.root_system.roots]
@@ -211,7 +209,6 @@ def build(t: LieType | str) -> LieAlgebra:
             f"{t} is too large: up to {table_rows:,} structure constants and "
             f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
     rs = enumerate_roots(t)
-    B = seifert_matrix(t)
     C = cartan_matrix(t)
     X = rs.coords
     k = t.rank
@@ -225,11 +222,11 @@ def build(t: LieType | str) -> LieAlgebra:
     na, nm = np.nonzero(X)
     nv = -X[na, nm]
     nb = k + rs.locate(-X[na])
-    # [g_a, g_b] = N(a, b) g_{a+b}; a + b is a root exactly when (a, b) = -1.
-    S = X @ B @ X.T  # S[b, a] = var(b) . a, so (a, b) = S[a, b] + S[b, a]
-    ra, rb = np.nonzero(S + S.T == -1)
+    # [g_a, g_b] = N(a, b) g_{a+b}.
+    N = root_signs(t)
+    ra, rb = np.nonzero(N)
     rm = k + rs.locate(X[ra] + X[rb])
-    rv = 1 - 2 * (S[rb, ra] % 2)
+    rv = N[ra, rb]
     i = np.concatenate([hi, hb, na + k, ra + k])
     j = np.concatenate([hb, hi, nb, rb + k])
     m = np.concatenate([hb, hb, nm, rm])
@@ -390,25 +387,32 @@ def killing_form(L: LieAlgebra) -> np.ndarray:
     return K
 
 
-def is_nondegenerate(L: LieAlgebra | np.ndarray) -> bool:
-    """Exact nondegeneracy of the Killing form (det != 0)."""
-    K = killing_form(L) if isinstance(L, LieAlgebra) else np.asarray(L)
+def is_nondegenerate(K: np.ndarray) -> bool:
+    """Exact nondegeneracy of a Killing matrix (det != 0)."""
     return is_nonsingular(K)
 
 
-def sl2_triple(L: LieAlgebra, alpha) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
-    """The triple (e, f, h) = (g_a, g_{-a}, var(a)), with its laws verified."""
-    r = tuple(int(x) for x in alpha)
-    e = L.root_gen(r)
-    f = L.root_gen(tuple(-x for x in r))
-    h = L.cartan_element(r)
-    if bracket(L, h, e) != e.scaled(2):
-        raise RuntimeError(f"[h, e] != 2e for alpha={r}")
-    if bracket(L, h, f) != f.scaled(-2):
-        raise RuntimeError(f"[h, f] != -2f for alpha={r}")
-    if bracket(L, e, f) != -h:
-        raise RuntimeError(f"[e, f] != -h for alpha={r}")
-    return e, f, h
+def check_sl2(L: LieAlgebra) -> list[Root]:
+    """Roots a whose triple (e, f, h) = (g_a, g_{-a}, var(a)) breaks an sl2 law.
+
+    [h, e] = 2e, [h, f] = -2f, [e, f] = -h.  As h_{-a} = -h_a, the second law
+    for a is the first for -a: two exact sums over the table decide all three,
+    [h_b, g_b] - 2 g_b and [g_a, g_{-a}] + var(a) per (root, output).
+    """
+    T, n, k, rs = L.table, L.dimension, L.rank, L.root_system
+    X = rs.coords
+    neg = rs.locate(-X)
+    cartan = np.flatnonzero((T.i < k) & (T.j >= k))  # the rows [D_i, g_b]
+    b = T.j[cartan] - k
+    key, total = _group_sums(np.r_[b * n + T.m[cartan], np.arange(len(rs)) * (n + 1) + k],
+                             np.r_[X[b, T.i[cartan]] * T.c[cartan], np.full(len(rs), -2)])
+    law1 = key[total != 0] // n
+    pair = np.flatnonzero(T.j == np.r_[np.full(k, -1), k + neg][T.i])  # the rows [g_a, g_{-a}]
+    na, nm = np.nonzero(X)
+    key, total = _group_sums(np.r_[(T.i[pair] - k) * n + T.m[pair], na * n + nm],
+                             np.r_[T.c[pair], X[na, nm]])
+    bad = np.unique(np.r_[law1, neg[law1], key[total != 0] // n])
+    return [rs.roots[r] for r in bad.tolist()]
 
 
 def _slk_image(L: LieAlgebra, idx: int) -> np.ndarray:
@@ -429,20 +433,25 @@ def _slk_image(L: LieAlgebra, idx: int) -> np.ndarray:
     return m
 
 
-def slk_model_check(k: int) -> bool:
-    """Does the traceless-matrix correspondence preserve every basis bracket?
+def has_slk_model(t: LieType) -> bool:
+    """Whether :func:`slk_model_check` covers the type: A1 up to A8."""
+    return t.family == "A" and t.rank <= 8
+
+
+def slk_model_check(L: LieAlgebra) -> bool:
+    """Does the traceless-matrix correspondence preserve every basis bracket of L?
 
     Maps D_i to E_ii - E_{i+1,i+1}, the root with support [i, j) to E_{i,j}
     and its negative to -E_{j,i}.  Every row of the structure table adds its
     coefficient times the image of its output into the (u, v) cell, and the
     n x n grid of cells must equal the batched commutators of the images;
     the flattened images must also be independent, i.e. their Gram matrix
-    nonsingular (an exact mod-p certificate with a Bareiss fallback).
+    nonsingular (an exact mod-p certificate with a Bareiss fallback).  A
+    type outside :func:`has_slk_model` raises ValueError.
     """
-    if not 1 <= k <= SLK_MAX_RANK:
-        raise ValueError(f"k out of range 1..{SLK_MAX_RANK}")
-    L = build(make_type(f"A{k}"))
-    n = L.dimension
+    if not has_slk_model(L.lie_type):
+        raise ValueError(f"{L.lie_type}: the traceless-matrix model covers A1 to A8")
+    k, n = L.rank, L.dimension
     images = np.array([_slk_image(L, idx) for idx in range(n)])
     flat = images.reshape(n, -1)
     if not is_nonsingular(flat @ flat.T):

@@ -293,13 +293,8 @@ def _c07_lie_laws(t: LieType) -> list[str]:
 
 @_criterion("C08-sl2-triples", "[h,e]=2e, [h,f]=-2f, [e,f]=-h for every root")
 def _c08_sl2(t: LieType) -> list[str]:
-    L = liealg.build(t)
-    try:
-        for r in L.root_system.roots:
-            liealg.sl2_triple(L, r)
-    except RuntimeError as exc:
-        return [str(exc)]
-    return []
+    bad = liealg.check_sl2(liealg.build(t))
+    return [f"{bad[0]} and {len(bad) - 1} more roots break sl2 laws"] if bad else []
 
 
 def _symbol_elements(L: liealg.LieAlgebra) -> dict[str, liealg.AlgebraElement]:
@@ -313,16 +308,14 @@ def _symbol_elements(L: liealg.LieAlgebra) -> dict[str, liealg.AlgebraElement]:
 
 @_criterion("C09-type-A-matrix-model",
             "traceless-matrix model bracket-preserving, A2 table verbatim",
-            applies=lambda t: t.family == "A" and t.rank <= liealg.SLK_MAX_RANK)
+            applies=liealg.has_slk_model)
 def _c09_type_a_model(t: LieType) -> list[str]:
-    fails = [] if liealg.slk_model_check(t.rank) else ["model mismatch"]
+    L = liealg.build(t)
+    fails = [] if liealg.slk_model_check(L) else ["model mismatch"]
     if t.label == "A2":
-        L = liealg.build(t)
         sym = _symbol_elements(L)
         for lhs, rhs, expect in A2_TABLE:
-            want = liealg.AlgebraElement(())
-            for name, coef in expect.items():
-                want = want + sym[name].scaled(coef)
+            want = sum((sym[x].scaled(c) for x, c in expect.items()), liealg.AlgebraElement(()))
             if liealg.bracket(L, sym[lhs], sym[rhs]) != want:
                 fails.append(f"A2 table: [{lhs},{rhs}]")
     return fails
@@ -338,11 +331,7 @@ def _c10_killing(t: LieType) -> list[str]:
             "planar triangle sign equals the algebraic sign on all summable pairs",
             applies=lambda t: t.family in ("A", "D"))
 def _c11_planar_sign(t: LieType) -> list[str]:
-    X = enumerate_roots(t).coords
-    S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a
-    # N(a, b) = (-1)^(var(b) . a) on the summable pairs (a, b) = -1, 0 elsewhere.
-    algebraic = np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
-    bad = int(np.count_nonzero(wheel.sign_pairs(t) != algebraic))
+    bad = int(np.count_nonzero(wheel.sign_pairs(t) != liealg.root_signs(t)))
     return [f"{bad} mismatches"] if bad else []
 
 

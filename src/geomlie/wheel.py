@@ -84,6 +84,8 @@ class WheelModel:
 @per_type
 def _planar(t: LieType) -> tuple[np.ndarray, np.ndarray]:
     """Vertex labels by polygon position (D center last) and the potential of each vertex."""
+    if t.family not in ("A", "D"):
+        raise ValueError(f"{t}: the planar wheel exists only for A and D types")
     k = t.rank
     if t.family == "A":
         return np.arange(1, k + 2), np.tri(k + 1, k, -1, dtype=np.int64)
@@ -237,8 +239,6 @@ def sign_pairs(t: LieType | str) -> np.ndarray:
     the reversed pair with the opposite sign.
     """
     t = as_type(t)
-    if t.family not in ("A", "D"):
-        raise ValueError("the planar sign rule is for A and D types")
     rs = enumerate_roots(t)
     X = rs.coords
     summable = X @ cartan_matrix(t) @ X.T == -1

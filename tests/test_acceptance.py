@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geomlie import _exact, verify
+from geomlie import _exact, liealg, verify
 from geomlie.lattice import cartan_matrix
 from geomlie.rootsys import enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS, CRITERIA, Criterion, run_verify
@@ -71,6 +71,23 @@ def test_crash_on_one_type_hides_nothing(monkeypatch):
     assert bad.actual == "RuntimeError: lost the table"
     assert 'raise RuntimeError("lost the table")' in bad.traceback
     assert crashing(["A2", "D5"]) == (False, c05.expected, "D5: RuntimeError: lost the table")
+
+
+def test_c08_names_a_root_breaking_sl2(monkeypatch):
+    # [D_1, g_a] = 2 g_a made 3 g_a for a = (1, 0, 0, 0) breaks [h, e] = 2e at a
+    # and, through h_{-a} = -h_a, [h, f] = -2f at -a.
+    real = liealg.build
+
+    def corrupted(t):
+        L = real(t)
+        T = L.table
+        T.c[(T.i == 0) & (T.j == L.rank + L.root_system.index[(1, 0, 0, 0)])] = 3
+        return L
+
+    monkeypatch.setattr(liealg, "build", corrupted)
+    c08 = dict(CRITERIA)["C08-sl2-triples"]
+    assert c08(["D4"]) == (False, c08.expected,
+                           "D4: (-1, 0, 0, 0) and 1 more roots break sl2 laws")
 
 
 def test_crashed_criterion_names_the_exception(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from geomlie import cli, verify
+from geomlie import cli, liealg, verify
 from geomlie.cli import main
 from geomlie.verify import PRINTED_MONODROMY
 
@@ -140,6 +140,25 @@ def test_sl2(capsys):
     assert "12 sl2 triples" in out
 
 
+def test_sl2_names_a_broken_root(capsys, monkeypatch):
+    # [g_a, g_{-a}] = -D_1 for a = (1, 0, 0) turned into +D_1: only a breaks a law.
+    real = liealg.build
+
+    def corrupted(t):
+        L = real(t)
+        a, b = (L.rank + L.root_system.index[r] for r in ((1, 0, 0), (-1, 0, 0)))
+        L.table.c[(L.table.i == a) & (L.table.j == b)] *= -1
+        return L
+
+    monkeypatch.setattr(liealg, "build", corrupted)
+    code, out, err = run(capsys, "sl2", "A3")
+    assert (code, out) == (1, "")
+    assert err == "error: A3: (1, 0, 0) and 0 more roots break sl2 laws\n"
+    monkeypatch.setenv("GEOMLIE_COLOR", "0")
+    code, out, _ = run(capsys, "lie", "A3", "--check", "sl2")
+    assert (code, out) == (1, "dimension 15\n  sl2 triples: FAIL\n")
+
+
 def test_export_and_reload(tmp_path, capsys):
     target = tmp_path / "a2.json"
     code, out, _ = run(capsys, "export", "A2", "-o", str(target))
@@ -152,6 +171,13 @@ def test_export_io_failure(tmp_path, capsys):
     code, _, err = run(capsys, "export", "A2", "-o", str(tmp_path / "nope" / "a2.json"))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.usefixtures("quiet_d3_warning")
+def test_wheel_prints_no_negative_zero(capsys):
+    for label in [f"A{k}" for k in range(1, 17)] + [f"D{k}" for k in range(3, 17)]:
+        code, out, _ = run(capsys, "wheel", label)
+        assert code == 0 and "-0.000000" not in out, label
 
 
 def test_wheel_classes_json(capsys):

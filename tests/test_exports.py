@@ -45,3 +45,29 @@ def test_public_names_have_callers():
               for attr in getattr(importlib.import_module(name), "__all__", ())
               if attr not in used | TEST_ORACLES]
     assert not unused
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a file imports but never reads and does not list in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read | exported]
+
+
+def test_no_unused_imports():
+    package = Path(geomlie.__file__).parent
+    tests = Path(__file__).parent
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    unused = [bad for p in files + sorted(tests.glob("*.py")) for bad in _unused_imports(p)]
+    assert not unused

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from geomlie import _exact, liealg
 from geomlie._exact import is_nonsingular
 from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
-                            check_jacobi, export_structure_constants,
+                            check_jacobi, check_sl2, export_structure_constants,
                             is_nondegenerate, killing_form,
-                            load_structure_constants, n_sign, sl2_triple,
+                            load_structure_constants, n_sign, root_signs,
                             slk_model_check, structure_constants_payload)
 from geomlie.lattice import make_type, seifert_matrix
 from geomlie.rootsys import enumerate_roots
@@ -65,15 +65,20 @@ def test_n_sign_examples():
 
 @pytest.mark.parametrize("label", ["A2", "A4", "D4", "E6"])
 def test_n_sign_antisymmetric_on_summable_pairs(label):
+    # root_signs is the batched form of n_sign, zero off the summable pairs.
     t = make_type(label)
     rs = enumerate_roots(t)
     X = rs.coords
+    N = root_signs(t)
     for a in range(len(rs)):
         for b in range(len(rs)):
             s = tuple(int(x) for x in (X[a] + X[b]))
             if s in rs.index:
                 assert n_sign(t, rs.roots[a], rs.roots[b]) * \
                     n_sign(t, rs.roots[b], rs.roots[a]) == -1
+                assert N[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
+            else:
+                assert N[a, b] == 0
 
 
 def test_build_dimensions():
@@ -303,7 +308,7 @@ def test_ad_eigenvalues_on_root_generators():
     L = build(make_type("A3"))
     rs = L.root_system
     gamma = rs.roots[2]
-    h = L.cartan_element(gamma)
+    h = AlgebraElement.from_dict(dict(enumerate(gamma)))  # var(gamma) = sum gamma_i D_i
     from geomlie.lattice import pairing
     for r in rs.roots:
         g = L.root_gen(r)
@@ -346,34 +351,71 @@ def test_killing_matches_slow_trace():
             assert K[u, v] == np.trace(ads[u] @ ads[v])
 
 
-def test_sl2_triples():
-    for label in ("A1", "A3", "D4", "E6"):
-        L = build(make_type(label))
-        for r in L.root_system.roots:
-            e, f, h = sl2_triple(L, r)
-            neg = tuple(-x for x in r)
-            e2, f2, h2 = sl2_triple(L, neg)
-            assert (e2, f2) == (f, e)
-            assert h2 == -h
+def reference_sl2(L) -> list:
+    """Roots a whose triple (g_a, g_{-a}, var(a)) breaks a law, three brackets per root."""
+    bad = []
+    for r in L.root_system.roots:
+        e, f = L.root_gen(r), L.root_gen(tuple(-x for x in r))
+        h = AlgebraElement.from_dict(dict(enumerate(r)))
+        if (bracket(L, h, e) != e.scaled(2) or bracket(L, h, f) != f.scaled(-2)
+                or bracket(L, e, f) != h.scaled(-1)):
+            bad.append(r)
+    return bad
 
 
-def test_sl2_rejects_non_root():
-    L = build(make_type("A2"))
-    with pytest.raises(ValueError):
-        sl2_triple(L, (2, 0))
+@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+def test_check_sl2_matches_bracket_reference(label):
+    L = build(make_type(label))
+    assert check_sl2(L) == reference_sl2(L) == []
 
 
-def test_slk_model_negative_control(monkeypatch):
+def test_check_sl2_memory_on_largest_type():
+    L = build(make_type("A31"))  # the largest type build accepts
+    tracemalloc.start()
+    try:
+        assert check_sl2(L) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _sl2_rows(L) -> list[int]:
+    """The rows check_sl2 reads: [D_i, g_b] and [g_a, g_{-a}]."""
+    T, k, rs = L.table, L.rank, L.root_system
+    partner = {k + i: k + rs.index[tuple(-x for x in r)] for i, r in enumerate(rs.roots)}
+    return [row for row, (i, j) in enumerate(zip(T.i.tolist(), T.j.tolist()))
+            if i < k <= j or partner.get(i) == j]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4", "D5", "E6"])
+def test_check_sl2_matches_reference_under_corruption(label):
+    # Each trial changes one coefficient, or the output index, of one row
+    # that the sl2 laws read; both paths must name the same roots.
+    L = build(make_type(label))
+    rows = _sl2_rows(L)
+    rng = random.Random(f"sl2-{label}")
+    failing = 0
+    for _ in range(60):
+        row = rng.choice(rows)
+        c, m = L.table.c.copy(), L.table.m.copy()
+        if rng.random() < 0.5:
+            c[row] += rng.choice((-2, -1, 1, 2))
+        else:
+            m[row] = rng.choice([x for x in range(L.dimension) if x != m[row]])
+        bad = dataclasses.replace(L, table=dataclasses.replace(L.table, c=c, m=m))
+        got = check_sl2(bad)
+        assert got == reference_sl2(bad)
+        failing += bool(got)
+    assert failing > 30
+
+
+def test_slk_model_negative_control():
     # One flipped root-root coefficient must break the matrix model.
-    real_build = liealg.build
-
-    def corrupted(t):
-        L = real_build(t)
-        _flip_root_root_sign(L)
-        return L
-
-    monkeypatch.setattr(liealg, "build", corrupted)
-    assert not slk_model_check(3)
+    L = build(make_type("A3"))
+    assert slk_model_check(L)
+    _flip_root_root_sign(L)
+    assert not slk_model_check(L)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,8 +443,9 @@ def test_gram_independence_fallback(monkeypatch):
 
 
 def test_slk_model_range():
-    with pytest.raises(ValueError):
-        slk_model_check(9)
+    for label in ("A9", "D4"):
+        with pytest.raises(ValueError, match=f"{label}: the traceless-matrix model covers"):
+            slk_model_check(build(make_type(label)))
 
 
 def test_export_round_trip(tmp_path):

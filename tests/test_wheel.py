@@ -45,6 +45,13 @@ def test_build_wheel_e6():
     assert (e8.orbit_count, e8.orbit_steps, e8.signed_orbits) == (8, 15, True)
 
 
+def test_planar_wheel_refuses_e_types():
+    # Refused by family before anything is memoized, not as a missing root.
+    for builder in (wheel._planar, wheel._segment_roots):
+        with pytest.raises(ValueError, match="E6: .*for A and D types"):
+            builder("E6")
+
+
 def test_a_segment_class_formula():
     assert segment_class("A5", (2, 4)) == (0, 1, 1, 0, 0)
     assert segment_class("A5", (4, 2)) == (0, -1, -1, 0, 0)
