@@ -1,9 +1,9 @@
 """Exact integer linear algebra helpers.
 
-Determinants and the unitriangular inverse work over Python ints, so they
-are exact regardless of magnitude; numpy arrays are accepted and converted.
-``short_vectors`` enumerates in numpy int64 after an exact integer
-elimination, and refuses inputs whose intermediates could overflow.
+The Bareiss determinant and the unitriangular inverse work over Python ints,
+so they are exact regardless of magnitude; the determinant mod p runs in
+int64 after an exact reduction mod p.  ``short_vectors`` enumerates in int64
+after an exact elimination, and refuses inputs that could overflow.
 """
 
 from __future__ import annotations
@@ -67,23 +67,35 @@ def inv_unitriangular(m) -> np.ndarray:
 
 
 def det_mod_p(m, p: int) -> int:
-    """Determinant of an integer matrix modulo a prime p."""
-    a = [[int(x) % p for x in row] for row in m]
-    n = len(a)
+    """Determinant of a square integer matrix modulo a prime 2 <= p < 2**31.
+
+    int64 row operations on entries in [0, p), so products stay below 2**62;
+    each pivot column touches only its nonzero rows.  Entries that do not
+    cast safely to int64 are first reduced mod p in Python ints.
+    """
+    if not 2 <= p < 2 ** 31:
+        raise ValueError(f"modulus {p} is not in [2, 2**31)")
+    try:
+        a = np.asarray(m).astype(np.int64, casting="safe")
+    except TypeError:  # object, uint64 or float entries, as numpy reads big ints
+        a = np.array([[int(x) % p for x in row] for row in m], dtype=np.int64)
+    if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
+        raise ValueError("matrix must be square")
+    a %= p
     det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
+    for col in range(len(a)):
+        rows = col + np.flatnonzero(a[col:, col])
+        if not len(rows):
             return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = (-det) % p
-        inv = pow(a[col][col], p - 2, p)
-        det = (det * a[col][col]) % p
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = (a[r][col] * inv) % p
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+        if rows[0] != col:
+            a[[col, rows[0]]] = a[[rows[0], col]]
+            det = -det
+        pivot = int(a[col, col])
+        det = det * pivot % p
+        below = rows[1:]  # the swapped-in row is zero in this column
+        if len(below):
+            f = a[below, col] * pow(pivot, -1, p) % p
+            a[below, col + 1:] = (a[below, col + 1:] - f[:, None] * a[col, col + 1:]) % p
     return det
 
 

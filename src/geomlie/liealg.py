@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._exact import is_nonsingular
-from .lattice import LieType, as_type, cartan_matrix, seifert_matrix
+from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
 from .rootsys import Root, RootSystem, enumerate_roots
 
 __all__ = [
@@ -121,16 +121,16 @@ ZERO = AlgebraElement(())
 class StructureTable:
     """Sparse structure constants: [e_i, e_j] has coefficient c on e_m.
 
-    One row per nonzero (i, j, m), sorted by (i, j, m).  ``key`` lists
-    i * dimension + j for each row as Python ints, which ``bisect`` searches
-    several times faster per pair than numpy can.
+    One row per nonzero (i, j, m), sorted by (i, j, m).  ``key`` is the tuple
+    of i * dimension + j for each row as Python ints, which ``bisect``
+    searches several times faster per pair than numpy can.
     """
 
     i: np.ndarray
     j: np.ndarray
     m: np.ndarray
     c: np.ndarray
-    key: list[int]
+    key: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,12 @@ def term_bounds(t: LieType | str) -> tuple[int, int]:
     return table, join
 
 
+@per_type
 def build(t: LieType | str) -> LieAlgebra:
-    """Populate the sparse structure-constant table for one type."""
-    t = as_type(t)
+    """The sparse structure-constant table of one type, built once per type.
+
+    Every later call shares it, so its columns are read-only and ``key`` a tuple.
+    """
     table_rows, join_terms = term_bounds(t)
     if join_terms > MAX_JACOBI_TERMS:
         raise ValueError(
@@ -233,7 +236,9 @@ def build(t: LieType | str) -> LieAlgebra:
     c = np.concatenate([hv, -hv, nv, rv])
     order = np.argsort((i * n + j) * n + m)
     i, j, m, c = i[order], j[order], m[order], c[order]
-    return LieAlgebra(t, rs, n, StructureTable(i, j, m, c, (i * n + j).tolist()))
+    for col in (i, j, m, c):
+        col.setflags(write=False)
+    return LieAlgebra(t, rs, n, StructureTable(i, j, m, c, tuple((i * n + j).tolist())))
 
 
 def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -415,24 +420,6 @@ def check_sl2(L: LieAlgebra) -> list[Root]:
     return [rs.roots[r] for r in bad.tolist()]
 
 
-def _slk_image(L: LieAlgebra, idx: int) -> np.ndarray:
-    """Image of a basis element in traceless (k+1) x (k+1) matrices."""
-    k = L.rank
-    m = np.zeros((k + 1, k + 1), dtype=np.int64)
-    if idx < k:
-        m[idx, idx] = 1
-        m[idx + 1, idx + 1] = -1
-        return m
-    v = np.array(L.root_system.roots[idx - k])
-    nz = np.nonzero(v)[0]
-    i, j = int(nz[0]), int(nz[-1]) + 1
-    if v.sum() > 0:
-        m[i, j] = 1      # positive run i..j-1 -> E_{i,j}
-    else:
-        m[j, i] = -1     # negative run -> -E_{j,i}
-    return m
-
-
 def has_slk_model(t: LieType) -> bool:
     """Whether :func:`slk_model_check` covers the type: A1 up to A8."""
     return t.family == "A" and t.rank <= 8
@@ -442,25 +429,38 @@ def slk_model_check(L: LieAlgebra) -> bool:
     """Does the traceless-matrix correspondence preserve every basis bracket of L?
 
     Maps D_i to E_ii - E_{i+1,i+1}, the root with support [i, j) to E_{i,j}
-    and its negative to -E_{j,i}.  Every row of the structure table adds its
-    coefficient times the image of its output into the (u, v) cell, and the
-    n x n grid of cells must equal the batched commutators of the images;
-    the flattened images must also be independent, i.e. their Gram matrix
+    and its negative to -E_{j,i}, images of at most two entries.  Joining
+    the entries (u, a, b) and (v, b, c) on b gives the terms of [A_u, A_v]
+    at (a, c), and each table row [u, v] -> m subtracts its coefficient
+    times the image of e_m: every sum per (u, v, a, c) must be zero.  The
+    flattened images must also be independent, i.e. their Gram matrix
     nonsingular (an exact mod-p certificate with a Bareiss fallback).  A
     type outside :func:`has_slk_model` raises ValueError.
     """
     if not has_slk_model(L.lie_type):
         raise ValueError(f"{L.lie_type}: the traceless-matrix model covers A1 to A8")
-    k, n = L.rank, L.dimension
-    images = np.array([_slk_image(L, idx) for idx in range(n)])
-    flat = images.reshape(n, -1)
+    n, k, T, X = L.dimension, L.rank, L.table, L.root_system.coords
+    s, d, support, up = k + 1, np.arange(k), X != 0, X.sum(axis=1) > 0
+    start, end = support.argmax(axis=1), k - support[:, ::-1].argmax(axis=1)
+    # The image entries: basis index, row, column and value.
+    owner = np.r_[d, d, k + np.arange(len(X))]
+    row = np.r_[d, d + 1, np.where(up, start, end)]
+    col = np.r_[d, d + 1, np.where(up, end, start)]
+    value = np.r_[np.repeat([1, -1], k), np.where(up, 1, -1)]
+    flat = np.zeros((n, s * s), dtype=np.int64)
+    flat[owner, row * s + col] = value
     if not is_nonsingular(flat @ flat.T):
         return False
-    T = L.table
-    expected = np.zeros((n, n, k + 1, k + 1), dtype=np.int64)
-    np.add.at(expected, (T.i, T.j), T.c[:, None, None] * images[T.m])
-    left, right = images[:, None], images[None, :]
-    return np.array_equal(expected, left @ right - right @ left)
+    x, y = _join(col, row)  # A_u[a, b] A_v[b, c] with u = owner[x], v = owner[y]
+    r, e = _join(T.m, owner)  # row r of the table and an entry of the image of its output
+    product = value[x] * value[y]
+    u = np.r_[owner[x], owner[y], T.i[r]]
+    v = np.r_[owner[y], owner[x], T.j[r]]
+    a = np.r_[row[x], row[x], row[e]]
+    c = np.r_[col[y], col[y], col[e]]
+    _, total = _group_sums(((u * n + v) * s + a) * s + c,
+                           np.r_[product, -product, -T.c[r] * value[e]])
+    return not total.any()
 
 
 def _upper_rows(L: LieAlgebra) -> tuple[list[int], list[int], list[int], list[int], list[int]]:

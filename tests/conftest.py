@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -19,3 +20,20 @@ def quiet_d3_warning():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="D3 coincides with A3")
         yield
+
+
+def _writable_copy(L):
+    """``L`` with writable copies of its four table columns."""
+    T = L.table
+    columns = {name: getattr(T, name).copy() for name in ("i", "j", "m", "c")}
+    return dataclasses.replace(L, table=dataclasses.replace(T, **columns))
+
+
+@pytest.fixture
+def writable():
+    """Copy an algebra so a test can corrupt its table.
+
+    ``liealg.build`` shares one read-only algebra per type, so a corruption
+    works on ``writable(build(label))`` and leaves the shared one intact.
+    """
+    return _writable_copy

@@ -9,6 +9,10 @@ are fixed inside the library.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,13 +77,13 @@ def test_crash_on_one_type_hides_nothing(monkeypatch):
     assert crashing(["A2", "D5"]) == (False, c05.expected, "D5: RuntimeError: lost the table")
 
 
-def test_c08_names_a_root_breaking_sl2(monkeypatch):
+def test_c08_names_a_root_breaking_sl2(monkeypatch, writable):
     # [D_1, g_a] = 2 g_a made 3 g_a for a = (1, 0, 0, 0) breaks [h, e] = 2e at a
     # and, through h_{-a} = -h_a, [h, f] = -2f at -a.
     real = liealg.build
 
     def corrupted(t):
-        L = real(t)
+        L = writable(real(t))
         T = L.table
         T.c[(T.i == 0) & (T.j == L.rank + L.root_system.index[(1, 0, 0, 0)])] = 3
         return L
@@ -88,6 +92,19 @@ def test_c08_names_a_root_breaking_sl2(monkeypatch):
     c08 = dict(CRITERIA)["C08-sl2-triples"]
     assert c08(["D4"]) == (False, c08.expected,
                            "D4: (-1, 0, 0, 0) and 1 more roots break sl2 laws")
+
+
+def test_second_run_reading_the_memo_changes_no_outcome():
+    # A fresh interpreter, so the first run fills the per-type memo (the
+    # shared algebras included) and the second reads it.
+    script = ("from geomlie.verify import run_verify\n"
+              "first, second = ([(r.name, r.label, r.status, r.actual) for r in run_verify()]\n"
+              "                 for _ in range(2))\n"
+              "print(len(first), first == second)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == f"{len(CRITERIA) * len(ALL_TYPE_LABELS)} True\n"
 
 
 def test_crashed_criterion_names_the_exception(monkeypatch):

@@ -140,12 +140,12 @@ def test_sl2(capsys):
     assert "12 sl2 triples" in out
 
 
-def test_sl2_names_a_broken_root(capsys, monkeypatch):
+def test_sl2_names_a_broken_root(capsys, monkeypatch, writable):
     # [g_a, g_{-a}] = -D_1 for a = (1, 0, 0) turned into +D_1: only a breaks a law.
     real = liealg.build
 
     def corrupted(t):
-        L = real(t)
+        L = writable(real(t))
         a, b = (L.rank + L.root_system.index[r] for r in ((1, 0, 0), (-1, 0, 0)))
         L.table.c[(L.table.i == a) & (L.table.j == b)] *= -1
         return L

@@ -11,7 +11,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomlie._exact import inv_unitriangular, short_vectors
+from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
+                            is_nonsingular, short_vectors)
 from geomlie.lattice import cartan_matrix, make_type
 from geomlie.rootsys import enumerate_roots
 
@@ -103,3 +104,58 @@ def test_inv_unitriangular_refuses_int64_overflow():
     # The input fits in int64; the corner entry of its inverse is 2**80.
     with pytest.raises(OverflowError):
         inv_unitriangular([[1, -2 ** 40, 0], [0, 1, -2 ** 40], [0, 0, 1]])
+
+
+@st.composite
+def _square_matrix(draw):
+    """A square integer matrix, int64 or (with entries past 2**63) object, and
+    whether it is singular by construction: a zero column or a row that is a
+    combination of two others."""
+    n = draw(st.integers(0, 6))
+    big = draw(st.booleans())
+    entries = st.integers(-2 ** 70, 2 ** 70) if big else st.integers(-4, 4)
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero-column", "dependent"]))
+    if shape == "zero-column" and n:
+        col = draw(st.integers(0, n - 1))
+        for row in m:
+            row[col] = 0
+    if shape == "dependent" and n >= 3:
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [x * a + y * b for a, b in zip(m[0], m[1])]
+    singular = (shape == "zero-column" and n > 0) or (shape == "dependent" and n >= 3)
+    return np.array(m, dtype=object if big else np.int64), singular
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, *_CERT_PRIMES])
+@given(_square_matrix())
+def test_det_mod_p_equals_exact_determinant(p, case):
+    m, singular = case
+    want = det_exact(m) % p
+    assert want == int(sympy.Matrix(m.tolist()).det()) % p
+    assert det_mod_p(m, p) == want
+    if singular:
+        assert want == 0
+
+
+@pytest.mark.parametrize("m", [np.array([[2 ** 64 - 1, 0], [0, 1]], dtype=np.uint64),
+                               [[2 ** 63, -1], [1, 2 ** 63]]], ids=["uint64", "big-and-negative"])
+def test_det_mod_p_reduces_entries_past_int64_exactly(m):
+    # numpy reads the first as uint64 and the second as float64; neither may wrap or round.
+    for p in (7, *_CERT_PRIMES):
+        assert det_mod_p(m, p) == det_exact(m) % p
+
+
+@pytest.mark.parametrize("m", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]],
+                         ids=["2x3", "3x2"])
+def test_det_mod_p_refuses_non_square_matrices(m):
+    with pytest.raises(ValueError, match="square"):
+        det_mod_p(m, 7)
+    with pytest.raises(ValueError, match="square"):
+        is_nonsingular(m)
+
+
+@pytest.mark.parametrize("p", [2 ** 31, 2 ** 61 - 1, 1])
+def test_det_mod_p_refuses_modulus_out_of_range(p):
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        det_mod_p([[1]], p)

@@ -15,6 +15,7 @@ import geomlie
 from geomlie.lattice import (cartan_matrix, make_type, matrix_payload, pairing, per_type,
                              projective_basis, seifert_matrix,
                              stabilized_pairing_matrix)
+from geomlie.liealg import build
 from geomlie.rootsys import coxeter_matrix, enumerate_roots, monodromy_matrix
 from geomlie.wheel import enumerate_classes
 
@@ -54,7 +55,8 @@ def test_d3_warns():
 
 
 @pytest.mark.parametrize("builder", [seifert_matrix, cartan_matrix, projective_basis,
-                                     coxeter_matrix, enumerate_roots, enumerate_classes],
+                                     coxeter_matrix, enumerate_roots, enumerate_classes,
+                                     build],
                          ids=lambda f: f.__name__)
 def test_per_type_builders_memoize_by_label(builder):
     assert builder("A2") is builder(make_type("A2")) is builder("a2")
@@ -67,6 +69,15 @@ def test_per_type_arrays_are_read_only(builder):
     with pytest.raises(ValueError):
         m[0, 0] = 7
     assert builder("D4")[0, 0] == m[0, 0] != 7
+
+
+def test_shared_algebra_table_is_read_only():
+    L = build("D4")
+    before = L.table.c.copy()
+    with pytest.raises(ValueError):
+        L.table.c[0] = 7
+    assert build("D4") is L
+    assert np.array_equal(build("D4").table.c, before)
 
 
 def _per_type_builders() -> dict:
@@ -106,7 +117,8 @@ def test_per_type_results_are_immutable():
     # A memoized result is shared by every later caller, so none may change it.
     builders = _per_type_builders()
     assert {"geomlie.lattice.seifert_matrix", "geomlie.rootsys.enumerate_roots",
-            "geomlie.wheel.enumerate_classes", "geomlie.coxplane._fibre_map"} <= set(builders)
+            "geomlie.wheel.enumerate_classes", "geomlie.coxplane._fibre_map",
+            "geomlie.liealg.build"} <= set(builders)
     bad = []
     for name, builder in builders.items():
         for label in ("A3", "D4", "E6"):

@@ -156,9 +156,9 @@ def _flip_root_root_sign(L):
     T.c[row] = -T.c[row]
 
 
-def test_jacobi_negative_control():
+def test_jacobi_negative_control(writable):
     # One flipped structure-constant sign must surface as violations.
-    L = build(make_type("A2"))
+    L = writable(build(make_type("A2")))
     _flip_root_root_sign(L)
     report = check_jacobi(L)
     assert len(report.violations) >= 1
@@ -193,8 +193,8 @@ CORRUPTIONS = {"flip": lambda c: -c, "double": lambda c: 2 * c,
 
 @pytest.mark.parametrize("label", SMALL_LABELS)
 @pytest.mark.parametrize("corruption", [None, *CORRUPTIONS])
-def test_jacobi_matches_reference_sweep(label, corruption):
-    L = build(make_type(label))
+def test_jacobi_matches_reference_sweep(label, corruption, writable):
+    L = writable(build(make_type(label)))
     if corruption is not None:
         change = CORRUPTIONS[corruption]
         rng = random.Random(f"{label}-{corruption}")
@@ -220,8 +220,8 @@ def test_jacobi_refuses_dimension_past_1024_before_allocating():
     assert _refusal_peak(dataclasses.replace(L, dimension=1025)) < 1_000_000
 
 
-def test_jacobi_refuses_unpackable_coefficient_before_allocating():
-    L = build(make_type("E8"))
+def test_jacobi_refuses_unpackable_coefficient_before_allocating(writable):
+    L = writable(build(make_type("E8")))
     L.table.c[0] = 2048
     assert _refusal_peak(L) < 1_000_000
 
@@ -410,12 +410,99 @@ def test_check_sl2_matches_reference_under_corruption(label):
     assert failing > 30
 
 
-def test_slk_model_negative_control():
+def test_slk_model_negative_control(writable):
     # One flipped root-root coefficient must break the matrix model.
-    L = build(make_type("A3"))
+    L = writable(build(make_type("A3")))
     assert slk_model_check(L)
     _flip_root_root_sign(L)
     assert not slk_model_check(L)
+
+
+def _with_rows(L, i, j, m, c):
+    """L with the structure-table rows (i, j, m, c), sorted by (i, j, m) as build sorts them."""
+    n = L.dimension
+    order = np.argsort((i * n + j) * n + m)
+    i, j, m, c = (col[order] for col in (i, j, m, c))
+    return dataclasses.replace(L, table=liealg.StructureTable(i, j, m, c,
+                                                              tuple((i * n + j).tolist())))
+
+
+def test_slk_model_catches_a_dropped_row():
+    # The commutator of E_01 and E_12 is E_02, so without the row
+    # [g_a, g_b] -> g_{a+b} the table no longer gives it.
+    L = build(make_type("A3"))
+    T, k = L.table, L.rank
+    a, b = (k + L.root_system.index[r] for r in ((1, 0, 0), (0, 1, 0)))
+    keep = ~((T.i == a) & (T.j == b))
+    assert np.count_nonzero(~keep) == 1
+    assert slk_model_check(_with_rows(L, T.i, T.j, T.m, T.c))
+    assert not slk_model_check(_with_rows(L, *(col[keep] for col in (T.i, T.j, T.m, T.c))))
+
+
+def reference_slk_model(L) -> bool:
+    """The dense matrix model: independent images, and [A_u, A_v] equal to the
+    image of [e_u, e_v] read through bracket_basis, pair by pair."""
+    k, n = L.rank, L.dimension
+    images = []
+    for idx in range(n):
+        image = np.zeros((k + 1, k + 1), dtype=np.int64)
+        if idx < k:
+            image[idx, idx], image[idx + 1, idx + 1] = 1, -1
+        else:
+            root = L.root_system.roots[idx - k]
+            support = [x for x, v in enumerate(root) if v]
+            i, j = support[0], support[-1] + 1
+            if sum(root) > 0:
+                image[i, j] = 1
+            else:
+                image[j, i] = -1
+        images.append(image)
+    if rank_exact([image.ravel() for image in images]) < n:
+        return False
+    for u in range(n):
+        for v in range(n):
+            want = np.zeros((k + 1, k + 1), dtype=np.int64)
+            for m, c in L.bracket_basis(u, v).terms:
+                want += c * images[m]
+            if not np.array_equal(images[u] @ images[v] - images[v] @ images[u], want):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_slk_model_matches_dense_reference_under_corruption(label):
+    # Each trial changes one coefficient or output index, drops a row or adds one.
+    L = build(make_type(label))
+    assert slk_model_check(L) and reference_slk_model(L)
+    rng = random.Random(f"slk-{label}")
+    failing = 0
+    for _ in range(30):
+        i, j, m, c = (col.copy() for col in (L.table.i, L.table.j, L.table.m, L.table.c))
+        row, kind = rng.randrange(len(c)), rng.choice(["c", "m", "drop", "add"])
+        if kind == "c":
+            c[row] += rng.choice((-2, -1, 1, 2))
+        elif kind == "m":
+            m[row] = rng.choice([x for x in range(L.dimension) if x != m[row]])
+        elif kind == "drop":
+            i, j, m, c = (np.delete(col, row) for col in (i, j, m, c))
+        else:
+            i, j, m = (np.r_[col, rng.randrange(L.dimension)] for col in (i, j, m))
+            c = np.r_[c, rng.choice((-1, 1))]
+        bad = _with_rows(L, i, j, m, c)
+        got = slk_model_check(bad)
+        assert got == reference_slk_model(bad)
+        failing += not got
+    assert failing > 20
+
+
+def test_slk_model_catches_a_spurious_row():
+    # D_1 and D_2 are diagonal, so their commutator is zero; a row
+    # [D_1, D_2] -> g_a claims it is not.
+    L = build(make_type("A3"))
+    T = L.table
+    assert not np.any((T.i == 0) & (T.j == 1))
+    spurious = _with_rows(L, np.r_[T.i, 0], np.r_[T.j, 1], np.r_[T.m, L.rank], np.r_[T.c, 1])
+    assert not slk_model_check(spurious)
 
 
 @settings(max_examples=60, deadline=None)

@@ -44,9 +44,9 @@ def test_killing_closed_form(label):
 
 
 @pytest.mark.parametrize("label", ["A2", "D4", "E6"])
-def test_killing_negative_control(label):
+def test_killing_negative_control(label, writable):
     # One flipped [g_a, g_b] coefficient must move the Killing form.
-    L = build(label)
+    L = writable(build(label))
     T = L.table
     row = int(np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0])
     T.c[row] = -T.c[row]
