@@ -13,6 +13,18 @@ import math
 import numpy as np
 
 
+def integer_array(x) -> np.ndarray:
+    """``x`` as an int64 array; ValueError where an entry is not an integer."""
+    a = np.asarray(x)
+    if a.dtype.kind in "bi":  # bool and signed ints cast exactly
+        return a.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN, inf and wrapped uint64 are refused below
+        out = a.astype(np.int64)
+    if not np.array_equal(out, a):
+        raise ValueError(f"expected integers, got {x!r}")
+    return out
+
+
 def _rows(m) -> list[list[int]]:
     return [[int(x) for x in row] for row in m]
 

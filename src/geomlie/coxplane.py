@@ -6,7 +6,8 @@ the product over primes p | h of (c^(h/p) - I), kills the non-primitive h-th
 roots of unity and is invertible on the primitive ones, so roots x and y
 share a point iff K x = K y.  Floats only place the dots: C-inner products
 with a C-orthonormal frame (u, v) of the real span of an exp(-2*pi*i/h)
-eigenvector, phased so that c turns the picture counterclockwise.
+eigenvector, which :func:`plane_basis` sums from the integer powers of c
+and phases at the first nonzero row of K, with no eigensolver or tolerance.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "point_clusters",
     "render_svg",
 ]
-
-TOLERANCE = 1e-9
 
 # Fixed 16-entry palette for orbit coloring.
 PALETTE = (
@@ -58,45 +57,32 @@ class ProjectedRoot:
 
 
 def plane_basis(t: LieType | str) -> PlaneBasis:
-    """Extract the plane on which c rotates points by +2*pi/h.
+    """The C-orthonormal frame (u, v) of the plane that c turns by +2*pi/h.
 
-    Phase convention: the first coordinate of the eigenvector above the noise
-    floor is made real positive, so u has a positive first significant entry
-    and the frame is deterministic.
+    As c^h = I, z = sum over j < h of zeta^j c^j e_m, zeta = exp(2*pi*i/h),
+    is h times the projection of e_m onto the exp(-2*pi*i/h) eigenspace.  K
+    maps onto the primitive eigenspaces, simple and Galois conjugate to that
+    one, so z != 0 for m the first nonzero column of K, and z[i] = 0 iff row
+    i of K is zero.  z is phased real positive at lead, the first nonzero row
+    of K; u and v are its real and imaginary parts, C-orthonormalized.
     """
     t = as_type(t)
     if t.rank < 2:
         raise DegeneratePlaneError(f"{t}: no invariant plane in rank 1")
-    theta = 2 * math.pi / t.coxeter_number
-    c = coxeter_matrix(t).astype(np.float64)
-    C = cartan_matrix(t).astype(np.float64)
-    eigvals, eigvecs = np.linalg.eig(c)
-    target = complex(math.cos(theta), -math.sin(theta))
-    pick = int(np.argmin(np.abs(eigvals - target)))
-    if abs(eigvals[pick] - target) > 1e-6:
-        raise RuntimeError(f"{t}: failed to isolate the rotation eigenvalue")
-    z = eigvecs[:, pick]
-    lead = int(np.argmax(np.abs(z) > 1e-8 * np.max(np.abs(z))))
+    K = _fibre_map(t)
+    m, lead = (int(np.flatnonzero(K.any(axis=a))[0]) for a in (0, 1))
+    c, h = coxeter_matrix(t), t.coxeter_number
+    columns = [np.eye(t.rank, dtype=np.int64)[m]]
+    for _ in range(h - 1):
+        columns.append(c @ columns[-1])
+    z = np.exp(2j * math.pi * np.arange(h) / h) @ np.array(columns)
     z = z * (z[lead].conjugate() / abs(z[lead]))
-    u = z.real.copy()
-    v = z.imag.copy()
+    C = cartan_matrix(t).astype(np.float64)
+    u, v = z.real.copy(), z.imag.copy()
     u /= math.sqrt(u @ C @ u)
     v -= (u @ C @ v) * u
     v /= math.sqrt(v @ C @ v)
-    basis = PlaneBasis(u, v)
-    _validate_plane(t, c, C, basis, theta)
-    return basis
-
-
-def _validate_plane(t: LieType, c, C, basis: PlaneBasis, theta: float) -> None:
-    u, v = basis.u, basis.v
-    tol = TOLERANCE
-    if abs(u @ C @ u - 1) > tol or abs(v @ C @ v - 1) > tol or abs(u @ C @ v) > tol:
-        raise RuntimeError(f"{t}: plane frame is not C-orthonormal")
-    # c u = cos(theta) u + sin(theta) v and c v = -sin(theta) u + cos(theta) v
-    if (np.max(np.abs(c @ u - (math.cos(theta) * u + math.sin(theta) * v))) > tol
-            or np.max(np.abs(c @ v - (-math.sin(theta) * u + math.cos(theta) * v))) > tol):
-        raise RuntimeError(f"{t}: frame is not rotated by 2*pi/h")
+    return PlaneBasis(u, v)
 
 
 def project_all(t: LieType | str) -> list[ProjectedRoot]:
@@ -104,16 +90,15 @@ def project_all(t: LieType | str) -> list[ProjectedRoot]:
     t = as_type(t)
     basis = plane_basis(t)
     rs = enumerate_roots(t)
-    C = cartan_matrix(t).astype(np.float64)
-    X = rs.coords.astype(np.float64)
-    xs = X @ C @ basis.u
-    ys = X @ C @ basis.v
+    XC = rs.coords.astype(np.float64) @ cartan_matrix(t).astype(np.float64)
+    xs, ys = XC @ basis.u, XC @ basis.v
     return [ProjectedRoot(r, (float(xs[i]), float(ys[i]))) for i, r in enumerate(rs.roots)]
 
 
 @per_type
 def _fibre_map(t: LieType) -> np.ndarray:
     """K = prod over primes p | h of (c^(h/p) - I): K x = K y iff x, y share a point."""
+    enumerate_roots(t)  # refuses a type too large to enumerate before any power of c
     c = coxeter_matrix(t)
     eye = np.eye(t.rank, dtype=np.int64)
     h = t.coxeter_number
@@ -188,4 +173,5 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
         lines.append(f'<circle cx="{pts[i][0]:.4f}" cy="{pts[i][1]:.4f}" r="4.0" '
                      f'fill="{color_of_root[i]}"/>')
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # An on-axis coordinate is float noise of either sign; print it unsigned.
+    return "\n".join(lines).replace("-0.0000", "0.0000") + "\n"

@@ -26,6 +26,8 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from ._exact import integer_array
+
 __all__ = [
     "LieType",
     "make_type",
@@ -147,7 +149,7 @@ def cartan_matrix(t: LieType | str) -> np.ndarray:
 def pairing(t: LieType | str, a, b) -> int:
     """Symmetric pairing (a, b) = a^t C b of two relative cycles."""
     t = as_type(t)
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    a, b = integer_array(a), integer_array(b)
     for v in (a, b):
         if v.shape != (t.rank,):
             raise ValueError(f"expected a length-{t.rank} integer vector, got shape {v.shape}")

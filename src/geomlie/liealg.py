@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import is_nonsingular
+from ._exact import integer_array, is_nonsingular
 from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
 from .rootsys import Root, RootSystem, enumerate_roots
 
@@ -69,8 +69,7 @@ def n_sign(t: LieType | str, alpha, beta) -> int:
     t = as_type(t)
     B = seifert_matrix(t)
     C = cartan_matrix(t)
-    a = np.asarray(alpha, dtype=np.int64)
-    b = np.asarray(beta, dtype=np.int64)
+    a, b = integer_array(alpha), integer_array(beta)
     for v in (a, b):
         if int(v @ C @ v) != 2:
             raise ValueError(f"{tuple(v)} is not a root")
@@ -154,7 +153,7 @@ class LieAlgebra:
         return AlgebraElement(((i - 1, 1),))
 
     def root_gen(self, root) -> AlgebraElement:
-        r = tuple(int(x) for x in root)
+        r = tuple(integer_array(root).tolist())
         if r not in self.root_system.index:
             raise ValueError(f"{r} is not a root")
         return AlgebraElement(((self.rank + self.root_system.index[r], 1),))
@@ -168,6 +167,7 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
         """Bracket of two basis elements by global index."""
         n = self.dimension
+        i, j = integer_array((i, j)).tolist()
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("basis index out of range")
         T = self.table

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,13 +13,15 @@ import sympy
 from geomlie import cli, coxplane, verify
 from geomlie.coxplane import (DegeneratePlaneError, plane_basis, point_clusters,
                               project_all, render_svg)
-from geomlie.lattice import make_type
+from geomlie.lattice import cartan_matrix, make_type
 from geomlie.rootsys import coxeter_matrix, enumerate_roots, orbit_decomposition
 
 PLANE_LABELS = [f"A{k}" for k in range(2, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
 INJECTIVE = {"A2", "A4", "A6", "A8", "E7", "E8"}
 SERIES_LABELS = [f"A{k}" for k in range(2, 17)] + [f"D{k}" for k in range(3, 17)] + \
+    ["E6", "E7", "E8"]
+FRAME_LABELS = [f"A{k}" for k in range(2, 32)] + [f"D{k}" for k in range(3, 21)] + \
     ["E6", "E7", "E8"]
 
 
@@ -30,16 +33,51 @@ def test_a1_degenerate():
         plane_basis("A1")
 
 
-@pytest.mark.parametrize("label", PLANE_LABELS)
+def eig_frame(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Test-only reference: the frame (u, v) through a float eigensolver.
+
+    The exp(-2*pi*i/h) eigenvector of c is picked among all eigenvalues,
+    phased real positive at its first coordinate above 1e-8 of its largest,
+    and its real and imaginary parts are C-orthonormalized.
+    """
+    t = make_type(label)
+    theta = 2 * math.pi / t.coxeter_number
+    C = cartan_matrix(t).astype(float)
+    eigvals, eigvecs = np.linalg.eig(coxeter_matrix(t).astype(float))
+    target = complex(math.cos(theta), -math.sin(theta))
+    pick = int(np.argmin(np.abs(eigvals - target)))
+    assert abs(eigvals[pick] - target) < 1e-6
+    z = eigvecs[:, pick]
+    lead = int(np.argmax(np.abs(z) > 1e-8 * np.max(np.abs(z))))
+    z = z * (z[lead].conjugate() / abs(z[lead]))
+    u, v = z.real.copy(), z.imag.copy()
+    u /= math.sqrt(u @ C @ u)
+    v -= (u @ C @ v) * u
+    v /= math.sqrt(v @ C @ v)
+    return u, v
+
+
+@pytest.mark.parametrize("label", FRAME_LABELS)
+def test_plane_matches_eigensolver_frame(label):
+    basis = plane_basis(label)
+    u, v = eig_frame(label)
+    assert np.max(np.abs(basis.u - u)) < 1e-12
+    assert np.max(np.abs(basis.v - v)) < 1e-12
+
+
+@pytest.mark.parametrize("label", FRAME_LABELS)
 def test_plane_rotation_property(label):
     t = make_type(label)
     basis = plane_basis(t)
     theta = 2 * math.pi / t.coxeter_number
     c = coxeter_matrix(t).astype(float)
+    C = cartan_matrix(t).astype(float)
     cu = c @ basis.u
     cv = c @ basis.v
     assert np.max(np.abs(cu - (math.cos(theta) * basis.u + math.sin(theta) * basis.v))) < 1e-9
     assert np.max(np.abs(cv - (-math.sin(theta) * basis.u + math.cos(theta) * basis.v))) < 1e-9
+    gram = np.array([[a @ C @ b for b in (basis.u, basis.v)] for a in (basis.u, basis.v)])
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-9
 
 
 def test_plane_sign_convention_deterministic():
@@ -47,8 +85,17 @@ def test_plane_sign_convention_deterministic():
     b2 = plane_basis("E8")
     assert np.array_equal(b1.u, b2.u)
     assert np.array_equal(b1.v, b2.v)
-    lead = np.argmax(np.abs(b1.u) > 1e-8)
+    # The eigenvector's first nonzero coordinate is the first nonzero row of K.
+    lead = int(np.flatnonzero(coxplane._fibre_map("E8").any(axis=1))[0])
     assert b1.u[lead] > 0
+    assert abs(b1.v[lead]) < 1e-12
+
+
+def test_plane_refuses_oversized_type_before_powers_of_c():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="root entries"):
+        plane_basis("A3000")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("label", PLANE_LABELS)
@@ -192,7 +239,8 @@ def test_svg_deterministic_and_wellformed():
 @pytest.mark.parametrize("label", ["A3", "D4", "E6"])
 def test_svg_edges_join_root_differences(label):
     # Reference rule: every pair i < j whose difference is in the root index,
-    # in row-major order, one line per distinct pair of rounded endpoints.
+    # in row-major order, one line per distinct pair of rounded endpoints; a
+    # coordinate that rounds to zero prints unsigned.
     rs = enumerate_roots(label)
     projected = project_all(label)
     radius = max(math.hypot(*p.point) for p in projected)
@@ -202,13 +250,18 @@ def test_svg_edges_join_root_differences(label):
     for i in range(len(rs)):
         for j in range(i + 1, len(rs)):
             if tuple(a - b for a, b in zip(rs.roots[i], rs.roots[j])) in rs.index:
-                line = tuple(f"{v:.4f}" for v in (*pts[i], *pts[j]))
+                line = tuple(f"{round(v, 4) + 0.0:.4f}" for v in (*pts[i], *pts[j]))
                 if line not in want:
                     want.append(line)
     root = ET.fromstring(render_svg(label, show_edges=True))
     got = [tuple(el.get(k) for k in ("x1", "y1", "x2", "y2"))
            for el in root.iter() if el.tag.endswith("line")]
     assert got == want
+
+
+@pytest.mark.parametrize("label", ["A1"] + SERIES_LABELS)
+def test_svg_prints_no_negative_zero(label):
+    assert "-0.0000" not in render_svg(label, show_edges=True)
 
 
 def test_svg_a2_hexagon():

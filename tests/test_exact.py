@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
                             is_nonsingular, short_vectors)
-from geomlie.lattice import cartan_matrix, make_type
+from geomlie.lattice import cartan_matrix, make_type, pairing
+from geomlie.liealg import build, n_sign
 from geomlie.rootsys import enumerate_roots
 
 
@@ -159,3 +160,21 @@ def test_det_mod_p_refuses_non_square_matrices(m):
 def test_det_mod_p_refuses_modulus_out_of_range(p):
     with pytest.raises(ValueError, match=r"2\*\*31"):
         det_mod_p([[1]], p)
+
+
+# Each call with a leading coordinate x; x = 1 is valid input for all four.
+LEADING_COORDINATE_CALLS = {
+    "pairing": lambda x: pairing("A2", [x, 0], [1, 0]),
+    "n_sign": lambda x: n_sign("A2", (x, 0), (0, 1)),
+    "root_gen": lambda x: build("A2").root_gen((x, 0)),
+    "bracket_basis": lambda x: build("A2").bracket_basis(x, 3),
+}
+
+
+@pytest.mark.parametrize("name", LEADING_COORDINATE_CALLS)
+def test_non_integer_input_is_refused_not_truncated(name):
+    call = LEADING_COORDINATE_CALLS[name]
+    assert call(1) == call(1.0) == call(np.int8(1))
+    for x in (1.5, 1.9, np.float64(1.7), math.nan, np.uint64(2**64 - 1)):
+        with pytest.raises(ValueError, match="expected integers"):
+            call(x)

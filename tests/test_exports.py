@@ -71,3 +71,28 @@ def test_no_unused_imports():
     files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     unused = [bad for p in files + sorted(tests.glob("*.py")) for bad in _unused_imports(p)]
     assert not unused
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _float_guards(path: Path) -> list[str]:
+    """Guard epsilons (float literals with 0 < |x| < 1e-3) and eigensolver calls."""
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < abs(node.value) < 1e-3):
+            bad.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in EIGENSOLVERS:
+                bad.append(f"{path.name}:{node.lineno} call to {name}")
+    return bad
+
+
+def test_no_float_guards_or_eigensolvers():
+    # Combinatorial answers are computed in integers: no tolerance decides one.
+    package = Path(geomlie.__file__).parent
+    found = [bad for p in sorted(package.glob("*.py")) for bad in _float_guards(p)]
+    assert not found
