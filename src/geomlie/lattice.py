@@ -213,7 +213,7 @@ def projective_basis(t: LieType | str) -> np.ndarray:
 
 
 def matrix_payload(t: LieType | str, m) -> dict:
-    """JSON payload for an integer matrix: {"type", "matrix"}."""
+    """JSON payload for an integer matrix: {"type", "matrix"}; ValueError on a non-integer entry."""
     t = as_type(t)
-    arr = np.asarray(m, dtype=np.int64)
+    arr = integer_array(m)
     return {"type": t.label, "matrix": [[int(x) for x in row] for row in arr]}

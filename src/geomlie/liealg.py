@@ -55,8 +55,10 @@ __all__ = [
 ]
 
 # ``build`` refuses a type whose Jacobi join could exceed this many terms.
-# check_jacobi holds about 24 bytes per actual term at its peak (tracemalloc,
-# E8: 1.17M terms, 28 MB), so the limit keeps it under about 250 MB.  The
+# On the antisymmetric tables ``build`` makes, check_jacobi joins only the
+# i < j rows and holds about 13 bytes per term of the full join at its peak
+# (tracemalloc, E8: 1.17M terms, 15 MB), so the limit keeps it under about
+# 150 MB; any other table joins every row, at about 26 bytes per term.  The
 # join is never smaller than the table, so this bounds the table too.  A31
 # (dimension 1023, within check_jacobi's 1024) is the largest A type accepted.
 MAX_JACOBI_TERMS = 10_000_000
@@ -301,12 +303,26 @@ class JacobiReport:
         return not self.violations
 
 
-def _rotate(key: np.ndarray) -> np.ndarray:
-    """(x, y, z) -> (y, z, x) on triples packed as x << 20 | y << 10 | z."""
-    out = key & 0xFFFFF
-    out <<= 10
-    out |= key >> 20
-    return out
+def _swap_last(key: np.ndarray) -> np.ndarray:
+    """(a, b, c) -> (a, c, b) on triples packed as a << 20 | b << 10 | c."""
+    return key & ~0xFFFFF | (key & 1023) << 10 | key >> 10 & 1023
+
+
+def _is_mirrored(i: np.ndarray, j: np.ndarray, m: np.ndarray, c: np.ndarray, n: int) -> bool:
+    """Whether the i > j rows are exactly the mirrors (j, i, m, -c) of the i < j rows.
+
+    A row with i = j makes the answer False.  Each row is compared as one
+    word, (i, j, m) then c + 2048 in 12 bits, which holds the |c| <= 2047
+    that check_jacobi packs.
+    """
+    up, down = i < j, i > j
+    if np.count_nonzero(up) != np.count_nonzero(down) or np.count_nonzero(i == j):
+        return False
+    word = ((i[up].astype(np.int64) * n + j[up]) * n + m[up]) << 12 | c[up] + 2048
+    mirror = ((j[down].astype(np.int64) * n + i[down]) * n + m[down]) << 12 | 2048 - c[down]
+    word.sort()
+    mirror.sort()
+    return np.array_equal(word, mirror)
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
@@ -314,17 +330,32 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
 
     Each row [x, y] -> m meets each row [m, z] -> p in one term of
     [[x, y], z] on e_p.  J(x, y, z) is the sum of that term over the three
-    rotations of (x, y, z), so terms are summed per (smallest rotation, p);
-    a nonzero sum is a violation, reported as its basis-index triple (at most
-    MAX_JACOBI_VIOLATIONS of them, in lexicographic order).
+    rotations of (x, y, z), so a cyclic class is violated when its terms sum
+    to nonzero on some e_p; violations are reported as the smallest rotation
+    of the class (at most MAX_JACOBI_VIOLATIONS of them, in lexicographic
+    order).  Each term is keyed by its sorted triple a <= b <= c and the
+    parity of (x, y, z) against it: the even permutations are the rotations
+    of (a, b, c), the odd ones those of (a, c, b), and a triple with a
+    repeated index has one class, itself.
 
-    Each term is one int64 word: the smallest rotation packed as
-    x << 20 | y << 10 | z, then p in 10 bits, then the coefficient offset to
-    be nonnegative in the low w bits, w the bit width of twice the largest
-    |c_a c_b|.  Sorting the words by value groups the terms by (triple, p).
-    Two inputs cannot be packed, and both are refused with ValueError before
-    the join is allocated: a dimension over 1024, and coefficients so wide
-    that 40 + w > 63 bits (max |c| of about 2^11 or more).
+    On an antisymmetric table, where the i > j rows are exactly the mirrors
+    (j, i, m, -c) of the i < j rows and no row has i = j, only the i < j rows
+    are joined.  The mirror of a term is its negative in the class of
+    opposite parity, so the class of (a, b, c) sums to the parity-signed
+    total S of the i < j terms and the class of (a, c, b) to -S (the
+    Jacobiator is alternating, Humphreys, Introduction to Lie Algebras, 1.1).
+    A distinct sorted triple thus stands for two classes that are both
+    violated or both clean, and a repeated one for one class whose terms
+    cancel pairwise.  Any other table joins all its rows and keys each term
+    by the smallest rotation, (a, b, c) or (a, c, b) by parity.
+
+    Each term is one int64 word: the key packed as a << 20 | b << 10 | c,
+    then p in 10 bits, then the coefficient offset to be nonnegative in the
+    low w bits, w the bit width of twice the largest |c_a c_b|.  Sorting the
+    words by value groups the terms by (key, p).  Two inputs cannot be
+    packed, and both are refused with ValueError before the join is
+    allocated: a dimension over 1024, and coefficients so wide that
+    40 + w > 63 bits (max |c| of about 2^11 or more).
     """
     T, n = L.table, L.dimension
     if n > 1 << 10:
@@ -335,25 +366,41 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
         raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
                          f"are too wide to pack a Jacobi term in 63 bits")
     i, j, m, c = (col.astype(np.int32) for col in (T.i, T.j, T.m, T.c))
-    # Rows are sorted by (i, j, m), so the rows [m, .] are one block: row
-    # [x, y] -> m meets count[row] of them, and b lists the rows it meets.
-    # Each per-term column is dropped once used; the peak is about 24 bytes
-    # per term (see MAX_JACOBI_TERMS).
-    start = i.searchsorted(np.arange(n + 1, dtype=np.int32))
-    count = start[m + 1] - start[m]
+    mirrored = _is_mirrored(i, j, m, c, n)
+    rows = i < j if mirrored else slice(None)
+    x, y, mx, cx = i[rows], j[rows], m[rows], c[rows]
+    u, v = np.minimum(x, y), np.maximum(x, y)
+    # Rows are sorted by (i, j, m), so the rows [m, z] are one block with z
+    # ascending.  It splits at u <= v into five runs, z < u, z = u,
+    # u < z < v, z = v and z > v, with the sorted triples (z, u, v) in runs
+    # 0-1, (u, z, v) in runs 2-3 and (u, v, z) in run 4.  parity is +1 or -1
+    # as (x, y, z) is an even or odd permutation of its sorted triple, and 0
+    # where an index repeats.  Where u = v the running maximum empties runs 2-3.
+    base = mx * n
+    bounds = np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])
+    bounds = np.maximum.accumulate((i * n + j).searchsorted(bounds), axis=0)
+    count = np.diff(bounds, axis=0)
+    parity = np.array([[1], [0], [-1], [0], [1]], dtype=np.int32) * np.sign(y - x)
+    head = np.concatenate([u << 10 | v, u << 10 | v, u << 20 | v, u << 20 | v, u << 20 | v << 10])
+    # The terms run by run, so z is shifted into place by slices.  Each
+    # per-term column is dropped once used (see MAX_JACOBI_TERMS for the peak).
+    edge = np.cumsum(count.sum(axis=1))
+    count = count.ravel()
     b = np.arange(count.sum())
-    b += np.repeat(start[m] - np.cumsum(count) + count, count)
-    coef = np.repeat(c, count)
-    coef *= c.take(b)
+    b += np.repeat(bounds[:-1].ravel() - np.cumsum(count) + count, count)
+    key = j.take(b)
+    key[:edge[1]] <<= 20
+    key[edge[1]:edge[3]] <<= 10
+    key |= np.repeat(head, count)
+    coef = c.take(b)
+    coef *= np.repeat((parity * cx if mirrored else np.tile(cx, 5)).ravel(), count)
     coef += cmax
-    key = np.repeat(i << 20 | j << 10, count)
-    key |= j.take(b)
     p = m.take(b)
     del b
-    turned = _rotate(key)
-    np.minimum(key, turned, out=key)
-    np.minimum(key, _rotate(turned), out=key)
-    del turned
+    if not mirrored:  # key each term by its class: (a, c, b) where the parity is odd
+        odd = np.repeat(parity.ravel() < 0, count)
+        key[odd] = _swap_last(key[odd])
+        del odd
     word = key.astype(np.int64)
     del key
     word <<= 10
@@ -364,16 +411,24 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     word.sort()
     coef = word & ((1 << w) - 1)
     coef -= cmax
-    word >>= w  # now triple << 10 | p
+    word >>= w  # now key << 10 | p
     first = _run_starts(word)
     total = np.add.reduceat(coef, first)
     del coef
     triple = word[first] >> 10
     del word, first
-    checked = len(_run_starts(triple))
+    classes = triple[_run_starts(triple)]
     bad = triple[total != 0]
-    bad = bad[_run_starts(bad)][:MAX_JACOBI_VIOLATIONS]
-    violations = [(int(q >> 20), int(q >> 10 & 1023), int(q & 1023)) for q in bad]
+    bad = bad[_run_starts(bad)]
+    if mirrored:
+        mid = classes >> 10 & 1023
+        repeated = (classes >> 20 == mid) | (mid == classes & 1023)
+        checked = 2 * len(classes) - int(np.count_nonzero(repeated))
+        bad = np.sort(np.concatenate([bad, _swap_last(bad)]))
+    else:
+        checked = len(classes)
+    violations = [(int(q >> 20), int(q >> 10 & 1023), int(q & 1023))
+                  for q in bad[:MAX_JACOBI_VIOLATIONS]]
     return JacobiReport(L.lie_type, checked, violations)
 
 

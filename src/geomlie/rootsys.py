@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._exact import inv_unitriangular
+from ._exact import integer_array, inv_unitriangular
 from .lattice import (LieType, as_type, cartan_matrix, make_type, per_type,
                       projective_basis, seifert_matrix)
 
@@ -60,9 +60,9 @@ class RootSystem:
 
         Rows are compared by their :func:`_keys`.  Every match is then checked
         in full, so a row that is not a root raises RuntimeError even where
-        its bytes wrap onto a root's.
+        its bytes wrap onto a root's; a non-integer entry raises ValueError.
         """
-        X, Q = self.coords, np.asarray(vectors, dtype=np.int64)
+        X, Q = self.coords, integer_array(vectors)
         idx = _keys(X).searchsorted(_keys(Q))
         found = X[np.minimum(idx, len(X) - 1)]
         if not np.array_equal(found, Q):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
                             is_nonsingular, short_vectors)
-from geomlie.lattice import cartan_matrix, make_type, pairing
+from geomlie.lattice import cartan_matrix, make_type, matrix_payload, pairing
 from geomlie.liealg import build, n_sign
 from geomlie.rootsys import enumerate_roots
 
@@ -162,12 +162,14 @@ def test_det_mod_p_refuses_modulus_out_of_range(p):
         det_mod_p([[1]], p)
 
 
-# Each call with a leading coordinate x; x = 1 is valid input for all four.
+# Each call with a leading coordinate x; x = 1 is valid input for all six.
 LEADING_COORDINATE_CALLS = {
     "pairing": lambda x: pairing("A2", [x, 0], [1, 0]),
     "n_sign": lambda x: n_sign("A2", (x, 0), (0, 1)),
     "root_gen": lambda x: build("A2").root_gen((x, 0)),
     "bracket_basis": lambda x: build("A2").bracket_basis(x, 3),
+    "locate": lambda x: enumerate_roots("A2").locate([[x, 0]]).tolist(),
+    "matrix_payload": lambda x: matrix_payload("A2", [[x, 0]]),
 }
 
 

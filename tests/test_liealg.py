@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomlie import _exact, liealg
+from geomlie import _exact, cli, liealg
 from geomlie._exact import is_nonsingular
 from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             check_jacobi, check_sl2, export_structure_constants,
@@ -146,6 +146,7 @@ def test_jacobi_clean(label):
     L = build(make_type(label))
     report = check_jacobi(L)
     assert report.ok
+    assert type(report.triples_checked) is int
     assert not check_antisymmetry(L)
 
 
@@ -189,20 +190,84 @@ def reference_jacobi(L) -> tuple[int, list[tuple[int, int, int]]]:
 # The new coefficient from the old one; 2047 is the widest value check_jacobi packs.
 CORRUPTIONS = {"flip": lambda c: -c, "double": lambda c: 2 * c,
                "plus-one": lambda c: c + 1, "wide": lambda c: 2047}
+# A paired corruption changes a row (i, j, m) and its mirror (j, i, m) together,
+# so the table stays antisymmetric and check_jacobi joins its i < j rows only.
+PAIRED = {f"paired-{name}": change for name, change in CORRUPTIONS.items()}
 
 
 @pytest.mark.parametrize("label", SMALL_LABELS)
-@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS])
+@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS, *PAIRED])
 def test_jacobi_matches_reference_sweep(label, corruption, writable):
     L = writable(build(make_type(label)))
-    if corruption is not None:
+    T = L.table
+    rng = random.Random(f"{label}-{corruption}")
+    if corruption in CORRUPTIONS:
         change = CORRUPTIONS[corruption]
-        rng = random.Random(f"{label}-{corruption}")
-        for row in rng.sample(range(len(L.table.c)), 3):
-            L.table.c[row] = change(int(L.table.c[row]))
+        for row in rng.sample(range(len(T.c)), 3):
+            T.c[row] = change(int(T.c[row]))
+    elif corruption in PAIRED:
+        for row in rng.sample(np.flatnonzero(T.i < T.j).tolist(), 3):
+            mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
+            T.c[row] = PAIRED[corruption](int(T.c[row]))
+            T.c[mirror] = -T.c[row]
     report = check_jacobi(L)
     assert (report.triples_checked, report.violations) == reference_jacobi(L)
-    assert report.ok == (corruption is None)
+    if corruption in PAIRED:
+        assert not check_antisymmetry(L)
+    else:
+        assert report.ok == (corruption is None)
+
+
+def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:
+    """An algebra of dimension n whose table is exactly ``rows`` (i, j, m, c)."""
+    i, j, m, c = (np.array(col, dtype=np.int64) for col in zip(*sorted(rows)))
+    table = liealg.StructureTable(i, j, m, c, tuple((i * n + j).tolist()))
+    return dataclasses.replace(build("A1"), dimension=n, table=table)
+
+
+@st.composite
+def antisymmetric_rows(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """A sparse antisymmetric table: rows with i < j, each with its mirror (j, i, m, -c).
+
+    A bracket may have several outputs, and coefficients may be zero.
+    """
+    n = draw(st.integers(2, 7))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    rows = []
+    for x, y in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        for m in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
+            c = draw(st.integers(-3, 3))
+            rows += [(x, y, m, c), (y, x, m, -c)]
+    return n, rows
+
+
+@settings(max_examples=60)
+@given(antisymmetric_rows(), st.data())
+def test_jacobi_matches_reference_on_random_tables(table, data):
+    # Small indices make terms with z = x or z = y common.  One lone row
+    # with no mirror (a zero coefficient, or i = j, included) turns the
+    # table into one whose Jacobi join reads every row.
+    n, rows = table
+    L = _algebra_from_rows(n, rows)
+    report = check_jacobi(L)
+    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    taken = {row[:3] for row in rows}
+    free = [(x, y, m) for x in range(n) for y in range(n) for m in range(n)
+            if (x, y, m) not in taken]
+    lone = (*data.draw(st.sampled_from(free)), data.draw(st.integers(-3, 3)))
+    L = _algebra_from_rows(n, rows + [lone])
+    report = check_jacobi(L)
+    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+
+
+@pytest.mark.parametrize("label", sorted(JACOBI_ALGEBRAS))
+def test_cli_jacobi_prints_reference_class_count(label, capsys):
+    L = JACOBI_ALGEBRAS[label]
+    classes, bad = reference_jacobi(L)
+    assert not bad
+    assert cli.main(["lie", label, "--check", "jacobi"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"dimension {L.dimension}\n  jacobi ({classes} cyclic triple classes): ok\n"
 
 
 def _refusal_peak(L) -> int:

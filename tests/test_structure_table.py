@@ -110,7 +110,8 @@ def test_enumerate_roots_refuses_oversized_type_before_allocating():
 
 
 def test_jacobi_peak_per_join_term():
-    # MAX_JACOBI_TERMS is sized by this figure: about 24 bytes per term.
+    # MAX_JACOBI_TERMS is sized by this figure: about 13 bytes per term of
+    # the full join, of which check_jacobi joins the i < j half.
     L = build("E8")
     T = L.table
     terms = int(np.bincount(T.i, minlength=L.dimension)[T.m].sum())
@@ -120,4 +121,4 @@ def test_jacobi_peak_per_join_term():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * terms
+    assert peak <= 16 * terms
