@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -197,8 +198,13 @@ def _cmd_fold(args) -> int:
 
 def _cmd_verify(args) -> int:
     labels = None if args.all or not args.types else args.types
+    results = verify.run_verify(labels)
+    if args.json:
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+        return 0 if all(r.ok for r in results) else 1
     by_criterion: dict[str, list[verify.CheckResult]] = {}
-    for r in verify.run_verify(labels):
+    for r in results:
         by_criterion.setdefault(r.name, []).append(r)
     failed = 0
     for name, records in by_criterion.items():
@@ -292,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, help="run the acceptance suite")
     p.add_argument("types", nargs="*")
     p.add_argument("--all", action="store_true")
+    p.add_argument("--json", action="store_true", help="one JSON object per check result")
 
     return parser
 

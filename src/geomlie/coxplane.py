@@ -37,6 +37,9 @@ PALETTE = (
     "#843c39", "#7b4173", "#637939", "#3182bd",
 )
 
+# Entries of the root pairing held at once while searching for SVG edges (2 MB of int64).
+_PAIRING_BLOCK = 1 << 18
+
 
 class DegeneratePlaneError(ValueError):
     """No distinguished rotation plane exists (rank 1, h = 2)."""
@@ -123,13 +126,50 @@ def point_clusters(t: LieType | str) -> list[list[int]]:
     return list(fibres.values())
 
 
+def _coord(v: float) -> str:
+    """``v`` to 4 decimals; an on-axis coordinate is float noise of either sign, printed unsigned."""
+    text = f"{v:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
+def _edges(t: LieType, fibres: list[list[int]]) -> tuple[list[int], list[int]]:
+    """For each (fibre of i, fibre of j), its first pair i < j in row-major
+    order with a_i - a_j a root; the i and the j as two lists.
+
+    a_i - a_j is a root exactly when |a_i - a_j|^2 = 4 - 2 (a_i, a_j) = 2,
+    i.e. (a_i, a_j) = 1.  The pairing is formed in blocks of rows of at most
+    ``_PAIRING_BLOCK`` entries, never as the whole |Phi| x |Phi| matrix.
+    """
+    X = enumerate_roots(t).coords
+    XC = X @ cartan_matrix(t)
+    n = len(X)
+    rep = np.empty(n, dtype=np.int64)
+    for group in fibres:
+        rep[group] = group[0]
+    rows = max(1, _PAIRING_BLOCK // n)
+    firsts, seconds = [], []
+    for lo in range(0, n, rows):
+        # Rows lo..lo+rows against columns lo.., so j > i is the strict upper triangle.
+        i, j = np.nonzero(XC[lo:lo + rows] @ X[lo:].T == 1)
+        upper = j > i
+        firsts.append(i[upper] + lo)
+        seconds.append(j[upper] + lo)
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    _, first = np.unique(rep[i] * n + rep[j], return_index=True)
+    first.sort()
+    return i[first].tolist(), j[first].tolist()
+
+
 def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> str:
     """Deterministic SVG of the projected roots.
 
-    One dot per fibre of K; optional edges, one per pair of fibres holding
-    roots whose difference is again a root; colors follow the orbit of the
-    coxeter_bar operator through a fixed palette.  Rank 1 degenerates to two
-    dots on a fixed axis.
+    One dot per fibre of K, at the fibre's first root; optional edges, one
+    per ordered pair of fibres holding roots i < j whose difference is again
+    a root, drawn between the first such pair in row-major order.  Colors
+    follow the orbit of the coxeter_bar operator through a fixed palette.
+    Each root's coordinates are formatted once and every element is built
+    from those strings; the edge search holds at most ``_PAIRING_BLOCK``
+    pairings at a time.  Rank 1 degenerates to two dots on a fixed axis.
     """
     if size < 1:
         raise ValueError(f"SVG size must be a positive number of pixels, got {size}")
@@ -148,30 +188,21 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
         lines.append("</svg>")
         return "\n".join(lines) + "\n"
     rs = enumerate_roots(t)
-    projected = project_all(t)
-    radius = max(math.hypot(*p.point) for p in projected)
-    pts = [(p.point[0] / radius * scale, -p.point[1] / radius * scale) for p in projected]
+    points = [p.point for p in project_all(t)]
+    radius = max(math.hypot(x, y) for x, y in points)
+    xs = [_coord(x / radius * scale) for x, _ in points]
+    ys = [_coord(-y / radius * scale) for _, y in points]
     color_of_root = [PALETTE[0]] * len(rs)
     for orbit_idx, orbit in enumerate(orbit_decomposition(t, "coxeter_bar").orbits):
         for r in orbit:
             color_of_root[r] = PALETTE[orbit_idx % len(PALETTE)]
     fibres = point_clusters(t)
     if show_edges:
-        rep = {i: group[0] for group in fibres for i in group}
-        edges: dict[tuple[int, int], tuple[int, int]] = {}
-        # a - b is a root exactly when |a - b|^2 = 4 - 2 (a, b) = 2, i.e. (a, b) = 1.
-        X = rs.coords
-        for i, j in np.argwhere(np.triu(X @ cartan_matrix(t) @ X.T == 1, 1)).tolist():
-            edges.setdefault((rep[i], rep[j]), (i, j))
         lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')
-        for i, j in edges.values():
-            lines.append(f'<line x1="{pts[i][0]:.4f}" y1="{pts[i][1]:.4f}" '
-                         f'x2="{pts[j][0]:.4f}" y2="{pts[j][1]:.4f}"/>')
+        lines += [f'<line x1="{xs[i]}" y1="{ys[i]}" x2="{xs[j]}" y2="{ys[j]}"/>'
+                  for i, j in zip(*_edges(t, fibres))]
         lines.append("</g>")
-    for group in fibres:
-        i = group[0]
-        lines.append(f'<circle cx="{pts[i][0]:.4f}" cy="{pts[i][1]:.4f}" r="4.0" '
-                     f'fill="{color_of_root[i]}"/>')
+    lines += [f'<circle cx="{xs[i]}" cy="{ys[i]}" r="4.0" fill="{color_of_root[i]}"/>'
+              for i in (group[0] for group in fibres)]
     lines.append("</svg>")
-    # An on-axis coordinate is float noise of either sign; print it unsigned.
-    return "\n".join(lines).replace("-0.0000", "0.0000") + "\n"
+    return "\n".join(lines) + "\n"

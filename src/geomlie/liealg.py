@@ -560,14 +560,23 @@ def _json_text(L: LieAlgebra) -> str:
             + f'\n ],\n "dimension": {L.dimension},\n "type": {json.dumps(L.lie_type.label)}\n}}\n')
 
 
+# The %-template of one CSV row, indexed by 2 * (first term of its bracket) + (last term).
+_CSV_ROW = np.array(["%d:%d;", "%d:%d\n", "%d,%d,%d:%d;", "%d,%d,%d:%d\n"])
+
+
 def _csv_text(L: LieAlgebra) -> str:
-    i, j, m, c, bounds = _upper_rows(L)
-    # One line per bracket: the first term carries "i,j,", the rest follow ";".
-    head, tail = [""] * len(m), [";"] * len(m)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        head[lo] = f"{i[lo]},{j[lo]},"
-        tail[hi - 1] = "\n"
-    return "i,j,terms\n" + "".join(f"{h}{mr}:{cr}{t}" for h, mr, cr, t in zip(head, m, c, tail))
+    # One line "i,j,m:c;m:c..." per bracket, filled by a single %-format pass:
+    # a bracket's first row opens the line with "i,j," and its last ends it.
+    T = L.table
+    upper = np.flatnonzero(T.i < T.j)
+    first = np.zeros(len(upper), dtype=bool)
+    first[_run_starts(T.i[upper] * L.dimension + T.j[upper])] = True
+    last = np.r_[first[1:], True]
+    fields = np.stack([col[upper] for col in (T.i, T.j, T.m, T.c)], axis=1)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[:, :2] = first[:, None]
+    fmt = "".join(_CSV_ROW[2 * first + last].tolist())
+    return "i,j,terms\n" + fmt % tuple(fields[keep].tolist())
 
 
 _RENDERERS = {"json": _json_text, "csv": _csv_text}
@@ -579,8 +588,12 @@ def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
     JSON is byte for byte ``json.dumps(structure_constants_payload(L),
     indent=1, sort_keys=True)`` plus a newline.  CSV has the header
     ``i,j,terms`` and one line ``i,j,m:c;m:c...`` per bracket; no field holds
-    a comma or a quote, so nothing is quoted.  ``sink`` is a path or a text
-    file; an unknown ``fmt`` raises ValueError before any file is opened.
+    a comma or a quote, so nothing is quoted.  Both texts are formatted
+    straight from the table's i < j rows, with no payload dict; the CSV is
+    filled by one %-format pass over a template per row, and only the
+    [g_a, g_-a] lines hold several terms.
+    ``sink`` is a path or a text file; an unknown ``fmt`` raises ValueError
+    before any file is opened.
     """
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")

@@ -253,6 +253,18 @@ def test_verify_repeat_is_deterministic(capsys, monkeypatch):
     assert strip(out1) == strip(out2)
 
 
+def test_verify_json_is_the_records(capsys):
+    # One object per run_verify record, field by field; only the timings differ.
+    code, out, _ = run(capsys, "verify", "A2", "D5", "--json")
+    assert code == 0
+    got = [json.loads(line) for line in out.splitlines()]
+    want = [dataclasses.asdict(r) for r in verify.run_verify(["A2", "D5"])]
+    assert [list(g) for g in got] == [list(w) for w in want]
+    strip = lambda records: [{k: v for k, v in r.items() if k != "millis"} for r in records]
+    assert strip(got) == strip(want)
+    assert all(isinstance(g["millis"], float) for g in got)
+
+
 def test_verify_reports_a_crashed_type(capsys, monkeypatch):
     monkeypatch.setenv("GEOMLIE_COLOR", "0")
     name, c01 = verify.CRITERIA[0]
@@ -273,6 +285,12 @@ def test_verify_reports_a_crashed_type(capsys, monkeypatch):
     assert lines[3] == "      Traceback (most recent call last):"
     assert '      RuntimeError: lost the table' in lines
     assert lines[-1] == "15/16 criteria passed"
+    code, out, _ = run(capsys, "verify", "A2", "D5", "--json")
+    assert code == 1
+    (crash,) = [r for r in map(json.loads, out.splitlines())
+                if r["status"] not in (verify.PASS, verify.NA)]
+    assert (crash["name"], crash["label"], crash["status"]) == (name, "D5", verify.ERROR)
+    assert crash["traceback"].rstrip().endswith("RuntimeError: lost the table")
 
 
 def test_lie_model_na_past_rank_8(capsys):

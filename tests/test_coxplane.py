@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -236,27 +237,80 @@ def test_svg_deterministic_and_wellformed():
     assert circles and lines
 
 
-@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
-def test_svg_edges_join_root_differences(label):
-    # Reference rule: every pair i < j whose difference is in the root index,
-    # in row-major order, one line per distinct pair of rounded endpoints; a
-    # coordinate that rounds to zero prints unsigned.
-    rs = enumerate_roots(label)
+def drawn_points(label: str) -> list[tuple[str, str]]:
+    """Test-only: each root's point as render_svg draws it at its default size.
+
+    Rounded to 4 places; a coordinate that rounds to zero prints unsigned.
+    """
     projected = project_all(label)
     radius = max(math.hypot(*p.point) for p in projected)
-    scale = 0.45 * 600  # render_svg at its default size
-    pts = [(x / radius * scale, -y / radius * scale) for x, y in (p.point for p in projected)]
-    want = []
+    scale = 0.45 * 600
+    return [tuple(f"{round(v, 4) + 0.0:.4f}" for v in (x / radius * scale, -y / radius * scale))
+            for x, y in (p.point for p in projected)]
+
+
+def k_fibres(label: str) -> list[list[int]]:
+    """Test-only: root indices grouped by K x in sympy, K = prod_{p | h prime} (c^(h/p) - I)."""
+    t = make_type(label)
+    h, eye = t.coxeter_number, sympy.eye(t.rank)
+    c = sympy.Matrix(coxeter_matrix(t).tolist())
+    K = eye
+    for p in sympy.primefactors(h):
+        K = K * (c ** (h // p) - eye)
+    groups: dict[tuple, list[int]] = {}
+    for i, r in enumerate(enumerate_roots(t).roots):
+        groups.setdefault(tuple(K * sympy.Matrix(r)), []).append(i)
+    return list(groups.values())
+
+
+def svg_elements(svg: str, tag: str, keys: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [tuple(el.get(k) for k in keys)
+            for el in ET.fromstring(svg).iter() if el.tag.endswith(tag)]
+
+
+SVG_ORACLE_LABELS = ["A3", "D4", "E6", "A8", "D8", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", SVG_ORACLE_LABELS)
+def test_svg_edges_join_root_differences(label):
+    # Reference rule: every pair i < j whose difference is in the root index,
+    # in row-major order, one line per distinct pair of rounded endpoints.
+    rs = enumerate_roots(label)
+    pts = drawn_points(label)
+    want: dict[tuple[str, ...], None] = {}
     for i in range(len(rs)):
         for j in range(i + 1, len(rs)):
             if tuple(a - b for a, b in zip(rs.roots[i], rs.roots[j])) in rs.index:
-                line = tuple(f"{round(v, 4) + 0.0:.4f}" for v in (*pts[i], *pts[j]))
-                if line not in want:
-                    want.append(line)
-    root = ET.fromstring(render_svg(label, show_edges=True))
-    got = [tuple(el.get(k) for k in ("x1", "y1", "x2", "y2"))
-           for el in root.iter() if el.tag.endswith("line")]
-    assert got == want
+                want.setdefault(pts[i] + pts[j])
+    got = svg_elements(render_svg(label, show_edges=True), "line", ("x1", "y1", "x2", "y2"))
+    assert got == list(want)
+
+
+@pytest.mark.parametrize("label", SVG_ORACLE_LABELS)
+def test_svg_circles_mark_k_fibres(label):
+    # One circle per K-fibre, at the fibre's first root, colored by the
+    # coxeter_bar orbit of that root.
+    pts = drawn_points(label)
+    orbit_of = {r: k for k, orbit in enumerate(orbit_decomposition(label, "coxeter_bar").orbits)
+                for r in orbit}
+    want = [(*pts[g[0]], coxplane.PALETTE[orbit_of[g[0]] % 16]) for g in k_fibres(label)]
+    for show_edges in (False, True):
+        svg = render_svg(label, show_edges=show_edges)
+        assert svg_elements(svg, "circle", ("cx", "cy", "fill")) == want
+
+
+def test_svg_edges_never_form_the_whole_pairing():
+    # A60 has 3660 roots, so its |Phi| x |Phi| int64 pairing alone is 107 MB;
+    # the edge search holds row blocks of it, and the 14 MB text stays.
+    n = len(enumerate_roots("A60"))
+    render_svg("A60")  # fills the per-type caches outside the traced region
+    tracemalloc.start()
+    try:
+        render_svg("A60", show_edges=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 @pytest.mark.parametrize("label", ["A1"] + SERIES_LABELS)

@@ -644,12 +644,26 @@ def _csv_oracle(payload: dict) -> str:
     return buf.getvalue()
 
 
+def _bracket_payload(L) -> dict:
+    """Test-only reference payload: bracket_basis over every pair i < j."""
+    basis = [f"h{a + 1}" for a in range(L.rank)]
+    basis += ["g[" + ",".join(map(str, r)) + "]" for r in L.root_system.roots]
+    brackets = []
+    for i in range(L.dimension):
+        for j in range(i + 1, L.dimension):
+            terms = L.bracket_basis(i, j).terms
+            if terms:
+                brackets.append({"i": i, "j": j, "terms": [list(term) for term in terms]})
+    return {"type": L.lie_type.label, "dimension": L.dimension, "basis": basis,
+            "brackets": brackets}
+
+
 @pytest.mark.parametrize("label", ALL_TYPE_LABELS)
 def test_export_bytes_match_stdlib_writers(label, tmp_path):
-    # The writer builds its text from the table columns; the json and csv
-    # modules rendering the payload dict are the independent reference.
+    # The writer builds its text from the table columns; the reference reads
+    # the algebra pair by pair and the json and csv modules render it.
     L = build(make_type(label))
-    payload = structure_constants_payload(L)
+    payload = _bracket_payload(L)
     json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
     export_structure_constants(L, str(json_path))
     export_structure_constants(L, str(csv_path), fmt="csv")
