@@ -197,8 +197,7 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    labels = None if args.all or not args.types else args.types
-    results = verify.run_verify(labels)
+    results = verify.run_verify(args.types or None)
     if args.json:
         for r in results:
             print(json.dumps(dataclasses.asdict(r)))
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, help="run the acceptance suite")
     p.add_argument("types", nargs="*")
-    p.add_argument("--all", action="store_true")
     p.add_argument("--json", action="store_true", help="one JSON object per check result")
 
     return parser

@@ -4,8 +4,8 @@ The central object is the upper-triangular intersection matrix B of a simple
 basis of relative 1-cycles on the Milnor fiber of the corresponding plane
 curve singularity, with B[i][j] the intersection of the i-th vanishing cycle
 with the j-th basis arc.  Everything else is derived from B over the
-integers: the symmetric pairing C = B + B^t, the Seifert form -B^t and the
-stabilized pairings.
+integers: the symmetric pairing C = B + B^t, the Seifert form -B^t, the
+stabilized pairings and the projective basis B^{-t}.
 
 Roots carry coordinates in the simple arc basis a_1..a_k, and the variation
 operator a_i -> D_i = var(a_i) is the identity on them.
@@ -26,7 +26,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from ._exact import integer_array
+from ._exact import integer_array, inv_unitriangular
 
 __all__ = [
     "LieType",
@@ -179,37 +179,12 @@ def stabilized_pairing_matrix(t: LieType | str, n: int) -> np.ndarray:
 def projective_basis(t: LieType | str) -> np.ndarray:
     """Rows are the projective basis roots b_1..b_k in simple coordinates.
 
-    These are the spoke classes whose monodromy orbits sweep out the whole
-    root system; the matrix is lower unitriangular, so unimodular, and every
-    row pairs to 2 with itself.
+    The basis is dual to the simple arcs under B: B b_j = e_j, so the i-th
+    vanishing cycle meets b_j exactly when i = j, and the matrix is B^{-t},
+    lower unitriangular.  These are the spoke classes whose monodromy orbits
+    sweep out the whole root system.
     """
-    k = t.rank
-    Q = np.zeros((k, k), dtype=np.int64)
-    if t.family == "A":
-        for j in range(k):
-            Q[j, : j + 1] = 1
-    elif t.family == "D":
-        Q[0, 0] = 1
-        Q[1, 1] = 1
-        for j in range(2, k):
-            Q[j, : j + 1] = 1
-    elif k == 6:
-        rows = [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
-                (0, 0, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1)]
-        Q = np.array(rows, dtype=np.int64)
-    elif k == 7:
-        rows = [(1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0),
-                (0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1, 0),
-                (1, 1, 1, 1, 1, 1, 1)]
-        Q = np.array(rows, dtype=np.int64)
-    else:
-        rows = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0),
-                (0, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0),
-                (1, 1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1, 0, 0),
-                (1, 1, 1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 1, 1)]
-        Q = np.array(rows, dtype=np.int64)
-    assert np.array_equal(np.tril(Q), Q) and (np.diagonal(Q) == 1).all()
-    return Q
+    return inv_unitriangular(seifert_matrix(t)).T
 
 
 def matrix_payload(t: LieType | str, m) -> dict:

@@ -518,22 +518,24 @@ def slk_model_check(L: LieAlgebra) -> bool:
     return not total.any()
 
 
-def _upper_rows(L: LieAlgebra) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """The i < j rows of the table as lists (i, j, m, c) and the row bounds of each bracket.
+def _upper_half(L: LieAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The i < j rows of the table as (i, j, m, c) rows, and which rows open a bracket.
 
-    Bracket ``b`` is rows ``bounds[b]`` to ``bounds[b + 1]``; antisymmetry
-    implies the other half.
+    A bracket runs from one opening row to the next; antisymmetry implies
+    the other half.
     """
     T = L.table
     upper = np.flatnonzero(T.i < T.j)
-    bounds = np.r_[_run_starts(T.i[upper] * L.dimension + T.j[upper]), len(upper)].tolist()
-    i, j, m, c = (col[upper].tolist() for col in (T.i, T.j, T.m, T.c))
-    return i, j, m, c, bounds
+    first = np.zeros(len(upper), dtype=bool)
+    first[_run_starts(T.i[upper] * L.dimension + T.j[upper])] = True
+    return np.stack([col[upper] for col in (T.i, T.j, T.m, T.c)], axis=1), first
 
 
 def structure_constants_payload(L: LieAlgebra) -> dict:
     """JSON payload with only the i < j half of the table (antisymmetry implied)."""
-    i, j, m, c, bounds = _upper_rows(L)
+    fields, first = _upper_half(L)
+    i, j, m, c = fields.T.tolist()
+    bounds = np.r_[np.flatnonzero(first), len(first)].tolist()
     brackets = [{"i": i[lo], "j": j[lo], "terms": [[m[r], c[r]] for r in range(lo, hi)]}
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
     return {
@@ -544,39 +546,39 @@ def structure_constants_payload(L: LieAlgebra) -> dict:
     }
 
 
+def _row_templates(opening: str, term: str, closings: tuple[str, str]) -> np.ndarray:
+    """The %-templates of one [m, c] row, indexed by 2 * (opens its bracket) + (closes it).
+
+    An opening row first formats the bracket's i and j.
+    """
+    return np.array([head + term + tail for head in ("", opening) for tail in closings])
+
+
+_JSON_ROW = _row_templates('  {\n   "i": %d,\n   "j": %d,\n   "terms": [\n',
+                           "    [\n     %d,\n     %d\n    ]", ("", "\n   ]\n  }"))
+_CSV_ROW = _row_templates("%d,%d,", "%d:%d", (";", "\n"))
+
+
+def _fill_rows(L: LieAlgebra, templates: np.ndarray, sep: str) -> str:
+    """The i < j rows written by one %-format pass over a template per row."""
+    fields, first = _upper_half(L)
+    last = np.r_[first[1:], True]
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[:, :2] = first[:, None]
+    return sep.join(templates[2 * first + last].tolist()) % tuple(fields[keep].tolist())
+
+
 def _json_text(L: LieAlgebra) -> str:
-    i, j, m, c, bounds = _upper_rows(L)
-    # Each row is one [m, c] term; the first row of a bracket opens its
-    # object and the last closes it, so the rows join with ",\n" throughout.
-    head, tail = [""] * len(m), [""] * len(m)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        head[lo] = f'  {{\n   "i": {i[lo]},\n   "j": {j[lo]},\n   "terms": [\n'
-        tail[hi - 1] = "\n   ]\n  }"
-    rows = [f"{h}    [\n     {mr},\n     {cr}\n    ]{t}"
-            for h, mr, cr, t in zip(head, m, c, tail)]
     basis = [f"  {json.dumps(label)}" for label in L.basis_labels()]
     # The keys in sort_keys order: basis, brackets, dimension, type.
-    return ('{\n "basis": [\n' + ",\n".join(basis) + '\n ],\n "brackets": [\n' + ",\n".join(rows)
+    return ('{\n "basis": [\n' + ",\n".join(basis) + '\n ],\n "brackets": [\n'
+            + _fill_rows(L, _JSON_ROW, ",\n")
             + f'\n ],\n "dimension": {L.dimension},\n "type": {json.dumps(L.lie_type.label)}\n}}\n')
 
 
-# The %-template of one CSV row, indexed by 2 * (first term of its bracket) + (last term).
-_CSV_ROW = np.array(["%d:%d;", "%d:%d\n", "%d,%d,%d:%d;", "%d,%d,%d:%d\n"])
-
-
 def _csv_text(L: LieAlgebra) -> str:
-    # One line "i,j,m:c;m:c..." per bracket, filled by a single %-format pass:
-    # a bracket's first row opens the line with "i,j," and its last ends it.
-    T = L.table
-    upper = np.flatnonzero(T.i < T.j)
-    first = np.zeros(len(upper), dtype=bool)
-    first[_run_starts(T.i[upper] * L.dimension + T.j[upper])] = True
-    last = np.r_[first[1:], True]
-    fields = np.stack([col[upper] for col in (T.i, T.j, T.m, T.c)], axis=1)
-    keep = np.ones(fields.shape, dtype=bool)
-    keep[:, :2] = first[:, None]
-    fmt = "".join(_CSV_ROW[2 * first + last].tolist())
-    return "i,j,terms\n" + fmt % tuple(fields[keep].tolist())
+    # One line "i,j,m:c;m:c..." per bracket.
+    return "i,j,terms\n" + _fill_rows(L, _CSV_ROW, "")
 
 
 _RENDERERS = {"json": _json_text, "csv": _csv_text}
@@ -588,10 +590,8 @@ def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
     JSON is byte for byte ``json.dumps(structure_constants_payload(L),
     indent=1, sort_keys=True)`` plus a newline.  CSV has the header
     ``i,j,terms`` and one line ``i,j,m:c;m:c...`` per bracket; no field holds
-    a comma or a quote, so nothing is quoted.  Both texts are formatted
-    straight from the table's i < j rows, with no payload dict; the CSV is
-    filled by one %-format pass over a template per row, and only the
-    [g_a, g_-a] lines hold several terms.
+    a comma or a quote, so nothing is quoted; only the [g_a, g_-a] lines
+    hold several terms.
     ``sink`` is a path or a text file; an unknown ``fmt`` raises ValueError
     before any file is opened.
     """

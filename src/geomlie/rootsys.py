@@ -20,8 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from ._exact import integer_array, inv_unitriangular
-from .lattice import (LieType, as_type, cartan_matrix, make_type, per_type,
-                      projective_basis, seifert_matrix)
+from .lattice import LieType, as_type, cartan_matrix, make_type, per_type, seifert_matrix
 
 __all__ = [
     "Root",
@@ -122,14 +121,13 @@ def coxeter_matrix(t: LieType | str) -> np.ndarray:
 
 
 def monodromy_matrix(t: LieType | str, basis: str = "simple") -> np.ndarray:
-    """Monodromy operator B^{-1}B^t = -c, in the simple or the projective basis."""
-    t = as_type(t)
-    M = -coxeter_matrix(t)
+    """Monodromy operator: B^{-1}B^t = -c in the simple basis, and B^tB^{-1},
+    the same two factors swapped, in the projective basis B^{-t}."""
     if basis == "simple":
-        return M
+        return -coxeter_matrix(t)
     if basis == "projective":
-        QT = projective_basis(t).T
-        return inv_unitriangular(QT) @ M @ QT
+        B = seifert_matrix(t)
+        return B.T @ inv_unitriangular(B)
     raise ValueError(f"unknown basis {basis!r}")
 
 

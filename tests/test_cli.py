@@ -245,6 +245,19 @@ def test_verify_single_type(capsys, monkeypatch):
     assert "\x1b[" not in out  # color disabled
 
 
+def test_verify_checks_the_named_types_and_has_no_all_flag(capsys):
+    # With no type named, verify runs the default types; there is no --all.
+    for argv in (["verify", "--all"], ["verify", "A9", "--all"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, out, _ = run(capsys, "verify", "A9", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == len(verify.CRITERIA)
+    assert {r["label"] for r in records} == {"A9"}
+
+
 def test_verify_repeat_is_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("GEOMLIE_COLOR", "0")
     _, out1, _ = run(capsys, "verify", "A2", "A3")

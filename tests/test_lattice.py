@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import geomlie
+from geomlie import rootsys, verify
+from geomlie._exact import inv_unitriangular
 from geomlie.lattice import (cartan_matrix, make_type, matrix_payload, pairing, per_type,
                              projective_basis, seifert_matrix,
                              stabilized_pairing_matrix)
@@ -206,12 +208,58 @@ def test_stabilization_sign_recursion_oracle():
     assert (-1) ** 3 * 1 == -1  # n = 2 base case
 
 
+# The projective basis as printed, independent of B: b_j = a_1 + ... + a_j
+# for A, the same for D except b_2 = a_2, and these rows for E.
+PRINTED_E_BASIS = {
+    "E6": ((1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+           (0, 0, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1)),
+    "E7": ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0),
+           (0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1, 0),
+           (1, 1, 1, 1, 1, 1, 1)),
+    "E8": ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0),
+           (0, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0),
+           (1, 1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1, 0, 0),
+           (1, 1, 1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 1, 1)),
+}
+
+
+def _printed_projective_basis(label: str) -> np.ndarray:
+    if label in PRINTED_E_BASIS:
+        return np.array(PRINTED_E_BASIS[label], dtype=np.int64)
+    k = make_type(label).rank
+    Q = np.tril(np.ones((k, k), dtype=np.int64))
+    if label[0] == "D":
+        Q[1, 0] = 0
+    return Q
+
+
 def test_projective_basis_printed_rows():
-    assert projective_basis("E6")[4].tolist() == [1, 1, 1, 1, 1, 0]
-    assert projective_basis("A3").tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    assert projective_basis("D4")[1].tolist() == [0, 1, 0, 0]
-    assert projective_basis("E8")[3].tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
-    assert projective_basis("E7")[2].tolist() == [0, 1, 1, 0, 0, 0, 0]
+    # B^{-t}, derived from B alone, is the printed basis on every family.
+    labels = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)] + \
+        ["E6", "E7", "E8"]
+    for label in labels:
+        assert np.array_equal(projective_basis(label), _printed_projective_basis(label)), label
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_printed_monodromy_pins_every_entry_of_b(label, monkeypatch):
+    # C03 reads the projective monodromy B^t B^{-1} straight from B, so
+    # zeroing any one -1 of B must break its match with the printed matrix.
+    c03 = dict(verify.CRITERIA)["C03-printed-monodromy"]
+    B = seifert_matrix(label)
+    printed = np.array(verify.PRINTED_MONODROMY[label], dtype=np.int64)
+    assert np.array_equal(B.T @ inv_unitriangular(B), printed)
+    # Passing once first fills the memos behind the order check, so the
+    # patched B below reaches only the projective monodromy.
+    assert c03.check(make_type(label)) == []
+    spots = np.argwhere(B == -1)
+    assert len(spots) == len(B) - 1
+    for i, j in spots:
+        perturbed = B.copy()
+        perturbed[i, j] = 0
+        assert not np.array_equal(perturbed.T @ inv_unitriangular(perturbed), printed), (i, j)
+        monkeypatch.setattr(rootsys, "seifert_matrix", lambda t: perturbed)
+        assert c03.check(make_type(label)) == ["matrix mismatch"], (i, j)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

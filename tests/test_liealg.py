@@ -658,10 +658,11 @@ def _bracket_payload(L) -> dict:
             "brackets": brackets}
 
 
-@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+@pytest.mark.parametrize("label", [*ALL_TYPE_LABELS, "A31"])
 def test_export_bytes_match_stdlib_writers(label, tmp_path):
     # The writer builds its text from the table columns; the reference reads
-    # the algebra pair by pair and the json and csv modules render it.
+    # the algebra pair by pair and the json and csv modules render it.  A31
+    # (dimension 1023) has four-digit indices.
     L = build(make_type(label))
     payload = _bracket_payload(L)
     json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
