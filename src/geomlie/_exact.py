@@ -2,7 +2,8 @@
 
 The Bareiss determinant and the unitriangular inverse work over Python ints,
 so they are exact regardless of magnitude; the determinant mod p runs in
-int64 after an exact reduction mod p.  ``short_vectors`` enumerates in int64
+int64 after an exact reduction mod p, and ``is_nonsingular`` certifies a
+matrix block by block with it.  ``short_vectors`` enumerates in int64
 after an exact elimination, and refuses inputs that could overflow.
 """
 
@@ -78,6 +79,19 @@ def inv_unitriangular(m) -> np.ndarray:
     return np.array(inv, dtype=np.int64).reshape(n, n)
 
 
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """``a`` mod p in int64, exactly.
+
+    Entries that do not cast safely to int64 (object, uint64 or float, as
+    numpy reads big ints) are reduced in Python ints.
+    """
+    try:
+        return a.astype(np.int64, casting="safe") % p
+    except TypeError:
+        return np.array([int(x) % p for x in a.ravel().tolist()],
+                        dtype=np.int64).reshape(a.shape)
+
+
 def det_mod_p(m, p: int) -> int:
     """Determinant of a square integer matrix modulo a prime 2 <= p < 2**31.
 
@@ -87,13 +101,9 @@ def det_mod_p(m, p: int) -> int:
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError(f"modulus {p} is not in [2, 2**31)")
-    try:
-        a = np.asarray(m).astype(np.int64, casting="safe")
-    except TypeError:  # object, uint64 or float entries, as numpy reads big ints
-        a = np.array([[int(x) % p for x in row] for row in m], dtype=np.int64)
+    a = _residues(np.asarray(m), p)
     if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
         raise ValueError("matrix must be square")
-    a %= p
     det = 1
     for col in range(len(a)):
         rows = col + np.flatnonzero(a[col:, col])
@@ -114,11 +124,70 @@ def det_mod_p(m, p: int) -> int:
 _CERT_PRIMES = (1_000_003, 998_244_353, 2_147_483_647)
 
 
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of the rows and the columns of an n x n nonzero pattern.
+
+    Nodes 0..n-1 are the rows and n..2n-1 the columns, joined by the nonzero
+    entries (rows[e], cols[e]).  Hook and compress: every root takes the
+    smallest root of a neighbour, then pointer jumping flattens the trees,
+    until every entry joins two nodes of one label.
+    """
+    label = np.arange(2 * n)
+    u, v = rows, cols + n
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label[:n], label[n:]
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
+
+
 def is_nonsingular(m) -> bool:
-    """Exact nonsingularity test: mod-p certificate, Bareiss fallback."""
-    for p in _CERT_PRIMES:
-        if det_mod_p(m, p) != 0:
-            return True
+    """Exact nonsingularity test, certified block by block.
+
+    The connected components of the graph joining row r to column c where
+    m[r, c] != 0 are the diagonal blocks of m up to a row and a column
+    permutation, so det m = +-(product of the block determinants).  A
+    component with unequal row and column counts (a zero row, say) makes m
+    singular.  Each square block is certified by a nonzero determinant mod
+    one of the ``_CERT_PRIMES``: the 1 x 1 and 2 x 2 blocks in one vectorized
+    step, larger ones by :func:`det_mod_p`.  Only when some block is
+    certified by no prime does the Bareiss determinant decide, once, on the
+    whole matrix.
+    """
+    a = np.asarray(m)
+    if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
+        raise ValueError("matrix must be square")
+    n = len(a)
+    if n == 0:
+        return True
+    row_label, col_label = _components(*np.nonzero(a != 0), n)
+    size = np.bincount(row_label, minlength=2 * n)
+    if not np.array_equal(size, np.bincount(col_label, minlength=2 * n)):
+        return False
+    # Sorted by label, the rows and the columns of each block sit at the same positions.
+    ro = np.argsort(row_label, kind="stable")
+    co = np.argsort(col_label, kind="stable")
+    label = row_label[ro]
+    width = size[label]
+    one = np.flatnonzero(width == 1)
+    two = np.flatnonzero(width == 2)[::2]
+    r0, r1, c0, c1 = ro[two], ro[two + 1], co[two], co[two + 1]
+    entries = np.concatenate([a[ro[one], co[one]], a[r0, c0], a[r1, c1], a[r0, c1], a[r1, c0]])
+    # One column per prime; residues below 2**31 keep each product below 2**62.
+    e = np.stack([_residues(entries, p) for p in _CERT_PRIMES], axis=1)
+    s, t = len(one), len(two)
+    det = np.concatenate([e[:s], (e[s:s + t] * e[s + t:s + 2 * t]
+                                  - e[s + 2 * t:s + 3 * t] * e[s + 3 * t:]) % _CERT_PRIMES])
+    first = np.flatnonzero(np.r_[True, label[1:] != label[:-1]])
+    first = first[width[first] >= 3]
+    blocks = (a[np.ix_(ro[lo:lo + w], co[lo:lo + w])]
+              for lo, w in zip(first.tolist(), width[first].tolist()))
+    if det.any(axis=1).all() and all(any(det_mod_p(b, p) for p in _CERT_PRIMES) for b in blocks):
+        return True
     return det_exact(m) != 0
 
 

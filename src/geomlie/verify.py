@@ -427,11 +427,21 @@ def _c15_coxplane(t: LieType) -> list[str]:
 
 
 _BOX_SCAN_MAX_RANK = 6
-_BOX_SCAN_BOUND = 6
+_BOX_SCAN_BOUND = 3
 
 
 def _box_scan(C: np.ndarray) -> set[tuple[int, ...]]:
     """Literal scan of the integer box |v_i| <= _BOX_SCAN_BOUND for v^t C v = 2.
+
+    The box holds every root of the types scanned.  For positive definite C,
+    v_i = (C^-1 e_i)^t C v, so Cauchy-Schwarz in the form C gives
+    v_i^2 <= (C^-1)_ii v^t C v, i.e. v_i^2 <= 2 (C^-1)_ii on the roots
+    (Fincke-Pohst, Math. Comp. 44, 1985).  Over A1-A6, D3-D6 and E6, the
+    types of rank <= _BOX_SCAN_MAX_RANK, the largest (C^-1)_ii is 6, at E6's
+    trivalent node (A_k: i (k + 1 - i) / (k + 1) <= 12/7; D_k: at most
+    k - 2 = 4), so |v_i| <= isqrt(12) = 3.  The scan itself uses no bound
+    on C: it tests every point of the box, so a form that is not positive
+    definite (the negative control) is scanned as it is.
 
     Every point of the box is tested in integers.  With v = (lead, tail),
     v^t C v = C_00 lead^2 + lead ((C_0,1: + C_1:,0) . tail) + tail^t C' tail

@@ -9,6 +9,7 @@ are fixed inside the library.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from geomlie import _exact, liealg, verify
 from geomlie.lattice import cartan_matrix
@@ -147,6 +149,31 @@ def test_box_scan_negative_control(label, which):
     spots = np.argwhere(C == -1) if len(C) > 1 else [(0, 0)]
     perturbed[tuple(spots[which])] = 0
     assert verify._box_scan(perturbed) != roots
+
+
+# Every type the C16 box scan runs on: A1-A6, D3-D6 and E6.
+BOX_SCANNED = [lab for lab in ALL_TYPE_LABELS if int(lab[1:]) <= verify._BOX_SCAN_MAX_RANK]
+
+
+@pytest.mark.usefixtures("quiet_d3_warning")
+@pytest.mark.parametrize("label", BOX_SCANNED)
+def test_box_scan_bound_reaches_every_root(label):
+    # A root v (v^t C v = 2, C positive definite) has v_i^2 <= 2 (C^-1)_ii,
+    # so the box |v_i| <= _BOX_SCAN_BOUND holds every root.
+    assert len(BOX_SCANNED) == 11
+    diagonal = sympy.Matrix(cartan_matrix(label).tolist()).inv().diagonal()
+    assert math.isqrt(math.floor(2 * max(diagonal))) <= verify._BOX_SCAN_BOUND
+    if label == "E6":  # the largest entry over the scanned types, at the trivalent node
+        assert max(diagonal) == 6
+
+
+@pytest.mark.usefixtures("quiet_d3_warning")
+@pytest.mark.parametrize("label", BOX_SCANNED)
+def test_box_scan_at_the_wider_bound_finds_the_same_set(label, monkeypatch):
+    C = cartan_matrix(label)
+    found = verify._box_scan(C)
+    monkeypatch.setattr(verify, "_BOX_SCAN_BOUND", 6)
+    assert verify._box_scan(C) == found
 
 
 def test_verify_past_rank_8_has_no_fail_or_error():

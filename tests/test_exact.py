@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geomlie import _exact
 from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
                             is_nonsingular, short_vectors)
 from geomlie.lattice import cartan_matrix, make_type, matrix_payload, pairing
@@ -154,6 +155,65 @@ def test_det_mod_p_refuses_non_square_matrices(m):
         det_mod_p(m, 7)
     with pytest.raises(ValueError, match="square"):
         is_nonsingular(m)
+
+
+# Entries include values past 2**63 (object dtype) and multiples of every
+# certificate prime, which only the Bareiss fallback decides.
+_CERT_PRODUCT = math.prod(_CERT_PRIMES)
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(2 ** 63, 2 ** 66),
+                     st.integers(-2 ** 66, -2 ** 63), st.sampled_from([_CERT_PRODUCT, -2 * _CERT_PRODUCT]))
+
+
+def _matrices(rows: int, cols: int):
+    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _square_block(rows, factor):
+    # A nonzero factor makes the last row that multiple of the sum of the
+    # others: a singular block, a zero one at size 1.
+    if factor:
+        rows[-1] = [factor * sum(col[:-1]) for col in zip(*rows)]
+    return rows
+
+
+_SQUARE_BLOCKS = st.builds(_square_block, st.integers(1, 4).flatmap(lambda k: _matrices(k, k)),
+                           st.sampled_from([0, 0, 1, -2]))
+
+
+def _scrambled(blocks, data) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks``, its rows and columns permuted."""
+    rows, cols = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    out = np.zeros((rows, cols), dtype=object)
+    r = c = 0
+    for b in blocks:
+        out[r:r + len(b), c:c + len(b[0])] = b
+        r, c = r + len(b), c + len(b[0])
+    row_order = data.draw(st.permutations(range(rows)))
+    col_order = data.draw(st.permutations(range(cols)))
+    return out[np.ix_(row_order, col_order)]
+
+
+@given(st.lists(_SQUARE_BLOCKS, min_size=1, max_size=5), st.booleans(), st.data())
+def test_is_nonsingular_agrees_with_det_exact_on_scrambled_blocks(blocks, zero_row, data):
+    # 1x1 and 2x2 blocks are certified together, larger ones one by one.
+    m = _scrambled(blocks, data)
+    if zero_row:
+        m[data.draw(st.integers(0, len(m) - 1))] = 0
+    assert is_nonsingular(m) == (det_exact(m) != 0)
+
+
+@given(st.lists(_SQUARE_BLOCKS, max_size=3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_is_nonsingular_refuses_a_non_square_component_without_bareiss(blocks, r, c, data):
+    # An r x c block with r != c, made square by a c x r one, leaves some
+    # component with unequal row and column counts: the matrix is singular.
+    if r == c:
+        c += 1
+    pair = [data.draw(_matrices(r, c)), data.draw(_matrices(c, r))]
+    m = _scrambled(blocks + pair, data)
+    assert det_exact(m) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_exact, "det_exact", lambda m: pytest.fail("det_exact was called"))
+        assert is_nonsingular(m) is False
 
 
 @pytest.mark.parametrize("p", [2 ** 31, 2 ** 61 - 1, 1])
