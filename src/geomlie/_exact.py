@@ -26,6 +26,13 @@ def integer_array(x) -> np.ndarray:
     return out
 
 
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges [lo[k], lo[k] + count[k]) concatenated, for counts >= 0."""
+    out = np.repeat(lo - np.cumsum(count) + count, count)
+    out += np.arange(len(out))
+    return out
+
+
 def _rows(m) -> list[list[int]]:
     return [[int(x) for x in row] for row in m]
 
@@ -263,7 +270,7 @@ def short_vectors(gram, norm: int) -> list[tuple[int, ...]]:
         low = -((r + b) // a)
         count = np.maximum((r - b) // a - low + 1, 0)
         parent = np.repeat(np.arange(len(tails)), count)
-        x = np.repeat(low - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        x = _ranges(low, count)
         t = a * x + b[parent]
         slack = (disc[parent] - t * t) // a
         tails = np.column_stack((x, tails[parent]))

@@ -11,10 +11,10 @@ Bracket rules:
 
 with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix
 (:func:`root_signs`).  All structure constants live in one sparse
-:class:`StructureTable` that lists every nonzero ordered basis bracket.  The
-bracket, the antisymmetry, Jacobi, Killing and sl2 checks, the matrix model
-and the export all read the table of the algebra they are given, so a
-corrupted coefficient shows up in every check.
+:class:`StructureTable`: one row per nonzero ordered basis bracket term and
+one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2
+checks, the matrix model and the export all read the table of the algebra
+they are given, so a corrupted coefficient shows up in every check.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import integer_array, is_nonsingular
+from ._exact import _ranges, integer_array, is_nonsingular
 from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
 from .rootsys import Root, RootSystem, enumerate_roots
 
@@ -51,7 +50,6 @@ __all__ = [
     "slk_model_check",
     "export_structure_constants",
     "load_structure_constants",
-    "structure_constants_payload",
 ]
 
 # ``build`` refuses a type whose Jacobi join could exceed this many terms.
@@ -122,16 +120,32 @@ ZERO = AlgebraElement(())
 class StructureTable:
     """Sparse structure constants: [e_i, e_j] has coefficient c on e_m.
 
-    One row per nonzero (i, j, m), sorted by (i, j, m).  ``key`` is the tuple
-    of i * dimension + j for each row as Python ints, which ``bisect``
-    searches several times faster per pair than numpy can.
+    One row per nonzero (i, j, m), sorted by (i, j, m).  The rows of
+    [e_i, e_j] are ``start[i * n + j]:start[i * n + j + 1]``, n the
+    dimension: ``start`` is an int32 array of n^2 + 1 row offsets.  Make a
+    table with :meth:`from_rows`, which keeps the rows and the index in step.
     """
 
     i: np.ndarray
     j: np.ndarray
     m: np.ndarray
     c: np.ndarray
-    key: tuple[int, ...]
+    start: np.ndarray
+
+    @classmethod
+    def from_rows(cls, n: int, i, j, m, c) -> "StructureTable":
+        """The read-only table of dimension n with the rows (i, j, m, c), in any order."""
+        i, j, m, c = (integer_array(col) for col in (i, j, m, c))
+        if any(col.size and not 0 <= col.min() <= col.max() < n for col in (i, j, m)):
+            raise ValueError("basis index out of range")
+        pair = i * n + j
+        order = np.argsort(pair * n + m)
+        start = np.zeros(n * n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pair, minlength=n * n), out=start[1:])
+        columns = [col[order] for col in (i, j, m, c)]
+        for col in (*columns, start):
+            col.setflags(write=False)
+        return cls(*columns, start)
 
 
 @dataclass(frozen=True)
@@ -173,11 +187,9 @@ class LieAlgebra:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("basis index out of range")
         T = self.table
-        q = i * n + j
-        lo = bisect_left(T.key, q)
-        if lo == len(T.key) or T.key[lo] != q:
+        lo, hi = T.start[i * n + j:i * n + j + 2].tolist()
+        if hi == lo:
             return ZERO
-        hi = bisect_right(T.key, q, lo)
         if hi == lo + 1:  # every nonzero bracket but [g_a, g_-a] has one term
             return AlgebraElement(((int(T.m[lo]), int(T.c[lo])),))
         return AlgebraElement(tuple(zip(T.m[lo:hi].tolist(), T.c[lo:hi].tolist())))
@@ -204,9 +216,9 @@ def term_bounds(t: LieType | str) -> tuple[int, int]:
 
 @per_type
 def build(t: LieType | str) -> LieAlgebra:
-    """The sparse structure-constant table of one type, built once per type.
+    """The structure-constant table of one type, its rows from the four bracket rules.
 
-    Every later call shares it, so its columns are read-only and ``key`` a tuple.
+    Built once per type and shared by every later call, so read-only (``from_rows``).
     """
     table_rows, join_terms = term_bounds(t)
     if join_terms > MAX_JACOBI_TERMS:
@@ -236,11 +248,7 @@ def build(t: LieType | str) -> LieAlgebra:
     j = np.concatenate([hb, hi, nb, rb + k])
     m = np.concatenate([hb, hb, nm, rm])
     c = np.concatenate([hv, -hv, nv, rv])
-    order = np.argsort((i * n + j) * n + m)
-    i, j, m, c = i[order], j[order], m[order], c[order]
-    for col in (i, j, m, c):
-        col.setflags(write=False)
-    return LieAlgebra(t, rs, n, StructureTable(i, j, m, c, tuple((i * n + j).tolist())))
+    return LieAlgebra(t, rs, n, StructureTable.from_rows(n, i, j, m, c))
 
 
 def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -278,9 +286,7 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start = np.cumsum(count) - count
     count = count[left]
     a = np.repeat(np.arange(len(left)), count)
-    order = np.argsort(right, kind="stable")
-    b = order[np.arange(len(a)) + np.repeat(start[left] - np.cumsum(count) + count, count)]
-    return a, b
+    return a, np.argsort(right, kind="stable")[_ranges(start[left], count)]
 
 
 def check_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
@@ -314,21 +320,20 @@ def _swap_last(key: np.ndarray) -> np.ndarray:
     return key & ~0xFFFFF | (key & 1023) << 10 | key >> 10 & 1023
 
 
-def _is_mirrored(i: np.ndarray, j: np.ndarray, m: np.ndarray, c: np.ndarray, n: int) -> bool:
+def _is_mirrored(T: StructureTable, n: int) -> bool:
     """Whether the i > j rows are exactly the mirrors (j, i, m, -c) of the i < j rows.
 
-    A row with i = j makes the answer False.  Each row is compared as one
-    word, (i, j, m) then c + 2048 in 12 bits, which holds the |c| <= 2047
-    that check_jacobi packs.
+    [e_i, e_j] and [e_j, e_i] need equal sizes and [e_i, e_i] none; then each
+    i < j row must mirror the row at its offset in the mirror bracket.  A
+    repeated (i, j, m) may read False, which costs only the full join.
     """
-    up, down = i < j, i > j
-    if np.count_nonzero(up) != np.count_nonzero(down) or np.count_nonzero(i == j):
+    size = np.diff(T.start).reshape(n, n)
+    if size.diagonal().any() or not np.array_equal(size, size.T):
         return False
-    word = ((i[up].astype(np.int64) * n + j[up]) * n + m[up]) << 12 | c[up] + 2048
-    mirror = ((j[down].astype(np.int64) * n + i[down]) * n + m[down]) << 12 | 2048 - c[down]
-    word.sort()
-    mirror.sort()
-    return np.array_equal(word, mirror)
+    up = np.flatnonzero(T.i < T.j)
+    i, j = T.i[up], T.j[up]
+    mirror = T.start[j * n + i] + (up - T.start[i * n + j])
+    return np.array_equal(T.m[mirror], T.m[up]) and np.array_equal(T.c[mirror], -T.c[up])
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
@@ -355,9 +360,9 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     cancel pairwise.  Any other table joins all its rows and keys each term
     by the smallest rotation, (a, b, c) or (a, c, b) by parity.
 
-    The five runs of each joined row are bounded by indexing the row offsets
-    start[i * n + j], the first row at or past each (i, j): an int32 array of
-    n^2 + 1 entries (4.2 MB at dimension 1023), so no bound is searched for.
+    The five runs of each joined row are bounded by indexing the table's own
+    row offsets, ``start[q]`` being the first row with i * n + j >= q, so no
+    bound is searched for.
 
     Each term is one int64 word: the key packed as a << 20 | b << 10 | c,
     then p in 10 bits, then the coefficient offset to be nonnegative in the
@@ -376,7 +381,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
         raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
                          f"are too wide to pack a Jacobi term in 63 bits")
     i, j, m, c = (col.astype(np.int32) for col in (T.i, T.j, T.m, T.c))
-    mirrored = _is_mirrored(i, j, m, c, n)
+    mirrored = _is_mirrored(T, n)
     rows = i < j if mirrored else slice(None)
     x, y, mx, cx = i[rows], j[rows], m[rows], c[rows]
     u, v = np.minimum(x, y), np.maximum(x, y)
@@ -388,11 +393,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     # where an index repeats.  Where u = v the running maximum empties runs 2-3.
     base = mx * n
     bounds = np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])
-    # start[q] is the first row with i * n + j >= q, so bounds index it directly.
-    start = np.zeros(n * n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(i * n + j, minlength=n * n), out=start[1:])
-    bounds = np.maximum.accumulate(start[bounds], axis=0)
-    del start
+    bounds = np.maximum.accumulate(T.start[bounds], axis=0)
     count = np.diff(bounds, axis=0)
     parity = np.array([[1], [0], [-1], [0], [1]], dtype=np.int32) * np.sign(y - x)
     head = np.concatenate([u << 10 | v, u << 10 | v, u << 20 | v, u << 20 | v, u << 20 | v << 10])
@@ -400,8 +401,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     # per-term column is dropped once used (see MAX_JACOBI_TERMS for the peak).
     edge = np.cumsum(count.sum(axis=1))
     count = count.ravel()
-    b = np.arange(count.sum())
-    b += np.repeat(bounds[:-1].ravel() - np.cumsum(count) + count, count)
+    b = _ranges(bounds[:-1].ravel(), count)
     key = j.take(b)
     key[:edge[1]] <<= 20
     key[edge[1]:edge[3]] <<= 10
@@ -535,29 +535,13 @@ def slk_model_check(L: LieAlgebra) -> bool:
 def _upper_half(L: LieAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """The i < j rows of the table as (i, j, m, c) rows, and which rows open a bracket.
 
-    A bracket runs from one opening row to the next; antisymmetry implies
-    the other half.
+    A row opens [e_i, e_j] when it is row start[i * n + j] of the table;
+    antisymmetry implies the other half.
     """
     T = L.table
     upper = np.flatnonzero(T.i < T.j)
-    first = np.zeros(len(upper), dtype=bool)
-    first[_run_starts(T.i[upper] * L.dimension + T.j[upper])] = True
-    return np.stack([col[upper] for col in (T.i, T.j, T.m, T.c)], axis=1), first
-
-
-def structure_constants_payload(L: LieAlgebra) -> dict:
-    """JSON payload with only the i < j half of the table (antisymmetry implied)."""
-    fields, first = _upper_half(L)
-    i, j, m, c = fields.T.tolist()
-    bounds = np.r_[np.flatnonzero(first), len(first)].tolist()
-    brackets = [{"i": i[lo], "j": j[lo], "terms": [[m[r], c[r]] for r in range(lo, hi)]}
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return {
-        "type": L.lie_type.label,
-        "dimension": L.dimension,
-        "basis": L.basis_labels(),
-        "brackets": brackets,
-    }
+    fields = np.stack([col[upper] for col in (T.i, T.j, T.m, T.c)], axis=1)
+    return fields, upper == T.start[fields[:, 0] * L.dimension + fields[:, 1]]
 
 
 def _row_templates(opening: str, term: str, closings: tuple[str, str]) -> np.ndarray:
@@ -603,11 +587,12 @@ _RENDERERS = {"json": _json_text, "csv": _csv_text}
 def export_structure_constants(L: LieAlgebra, sink, fmt: str = "json") -> None:
     """Write the i < j structure constants deterministically as JSON or CSV.
 
-    JSON is byte for byte ``json.dumps(structure_constants_payload(L),
-    indent=1, sort_keys=True)`` plus a newline.  CSV has the header
-    ``i,j,terms`` and one line ``i,j,m:c;m:c...`` per bracket; no field holds
-    a comma or a quote, so nothing is quoted; only the [g_a, g_-a] lines
-    hold several terms.
+    JSON is byte for byte ``json.dumps(payload, indent=1, sort_keys=True)``
+    plus a newline; the payload holds "type", "dimension", "basis" (labels)
+    and "brackets", {"i", "j", "terms": [[m, c], ...]} per nonzero [e_i, e_j]
+    with i < j.  CSV has the header ``i,j,terms`` and one line
+    ``i,j,m:c;m:c...`` per bracket; no field holds a comma or a quote, so
+    nothing is quoted; only the [g_a, g_-a] lines hold several terms.
     ``sink`` is a path or a text file; an unknown ``fmt`` raises ValueError
     before any file is opened.
     """

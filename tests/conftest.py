@@ -23,10 +23,9 @@ def quiet_d3_warning():
 
 
 def _writable_copy(L):
-    """``L`` with writable copies of its four table columns."""
+    """``L`` with writable copies of its table's ``m`` and ``c`` columns."""
     T = L.table
-    columns = {name: getattr(T, name).copy() for name in ("i", "j", "m", "c")}
-    return dataclasses.replace(L, table=dataclasses.replace(T, **columns))
+    return dataclasses.replace(L, table=dataclasses.replace(T, m=T.m.copy(), c=T.c.copy()))
 
 
 @pytest.fixture
@@ -35,5 +34,8 @@ def writable():
 
     ``liealg.build`` shares one read-only algebra per type, so a corruption
     works on ``writable(build(label))`` and leaves the shared one intact.
+    Only the outputs ``m`` and coefficients ``c`` become writable; ``i``,
+    ``j`` and the row index ``start`` stay shared and read-only, so no
+    corruption can leave the index out of step with the rows it indexes.
     """
     return _writable_copy

@@ -26,6 +26,14 @@ def _block_diag(a, b):
     return out
 
 
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 4)), max_size=8))
+def test_ranges_concatenate_the_ranges(spans):
+    # Zero counts and an empty input included.
+    lo, count = (np.array([s[k] for s in spans], dtype=np.int64) for k in (0, 1))
+    want = np.concatenate([np.arange(a, a + c) for a, c in spans] + [np.arange(0)])
+    assert _exact._ranges(lo, count).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("first, second", [("E8", "E8"), ("D8", "E8"), ("A8", "D8"), ("E7", "A1")])
 def test_direct_sum_norm_two_is_union_of_root_systems(first, second):
     # In C1 (+) C2 a norm-2 vector has norm 2 in one block and 0 in the other,

@@ -14,7 +14,7 @@ import geomlie
 MODULES = sorted(m.name for m in pkgutil.iter_modules(geomlie.__path__, "geomlie."))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Kept without a caller: the tests use them as reference oracles for other code paths.
-TEST_ORACLES = {"pairing", "n_sign", "structure_constants_payload"}
+TEST_ORACLES = {"pairing", "n_sign"}
 
 
 def test_modules_found():

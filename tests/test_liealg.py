@@ -22,7 +22,7 @@ from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             check_jacobi, check_sl2, export_structure_constants,
                             is_nondegenerate, killing_form,
                             load_structure_constants, n_sign, root_signs,
-                            slk_model_check, structure_constants_payload)
+                            slk_model_check)
 from geomlie.lattice import make_type, seifert_matrix
 from geomlie.rootsys import enumerate_roots
 from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS
@@ -220,8 +220,7 @@ def test_jacobi_matches_reference_sweep(label, corruption, writable):
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:
     """An algebra of dimension n whose table is exactly ``rows`` (i, j, m, c)."""
-    i, j, m, c = (np.array(col, dtype=np.int64) for col in zip(*sorted(rows)))
-    table = liealg.StructureTable(i, j, m, c, tuple((i * n + j).tolist()))
+    table = liealg.StructureTable.from_rows(n, *zip(*rows))
     return dataclasses.replace(build("A1"), dimension=n, table=table)
 
 
@@ -318,7 +317,7 @@ def test_sign_cocycle():
 @settings(max_examples=40)
 @given(st.sampled_from(sorted(JACOBI_ALGEBRAS)), st.data())
 def test_jacobi_on_random_elements(label, data):
-    # bracket reads the table pair by pair (bisect), sharing nothing with
+    # bracket reads the table pair by pair (row offsets), sharing nothing with
     # the sort kernel of check_jacobi.
     L = JACOBI_ALGEBRAS[label]
     x, y, z = (data.draw(algebra_elements(L.dimension)) for _ in range(3))
@@ -492,12 +491,8 @@ def test_slk_model_negative_control(writable):
 
 
 def _with_rows(L, i, j, m, c):
-    """L with the structure-table rows (i, j, m, c), sorted by (i, j, m) as build sorts them."""
-    n = L.dimension
-    order = np.argsort((i * n + j) * n + m)
-    i, j, m, c = (col[order] for col in (i, j, m, c))
-    return dataclasses.replace(L, table=liealg.StructureTable(i, j, m, c,
-                                                              tuple((i * n + j).tolist())))
+    """L with the structure-table rows (i, j, m, c)."""
+    return dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, i, j, m, c))
 
 
 def test_slk_model_catches_a_dropped_row():
@@ -610,7 +605,7 @@ def test_slk_model_range():
 
 def test_export_round_trip(tmp_path):
     L = build(make_type("A1"))
-    payload = structure_constants_payload(L)
+    payload = _bracket_payload(L)
     assert payload["dimension"] == 3
     assert len(payload["basis"]) == 3
     assert len(payload["brackets"]) == 3  # three nonzero i<j brackets
@@ -629,7 +624,7 @@ def test_export_e6_reimports_equal(tmp_path):
     path = tmp_path / "e6.json"
     export_structure_constants(L, str(path))
     again = load_structure_constants(str(path))
-    assert again == structure_constants_payload(L)
+    assert again == _bracket_payload(L)
     assert again["dimension"] == 78
     assert len(again["basis"]) == 78
 
@@ -669,7 +664,8 @@ def _bracket_payload(L) -> dict:
 def _export_algebra(label):
     if label == "A1-empty":  # no i < j rows: json.dumps writes "brackets": []
         e = np.array([], dtype=np.int64)
-        return dataclasses.replace(build("A1"), table=liealg.StructureTable(e, e, e, e, ()))
+        table = liealg.StructureTable.from_rows(3, e, e, e, e)
+        return dataclasses.replace(build("A1"), table=table)
     return build(make_type(label))
 
 
@@ -692,7 +688,7 @@ def test_export_bytes_match_stdlib_writers(label, tmp_path):
 def test_export_load_round_trip(tmp_path_factory, label):
     # Path objects for both sinks; the CSV is parsed back by hand.
     L = build(make_type(label))
-    payload = structure_constants_payload(L)
+    payload = _bracket_payload(L)
     folder = tmp_path_factory.mktemp(label)
     json_path, csv_path = folder / "out.json", folder / "out.csv"
     export_structure_constants(L, json_path)
