@@ -18,14 +18,8 @@ from .rootsys import (classical_folding, enumerate_roots, fold, monodromy_matrix
                       orbit_decomposition, rootsystem_payload)
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("GEOMLIE_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _paint(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _color_enabled() else text
+    return f"\x1b[{code}m{text}\x1b[0m" if sys.stdout.isatty() else text
 
 
 def _print_matrix(m) -> None:

@@ -116,16 +116,31 @@ class AlgebraElement:
 ZERO = AlgebraElement(())
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions in a sorted array where a run of equal values begins."""
+    return np.flatnonzero(np.r_[len(ordered) > 0, ordered[1:] != ordered[:-1]])
+
+
+def _group_sums(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the sum of ``values`` over each."""
+    order = np.argsort(key)
+    key = key[order]
+    first = _run_starts(key)
+    return key[first], np.add.reduceat(values[order], first)
+
+
 @dataclass(frozen=True)
 class StructureTable:
     """Sparse structure constants: [e_i, e_j] has coefficient c on e_m.
 
-    One row per nonzero (i, j, m), sorted by (i, j, m).  The rows of
-    [e_i, e_j] are ``start[i * n + j]:start[i * n + j + 1]``, n the
-    dimension: ``start`` is an int32 array of n^2 + 1 row offsets.  Make a
-    table with :meth:`from_rows`, which keeps the rows and the index in step.
+    Canonical: one row per (i, j, m) with a nonzero coefficient, sorted by
+    (i, j, m), so one bracket map has one table.  The rows of [e_i, e_j]
+    are ``start[i * n + j]:start[i * n + j + 1]``, n the dimension:
+    ``start`` is an int32 array of n^2 + 1 row offsets.  Make a table with
+    :meth:`from_rows`, which keeps the rows and the index in step.
     """
 
+    n: int
     i: np.ndarray
     j: np.ndarray
     m: np.ndarray
@@ -134,32 +149,41 @@ class StructureTable:
 
     @classmethod
     def from_rows(cls, n: int, i, j, m, c) -> "StructureTable":
-        """The read-only table of dimension n with the rows (i, j, m, c), in any order."""
+        """The read-only canonical table of dimension n from the rows (i, j, m, c), in any order.
+
+        Rows that share an (i, j, m) are summed and a zero sum is dropped,
+        so two row sets of one bracket map give equal tables.
+        """
         i, j, m, c = (integer_array(col) for col in (i, j, m, c))
         if any(col.size and not 0 <= col.min() <= col.max() < n for col in (i, j, m)):
             raise ValueError("basis index out of range")
-        pair = i * n + j
-        order = np.argsort(pair * n + m)
+        key, c = _group_sums((i * n + j) * n + m, c)
+        nonzero = c != 0
+        key, c = key[nonzero], c[nonzero]
+        pair, m = np.divmod(key, n)
+        i, j = np.divmod(pair, n)
         start = np.zeros(n * n + 1, dtype=np.int32)
         np.cumsum(np.bincount(pair, minlength=n * n), out=start[1:])
-        columns = [col[order] for col in (i, j, m, c)]
-        for col in (*columns, start):
+        for col in (i, j, m, c, start):
             col.setflags(write=False)
-        return cls(*columns, start)
+        return cls(n, i, j, m, c, start)
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure-constant model of the algebra of one ADE type."""
+    """Structure-constant model of the algebra of one ADE type; its dimension is the table's."""
 
     lie_type: LieType
     root_system: RootSystem = field(repr=False)
-    dimension: int
     table: StructureTable = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
+
+    @property
+    def dimension(self) -> int:
+        return self.table.n
 
     # -- basis helpers ----------------------------------------------------
     def cartan_gen(self, i: int) -> AlgebraElement:
@@ -182,11 +206,11 @@ class LieAlgebra:
     # -- bracket ----------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
         """Bracket of two basis elements by global index."""
-        n = self.dimension
+        T = self.table
+        n = T.n
         i, j = integer_array((i, j)).tolist()
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("basis index out of range")
-        T = self.table
         lo, hi = T.start[i * n + j:i * n + j + 2].tolist()
         if hi == lo:
             return ZERO
@@ -248,7 +272,7 @@ def build(t: LieType | str) -> LieAlgebra:
     j = np.concatenate([hb, hi, nb, rb + k])
     m = np.concatenate([hb, hb, nm, rm])
     c = np.concatenate([hv, -hv, nv, rv])
-    return LieAlgebra(t, rs, n, StructureTable.from_rows(n, i, j, m, c))
+    return LieAlgebra(t, rs, StructureTable.from_rows(n, i, j, m, c))
 
 
 def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -259,19 +283,6 @@ def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
             for m, c in L.bracket_basis(i, j).terms:
                 acc[m] = acc.get(m, 0) + ci * cj * c
     return AlgebraElement.from_dict(acc)
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Positions in a sorted array where a run of equal values begins."""
-    return np.flatnonzero(np.r_[len(ordered) > 0, ordered[1:] != ordered[:-1]])
-
-
-def _group_sums(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in ascending order and the sum of ``values`` over each."""
-    order = np.argsort(key)
-    key = key[order]
-    first = _run_starts(key)
-    return key[first], np.add.reduceat(values[order], first)
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,22 +331,6 @@ def _swap_last(key: np.ndarray) -> np.ndarray:
     return key & ~0xFFFFF | (key & 1023) << 10 | key >> 10 & 1023
 
 
-def _is_mirrored(T: StructureTable, n: int) -> bool:
-    """Whether the i > j rows are exactly the mirrors (j, i, m, -c) of the i < j rows.
-
-    [e_i, e_j] and [e_j, e_i] need equal sizes and [e_i, e_i] none; then each
-    i < j row must mirror the row at its offset in the mirror bracket.  A
-    repeated (i, j, m) may read False, which costs only the full join.
-    """
-    size = np.diff(T.start).reshape(n, n)
-    if size.diagonal().any() or not np.array_equal(size, size.T):
-        return False
-    up = np.flatnonzero(T.i < T.j)
-    i, j = T.i[up], T.j[up]
-    mirror = T.start[j * n + i] + (up - T.start[i * n + j])
-    return np.array_equal(T.m[mirror], T.m[up]) and np.array_equal(T.c[mirror], -T.c[up])
-
-
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Exhaustive Jacobi check, as a join of the structure table with itself.
 
@@ -349,9 +344,10 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     of (a, b, c), the odd ones those of (a, c, b), and a triple with a
     repeated index has one class, itself.
 
-    On an antisymmetric table, where the i > j rows are exactly the mirrors
-    (j, i, m, -c) of the i < j rows and no row has i = j, only the i < j rows
-    are joined.  The mirror of a term is its negative in the class of
+    On an antisymmetric table (:func:`check_antisymmetry` finds no pair)
+    only the i < j rows are joined: the table being canonical, its i > j
+    rows are then exactly the mirrors (j, i, m, -c) of the i < j rows and no
+    row has i = j.  The mirror of a term is its negative in the class of
     opposite parity, so the class of (a, b, c) sums to the parity-signed
     total S of the i < j terms and the class of (a, c, b) to -S (the
     Jacobiator is alternating, Humphreys, Introduction to Lie Algebras, 1.1).
@@ -381,8 +377,8 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
         raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
                          f"are too wide to pack a Jacobi term in 63 bits")
     i, j, m, c = (col.astype(np.int32) for col in (T.i, T.j, T.m, T.c))
-    mirrored = _is_mirrored(T, n)
-    rows = i < j if mirrored else slice(None)
+    antisymmetric = not check_antisymmetry(L)
+    rows = i < j if antisymmetric else slice(None)
     x, y, mx, cx = i[rows], j[rows], m[rows], c[rows]
     u, v = np.minimum(x, y), np.maximum(x, y)
     # Rows are sorted by (i, j, m), so the rows [m, z] are one block with z
@@ -407,11 +403,11 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     key[edge[1]:edge[3]] <<= 10
     key |= np.repeat(head, count)
     coef = c.take(b)
-    coef *= np.repeat((parity * cx if mirrored else np.tile(cx, 5)).ravel(), count)
+    coef *= np.repeat((parity * cx if antisymmetric else np.tile(cx, 5)).ravel(), count)
     coef += cmax
     p = m.take(b)
     del b
-    if not mirrored:  # key each term by its class: (a, c, b) where the parity is odd
+    if not antisymmetric:  # key each term by its class: (a, c, b) where the parity is odd
         odd = np.repeat(parity.ravel() < 0, count)
         key[odd] = _swap_last(key[odd])
         del odd
@@ -434,7 +430,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     classes = triple[_run_starts(triple)]
     bad = triple[total != 0]
     bad = bad[_run_starts(bad)]
-    if mirrored:
+    if antisymmetric:
         mid = classes >> 10 & 1023
         repeated = (classes >> 20 == mid) | (mid == classes & 1023)
         checked = 2 * len(classes) - int(np.count_nonzero(repeated))

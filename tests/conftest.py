@@ -8,6 +8,8 @@ import warnings
 import pytest
 from hypothesis import settings
 
+from geomlie.liealg import StructureTable
+
 # Derandomized, so every run draws the same examples and two commits compare
 # on equal footing; a failure prints the blob that reproduces it.
 settings.register_profile("tier1", derandomize=True, deadline=None, print_blob=True)
@@ -22,20 +24,19 @@ def quiet_d3_warning():
         yield
 
 
-def _writable_copy(L):
-    """``L`` with writable copies of its table's ``m`` and ``c`` columns."""
+def _with_coefficients(L, c):
+    """``L`` whose table has the rows (i, j, m) of ``L.table`` with the coefficients ``c``."""
     T = L.table
-    return dataclasses.replace(L, table=dataclasses.replace(T, m=T.m.copy(), c=T.c.copy()))
+    return dataclasses.replace(L, table=StructureTable.from_rows(T.n, T.i, T.j, T.m, c))
 
 
 @pytest.fixture
-def writable():
-    """Copy an algebra so a test can corrupt its table.
+def with_coefficients():
+    """Corrupt a copy of an algebra: ``with_coefficients(L, c)``.
 
-    ``liealg.build`` shares one read-only algebra per type, so a corruption
-    works on ``writable(build(label))`` and leaves the shared one intact.
-    Only the outputs ``m`` and coefficients ``c`` become writable; ``i``,
-    ``j`` and the row index ``start`` stay shared and read-only, so no
-    corruption can leave the index out of step with the rows it indexes.
+    ``liealg.build`` shares one read-only algebra per type, so a test
+    changes a copy of ``L.table.c`` and gets a new algebra whose table is
+    made by ``StructureTable.from_rows`` like every other: summed, zero-free
+    and indexed, never written in place.
     """
-    return _writable_copy
+    return _with_coefficients

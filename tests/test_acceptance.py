@@ -79,16 +79,17 @@ def test_crash_on_one_type_hides_nothing(monkeypatch):
     assert crashing(["A2", "D5"]) == (False, c05.expected, "D5: RuntimeError: lost the table")
 
 
-def test_c08_names_a_root_breaking_sl2(monkeypatch, writable):
+def test_c08_names_a_root_breaking_sl2(monkeypatch, with_coefficients):
     # [D_1, g_a] = 2 g_a made 3 g_a for a = (1, 0, 0, 0) breaks [h, e] = 2e at a
     # and, through h_{-a} = -h_a, [h, f] = -2f at -a.
     real = liealg.build
 
     def corrupted(t):
-        L = writable(real(t))
+        L = real(t)
         T = L.table
-        T.c[(T.i == 0) & (T.j == L.rank + L.root_system.index[(1, 0, 0, 0)])] = 3
-        return L
+        c = T.c.copy()
+        c[(T.i == 0) & (T.j == L.rank + L.root_system.index[(1, 0, 0, 0)])] = 3
+        return with_coefficients(L, c)
 
     monkeypatch.setattr(liealg, "build", corrupted)
     c08 = dict(CRITERIA)["C08-sl2-triples"]

@@ -140,21 +140,22 @@ def test_sl2(capsys):
     assert "12 sl2 triples" in out
 
 
-def test_sl2_names_a_broken_root(capsys, monkeypatch, writable):
+def test_sl2_names_a_broken_root(capsys, monkeypatch, with_coefficients):
     # [g_a, g_{-a}] = -D_1 for a = (1, 0, 0) turned into +D_1: only a breaks a law.
     real = liealg.build
 
     def corrupted(t):
-        L = writable(real(t))
+        L = real(t)
+        T = L.table
         a, b = (L.rank + L.root_system.index[r] for r in ((1, 0, 0), (-1, 0, 0)))
-        L.table.c[(L.table.i == a) & (L.table.j == b)] *= -1
-        return L
+        c = T.c.copy()
+        c[(T.i == a) & (T.j == b)] *= -1
+        return with_coefficients(L, c)
 
     monkeypatch.setattr(liealg, "build", corrupted)
     code, out, err = run(capsys, "sl2", "A3")
     assert (code, out) == (1, "")
     assert err == "error: A3: (1, 0, 0) and 0 more roots break sl2 laws\n"
-    monkeypatch.setenv("GEOMLIE_COLOR", "0")
     code, out, _ = run(capsys, "lie", "A3", "--check", "sl2")
     assert (code, out) == (1, "dimension 15\n  sl2 triples: FAIL\n")
 
@@ -237,12 +238,11 @@ def test_coxplane_svg_size_refused(tmp_path, capsys, size):
     assert not target.exists()
 
 
-def test_verify_single_type(capsys, monkeypatch):
-    monkeypatch.setenv("GEOMLIE_COLOR", "0")
+def test_verify_single_type(capsys):
     code, out, _ = run(capsys, "verify", "A2")
     assert code == 0
     assert "16/16 criteria passed" in out
-    assert "\x1b[" not in out  # color disabled
+    assert "\x1b[" not in out  # stdout is not a terminal, so no color
 
 
 def test_verify_checks_the_named_types_and_has_no_all_flag(capsys):
@@ -258,8 +258,7 @@ def test_verify_checks_the_named_types_and_has_no_all_flag(capsys):
     assert {r["label"] for r in records} == {"A9"}
 
 
-def test_verify_repeat_is_deterministic(capsys, monkeypatch):
-    monkeypatch.setenv("GEOMLIE_COLOR", "0")
+def test_verify_repeat_is_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "A2", "A3")
     _, out2, _ = run(capsys, "verify", "A2", "A3")
     strip = lambda s: [line.rsplit("(", 1)[0] for line in s.splitlines()]
@@ -279,7 +278,6 @@ def test_verify_json_is_the_records(capsys):
 
 
 def test_verify_reports_a_crashed_type(capsys, monkeypatch):
-    monkeypatch.setenv("GEOMLIE_COLOR", "0")
     name, c01 = verify.CRITERIA[0]
 
     def check(t):

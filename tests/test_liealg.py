@@ -150,17 +150,19 @@ def test_jacobi_clean(label):
     assert not check_antisymmetry(L)
 
 
-def _flip_root_root_sign(L):
-    """Negate one stored [g_a, g_b] = N g_{a+b} coefficient in place."""
+def _flipped_root_root_sign(L):
+    """The coefficients of L's table with one [g_a, g_b] = N g_{a+b} negated."""
     T = L.table
     row = int(np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0])
-    T.c[row] = -T.c[row]
+    c = T.c.copy()
+    c[row] = -c[row]
+    return c
 
 
-def test_jacobi_negative_control(writable):
+def test_jacobi_negative_control(with_coefficients):
     # One flipped structure-constant sign must surface as violations.
-    L = writable(build(make_type("A2")))
-    _flip_root_root_sign(L)
+    L = build(make_type("A2"))
+    L = with_coefficients(L, _flipped_root_root_sign(L))
     report = check_jacobi(L)
     assert len(report.violations) >= 1
     assert check_antisymmetry(L)
@@ -197,19 +199,21 @@ PAIRED = {f"paired-{name}": change for name, change in CORRUPTIONS.items()}
 
 @pytest.mark.parametrize("label", SMALL_LABELS)
 @pytest.mark.parametrize("corruption", [None, *CORRUPTIONS, *PAIRED])
-def test_jacobi_matches_reference_sweep(label, corruption, writable):
-    L = writable(build(make_type(label)))
+def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
+    L = build(make_type(label))
     T = L.table
+    c = T.c.copy()
     rng = random.Random(f"{label}-{corruption}")
     if corruption in CORRUPTIONS:
         change = CORRUPTIONS[corruption]
-        for row in rng.sample(range(len(T.c)), 3):
-            T.c[row] = change(int(T.c[row]))
+        for row in rng.sample(range(len(c)), 3):
+            c[row] = change(int(c[row]))
     elif corruption in PAIRED:
         for row in rng.sample(np.flatnonzero(T.i < T.j).tolist(), 3):
             mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
-            T.c[row] = PAIRED[corruption](int(T.c[row]))
-            T.c[mirror] = -T.c[row]
+            c[row] = PAIRED[corruption](int(c[row]))
+            c[mirror] = -c[row]
+    L = with_coefficients(L, c)
     report = check_jacobi(L)
     assert (report.triples_checked, report.violations) == reference_jacobi(L)
     if corruption in PAIRED:
@@ -219,16 +223,17 @@ def test_jacobi_matches_reference_sweep(label, corruption, writable):
 
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:
-    """An algebra of dimension n whose table is exactly ``rows`` (i, j, m, c)."""
+    """An algebra of dimension n whose table is made from ``rows`` (i, j, m, c)."""
     table = liealg.StructureTable.from_rows(n, *zip(*rows))
-    return dataclasses.replace(build("A1"), dimension=n, table=table)
+    return dataclasses.replace(build("A1"), table=table)
 
 
 @st.composite
 def antisymmetric_rows(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
     """A sparse antisymmetric table: rows with i < j, each with its mirror (j, i, m, -c).
 
-    A bracket may have several outputs, and coefficients may be zero.
+    A bracket may have several outputs, and coefficients may be zero.  A
+    cancelling pair and a zero row at any (i, j, m) add nothing to the table.
     """
     n = draw(st.integers(2, 7))
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
@@ -237,6 +242,8 @@ def antisymmetric_rows(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
         for m in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
             c = draw(st.integers(-3, 3))
             rows += [(x, y, m, c), (y, x, m, -c)]
+    x, y, m = (draw(st.integers(0, n - 1)) for _ in range(3))
+    rows += [(x, y, m, 2), (x, y, m, -2), (y, x, m, 0)]
     return n, rows
 
 
@@ -280,14 +287,19 @@ def _refusal_peak(L) -> int:
 
 
 def test_jacobi_refuses_dimension_past_1024_before_allocating():
-    L = build(make_type("E8"))  # a join of 1.17M terms, were it built
-    assert _refusal_peak(dataclasses.replace(L, dimension=1025)) < 1_000_000
-
-
-def test_jacobi_refuses_unpackable_coefficient_before_allocating(writable):
-    L = writable(build(make_type("E8")))
-    L.table.c[0] = 2048
+    # E8's rows in a table of dimension 1025: a join of 1.17M terms, were it built.
+    L = build(make_type("E8"))
+    T = L.table
+    L = dataclasses.replace(L, table=liealg.StructureTable.from_rows(1025, T.i, T.j, T.m, T.c))
+    assert L.dimension == 1025
     assert _refusal_peak(L) < 1_000_000
+
+
+def test_jacobi_refuses_unpackable_coefficient_before_allocating(with_coefficients):
+    L = build(make_type("E8"))
+    c = L.table.c.copy()
+    c[0] = 2048
+    assert _refusal_peak(with_coefficients(L, c)) < 1_000_000
 
 
 def test_sign_cocycle():
@@ -475,19 +487,18 @@ def test_check_sl2_matches_reference_under_corruption(label):
             c[row] += rng.choice((-2, -1, 1, 2))
         else:
             m[row] = rng.choice([x for x in range(L.dimension) if x != m[row]])
-        bad = dataclasses.replace(L, table=dataclasses.replace(L.table, c=c, m=m))
+        bad = _with_rows(L, L.table.i, L.table.j, m, c)
         got = check_sl2(bad)
         assert got == reference_sl2(bad)
         failing += bool(got)
     assert failing > 30
 
 
-def test_slk_model_negative_control(writable):
+def test_slk_model_negative_control(with_coefficients):
     # One flipped root-root coefficient must break the matrix model.
-    L = writable(build(make_type("A3")))
+    L = build(make_type("A3"))
     assert slk_model_check(L)
-    _flip_root_root_sign(L)
-    assert not slk_model_check(L)
+    assert not slk_model_check(with_coefficients(L, _flipped_root_root_sign(L)))
 
 
 def _with_rows(L, i, j, m, c):

@@ -13,13 +13,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomlie.lattice import make_type
-from geomlie.liealg import (MAX_JACOBI_TERMS, StructureTable, _is_mirrored, build, check_jacobi,
-                            killing_form, term_bounds)
+from geomlie.liealg import (MAX_JACOBI_TERMS, AlgebraElement, StructureTable, build,
+                            check_antisymmetry, check_jacobi, killing_form, term_bounds)
 from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
+
+# Every type build accepts: A1-A31, D3-D20 and E6-E8.
+ALL_ACCEPTED_LABELS = ([f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)]
+                       + ["E6", "E7", "E8"])
 
 
 def closed_form_killing(label: str) -> np.ndarray:
@@ -49,13 +53,14 @@ def test_killing_closed_form(label):
 
 
 @pytest.mark.parametrize("label", ["A2", "D4", "E6"])
-def test_killing_negative_control(label, writable):
+def test_killing_negative_control(label, with_coefficients):
     # One flipped [g_a, g_b] coefficient must move the Killing form.
-    L = writable(build(label))
+    L = build(label)
     T = L.table
     row = int(np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0])
-    T.c[row] = -T.c[row]
-    assert not np.array_equal(killing_form(L), closed_form_killing(label))
+    c = T.c.copy()
+    c[row] = -c[row]
+    assert not np.array_equal(killing_form(with_coefficients(L, c)), closed_form_killing(label))
 
 
 def test_root_sums_exact_past_a27():
@@ -132,12 +137,14 @@ def test_jacobi_peak_per_join_term():
 @st.composite
 def row_sets(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Rows (i, j, m, c) of dimension n in any order, with a repeated (i, j, m),
-    a row with i = j and a zero coefficient among them."""
+    a cancelling pair, a row with i = j and a zero coefficient among them."""
     n = draw(st.integers(1, 6))
     index = st.integers(0, n - 1)
     rows = draw(st.lists(st.tuples(index, index, index, st.integers(-3, 3)), max_size=20))
     x, y, m = draw(index), draw(index), draw(index)
     rows += [(x, y, m, 1), (x, y, m, -2), (y, y, x, 3), (y, x, m, 0)]
+    x, y, m = draw(index), draw(index), draw(index)
+    rows += [(x, y, m, 2), (x, y, m, -2)]
     return n, draw(st.permutations(rows))
 
 
@@ -149,22 +156,34 @@ def _columns(T) -> list[tuple[int, int, int, int]]:
     return list(zip(T.i.tolist(), T.j.tolist(), T.m.tolist(), T.c.tolist()))
 
 
+def _summed(rows) -> list[tuple[int, int, int, int]]:
+    """The definition: the rows summed per (i, j, m), zero sums dropped, sorted."""
+    total = Counter()
+    for i, j, m, c in rows:
+        total[i, j, m] += c
+    return sorted((*key, c) for key, c in total.items() if c)
+
+
 @given(row_sets())
 def test_from_rows_sorts_and_indexes_the_rows(case):
+    # One bracket map, one table: the stored rows are the summed, zero-free rows.
     n, rows = case
     T = _table(n, rows)
-    stored = _columns(T)
-    assert sorted(stored) == sorted(rows)
-    assert [r[:3] for r in stored] == sorted(r[:3] for r in rows)
-    assert T.start.dtype == np.int32 and len(T.start) == n * n + 1
-    assert T.start.tolist() == [sum(i * n + j < q for i, j, _, _ in rows) for q in range(n * n + 1)]
+    want = _summed(rows)
+    assert T.n == n and _columns(T) == want
+    assert T.start.dtype == np.int32
+    assert T.start.tolist() == [sum(i * n + j < q for i, j, _, _ in want) for q in range(n * n + 1)]
     for col in (T.i, T.j, T.m, T.c, T.start):
         assert not col.flags.writeable
-    L = dataclasses.replace(build("A1"), dimension=n, table=T)
+    L = dataclasses.replace(build("A1"), table=T)
+    assert L.dimension == n
     for x in range(n):
         for y in range(n):
-            scan = tuple((m, c) for i, j, m, c in stored if (i, j) == (x, y))
-            assert L.bracket_basis(x, y).terms == scan
+            terms: dict[int, int] = {}
+            for i, j, m, c in rows:
+                if (i, j) == (x, y):
+                    terms[m] = terms.get(m, 0) + c
+            assert L.bracket_basis(x, y) == AlgebraElement.from_dict(terms)
 
 
 def test_from_rows_refuses_an_index_out_of_range():
@@ -174,22 +193,37 @@ def test_from_rows_refuses_an_index_out_of_range():
     assert _table(3, []).start.tolist() == [0] * 10
 
 
+@pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
+def test_from_rows_reproduces_every_built_table(label):
+    # build's rows are already summed and zero-free, so rebuilding changes nothing.
+    T = build(label).table
+    again = StructureTable.from_rows(T.n, T.i, T.j, T.m, T.c)
+    assert again.n == T.n
+    for name in ("i", "j", "m", "c", "start"):
+        old, new = getattr(T, name), getattr(again, name)
+        assert old.dtype == new.dtype and np.array_equal(old, new), name
+
+
 @st.composite
 def mirrored_row_sets(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Rows with i < j and their mirrors (j, i, m, -c), in any order, then at
-    most one change: a lone row, a row with i = j, or a row negated, changed
-    or dropped."""
+    most one change: a lone row, a row with i = j, a cancelling pair, or a
+    row negated, changed or dropped."""
     n = draw(st.integers(2, 5))
     index = st.integers(0, n - 1)
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     half = draw(st.lists(st.tuples(st.sampled_from(pairs), index, st.integers(-3, 3)), max_size=10))
     rows = [row for (x, y), m, c in half for row in ((x, y, m, c), (y, x, m, -c))]
-    change = draw(st.sampled_from(["none", "lone", "diagonal", "negated", "changed", "dropped"]))
+    change = draw(st.sampled_from(["none", "lone", "diagonal", "cancelling", "negated", "changed",
+                                   "dropped"]))
     if change == "lone":
         rows.append(draw(st.tuples(index, index, index, st.integers(-3, 3))))
     elif change == "diagonal":
         x = draw(index)
         rows.append((x, x, draw(index), draw(st.integers(-3, 3))))
+    elif change == "cancelling":
+        x, y, m = draw(index), draw(index), draw(index)
+        rows += [(x, y, m, 1), (x, y, m, -1)]
     elif rows and change != "none":
         i, j, m, c = rows.pop(draw(st.integers(0, len(rows) - 1)))
         if change != "dropped":
@@ -197,27 +231,29 @@ def mirrored_row_sets(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
     return n, draw(st.permutations(rows))
 
 
-def _mirrored_multisets(rows) -> bool:
-    """The definition: no row with i = j, and the i < j rows are exactly the
-    mirrors (j, i, m, -c) of the i > j rows, as multisets."""
-    up = Counter(row for row in rows if row[0] < row[1])
-    down = Counter((j, i, m, -c) for i, j, m, c in rows if i > j)
-    return up == down and all(i != j for i, j, _, _ in rows)
+def _antisymmetry_defects(rows) -> list[tuple[int, int]]:
+    """The definition: pairs i <= j whose summed rows give [e_i, e_j] != -[e_j, e_i]."""
+    total = Counter()
+    for i, j, m, c in rows:
+        total[min(i, j), max(i, j), m] += c
+    return sorted({(i, j) for (i, j, _), c in total.items() if c})
 
 
 @given(mirrored_row_sets())
-def test_is_mirrored_implies_the_multiset_definition(case):
-    # A True answer lets check_jacobi join only the i < j rows, so it must
-    # never be wrong; where (i, j, m) is unique the two must agree.
+def test_check_antisymmetry_matches_the_summed_definition(case):
+    # No defect lets check_jacobi join only the i < j rows, which is right
+    # only if the table's i > j rows are then the mirrors of its i < j rows.
     n, rows = case
-    got = _is_mirrored(_table(n, rows), n)
-    want = _mirrored_multisets(rows)
-    assert want or not got
-    if len({row[:3] for row in rows}) == len(rows):
-        assert got == want
+    L = dataclasses.replace(build("A1"), table=_table(n, rows))
+    got = check_antisymmetry(L)
+    assert got == _antisymmetry_defects(rows)
+    if not got:
+        stored = _columns(L.table)
+        assert Counter(row for row in stored if row[0] < row[1]) == \
+            Counter((j, i, m, -c) for i, j, m, c in stored if i > j)
+        assert all(i != j for i, j, _, _ in stored)
 
 
-def test_built_tables_are_mirrored():
-    for label in ALL_TYPE_LABELS:
-        L = build(label)
-        assert _is_mirrored(L.table, L.dimension), label
+def test_built_tables_are_antisymmetric():
+    for label in ALL_ACCEPTED_LABELS:
+        assert not check_antisymmetry(build(label)), label
