@@ -189,7 +189,7 @@ def is_nonsingular(m) -> bool:
     s, t = len(one), len(two)
     det = np.concatenate([e[:s], (e[s:s + t] * e[s + t:s + 2 * t]
                                   - e[s + 2 * t:s + 3 * t] * e[s + 3 * t:]) % _CERT_PRIMES])
-    first = np.flatnonzero(np.r_[True, label[1:] != label[:-1]])
+    first = np.flatnonzero(np.concatenate([[True], label[1:] != label[:-1]]))
     first = first[width[first] >= 3]
     blocks = (a[np.ix_(ro[lo:lo + w], co[lo:lo + w])]
               for lo, w in zip(first.tolist(), width[first].tolist()))

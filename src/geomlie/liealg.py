@@ -53,13 +53,21 @@ __all__ = [
 ]
 
 # ``build`` refuses a type whose Jacobi join could exceed this many terms.
-# On the antisymmetric tables ``build`` makes, check_jacobi joins only the
-# i < j rows and holds about 13 bytes per term of the full join at its peak
-# (tracemalloc, E8: 1.17M terms, 15 MB), so the limit keeps it under about
-# 150 MB; any other table joins every row, at about 26 bytes per term.  The
-# join is never smaller than the table, so this bounds the table too.  A31
+# The join is never smaller than the table, so this bounds the table too.
+# check_jacobi joins every row of a table that is not antisymmetric at once,
+# at about 25 bytes per term of the full join at its peak (tracemalloc, E8
+# with one row negated: 1.17M terms, 29 MB), so the limit keeps that under
+# about 250 MB.  The antisymmetric tables ``build`` makes are summed band by
+# band (_JACOBI_BAND_TERMS), peaking at about 4 MB on E8 and 9 MB on A31.  A31
 # (dimension 1023, within check_jacobi's 1024) is the largest A type accepted.
 MAX_JACOBI_TERMS = 10_000_000
+# The antisymmetric Jacobi sweep joins, sorts and sums about this many terms
+# at a time: their words and coefficients (2 MB) stay within a 2 MB L2 cache.
+# Measured in process on a 2-vCPU Xeon VM (median of 15 alternating rounds),
+# bands of 2^15, 2^16, 2^17, 2^18 and 2^19 terms took E8 23.0, 21.0, 20.6,
+# 20.7 and 24.1 ms, and A31 172, 124, 110, 111 and 111 ms; one band holding
+# the whole join took 24.7 and 148 ms.
+_JACOBI_BAND_TERMS = 1 << 17
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
 
@@ -118,7 +126,7 @@ ZERO = AlgebraElement(())
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Positions in a sorted array where a run of equal values begins."""
-    return np.flatnonzero(np.r_[len(ordered) > 0, ordered[1:] != ordered[:-1]])
+    return np.flatnonzero(np.concatenate([[len(ordered) > 0], ordered[1:] != ordered[:-1]]))
 
 
 def _group_sums(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,16 +296,25 @@ def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (a, b) with left[a] == right[b], grouped by a, b ascending.
 
-    Keys are nonnegative ints.  A counting index over the keys of ``right``
-    (``bincount``, its running sum and a stable argsort) gives each left key
-    its run of right positions directly, with no search.
+    Keys are nonnegative ints.  Sorted by key (a stable argsort), the right
+    positions fall into one run per distinct key, and an int32 slot per key
+    value, the number of its run, gives each left key its run directly,
+    with no search.
     """
-    size = max(int(left.max(initial=-1)), int(right.max(initial=-1))) + 1
-    count = np.bincount(right, minlength=size)
-    start = np.cumsum(count) - count
-    count = count[left]
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    first = _run_starts(ordered)
+    slot = np.full(max(int(left.max(initial=-1)), int(right.max(initial=-1))) + 1, len(first),
+                   dtype=np.int32)
+    slot[ordered[first]] = np.arange(len(first))
+    run = slot[left]
+    del ordered, slot
+    # Run r is order[edge[r]:edge[r + 1]]; the last run, empty, is that of a key right lacks.
+    edge = np.append(first, [len(right), len(right)])
+    start = edge[run]
+    count = edge[run + 1] - start
     a = np.repeat(np.arange(len(left)), count)
-    return a, np.argsort(right, kind="stable")[_ranges(start[left], count)]
+    return a, order[_ranges(start, count)]
 
 
 def check_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
@@ -315,11 +332,14 @@ class JacobiReport:
 
     ``triples_checked`` counts the cyclic classes of basis triples with a
     nonzero term [[x, y], z]; every other class is zero by the table itself.
+    ``antisymmetric`` is the sweep's own antisymmetry decision
+    (:func:`check_antisymmetry` found no pair), which chose its path.
     """
 
     lie_type: LieType
     triples_checked: int
     violations: list[tuple[int, int, int]]
+    antisymmetric: bool
 
     @property
     def ok(self) -> bool:
@@ -329,6 +349,124 @@ class JacobiReport:
 def _swap_last(key: np.ndarray) -> np.ndarray:
     """(a, b, c) -> (a, c, b) on triples packed as a << 20 | b << 10 | c."""
     return key & ~0xFFFFF | (key & 1023) << 10 | key >> 10 & 1023
+
+
+def _words(cols, runs, w: int, cmax: int, odd=None) -> np.ndarray:
+    """The Jacobi terms of some runs of rows [m, z], one int64 word per term.
+
+    ``cols`` are the table's j, m and c as int32.  Each run is a tuple
+    (first row, row count, key head, coefficient factor, shift) of arrays
+    with one entry per joined row [x, y] -> m; the run's terms take z from
+    its rows into the key as head | z << shift.  ``odd``, one flag per
+    entry of the runs in turn, swaps the last two indices of the key.  A
+    term is packed as (key << 10 | p) << w | (c_xy c_mz factor + cmax).
+    """
+    j, m, c = cols
+    lo, count, head, factor = (np.concatenate(part) for part in zip(*(run[:4] for run in runs)))
+    b = _ranges(lo, count)
+    key = j.take(b)
+    # The terms run by run, so z is shifted into place by slices.  Each
+    # per-term column is dropped once used (see MAX_JACOBI_TERMS for the peak).
+    edge = 0
+    for run in runs:
+        end = edge + int(run[1].sum())
+        key[edge:end] <<= run[4]
+        edge = end
+    key |= np.repeat(head, count)
+    coef = c.take(b)
+    coef *= np.repeat(factor, count)
+    coef += cmax
+    p = m.take(b)
+    del b
+    if odd is not None:
+        odd = np.repeat(odd, count)
+        key[odd] = _swap_last(key[odd])
+        del odd
+    word = key.astype(np.int64)
+    del key
+    word <<= 10
+    word |= p
+    word <<= w
+    word |= coef
+    return word
+
+
+def _class_sums(word: np.ndarray, w: int, cmax: int) -> tuple[int, np.ndarray]:
+    """How many distinct keys the packed terms have, and the keys that sum to nonzero on some e_p.
+
+    Sorting the words by value groups the terms by (key, p); ``word`` is
+    sorted and shifted in place.  The keys come ascending.
+    """
+    word.sort()
+    coef = word & ((1 << w) - 1)
+    coef -= cmax
+    word >>= w  # now key << 10 | p
+    last = np.flatnonzero(np.concatenate([word[1:] != word[:-1], [len(word) > 0]]))
+    # A run's sum is the step of the running sum across its last term
+    # (cheaper than reduceat over many short runs).
+    np.cumsum(coef, out=coef)
+    total = coef[last]
+    del coef
+    total[1:] -= total[:-1]
+    triple = word[last] >> 10
+    bad = triple[total != 0]
+    del last, total
+    return len(_run_starts(triple)), bad[_run_starts(bad)]
+
+
+def _banded_sweep(T: StructureTable, cols, w: int, cmax: int) -> tuple[int, np.ndarray]:
+    """The class count and the violated sorted triples (ascending) of an antisymmetric table.
+
+    Only the i < j rows [u, v] -> m are joined (u < v, see
+    :func:`check_jacobi`).  The rows [m, z] split at u < v into five runs,
+    z < u, z = u, u < z < v, z = v and z > v, with the sorted triples
+    (z, u, v), (u, u, v), (u, z, v), (u, v, v) and (u, v, z) of parity +1,
+    0, -1, 0 and +1.  The terms of the two runs with a repeated index cancel
+    pairwise, so their classes (one per bracket [u, v] with such a run) are
+    counted from the row bounds, not joined.  The other terms are summed in
+    bands [a0, a1) of the smallest index a, about _JACOBI_BAND_TERMS terms
+    each: the u < z < v and z > v runs of the rows with u in the band (a
+    contiguous row range, the rows being sorted by i), and the z < u runs
+    of the rows with u > a0, clipped to z in [a0, min(a1, u)).  A class
+    lies in one band, so each band is joined, sorted and summed on its own.
+    """
+    n, j = T.n, cols[0]
+    upper = np.flatnonzero(T.i < T.j)
+    u = T.i[upper].astype(np.int32)
+    v, mx, cx = (col.take(upper) for col in cols)
+    base = mx * n
+    below, at_u, above_u, at_v, above_v, end = T.start[
+        np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])]
+    between, beyond = at_v - above_u, end - above_v  # the u < z < v and z > v run lengths
+    pair = u << 10 | v
+    checked = len(_run_starts(pair[above_u > at_u])) + len(_run_starts(pair[above_v > at_v]))
+    # The terms whose smallest index is below a, for a = 0..n: the u < z < v
+    # and z > v runs of the rows with u < a, and the terms with z < a of the
+    # z < u runs, found by how many of these runs cover each table row.
+    first_row = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=first_row[1:])
+    cover = np.cumsum(np.bincount(below, minlength=len(j) + 1)
+                      - np.bincount(at_u, minlength=len(j) + 1))[:-1]
+    by_z = np.bincount(j, cover, minlength=n).astype(np.int64)
+    total = (np.concatenate([[0], np.cumsum(between + beyond)])[first_row]
+             + np.concatenate([[0], np.cumsum(by_z)]))
+    edges = np.searchsorted(total, np.arange(0, total[-1], _JACOBI_BAND_TERMS), side="right") - 1
+    bad = []
+    for a0, a1 in zip(edges.tolist(), [*edges[1:].tolist(), n]):
+        rows = slice(first_row[a0], first_row[a1])  # a0 <= u < a1
+        tail = slice(first_row[a0 + 1], None)  # u > a0
+        low = T.start[base[tail] + a0]
+        high = T.start[base[tail] + np.minimum(u[tail], a1)]
+        ur, vr = u[rows], v[rows]
+        word = _words(cols, [(low, high - low, u[tail] << 10 | v[tail], cx[tail], 20),
+                             (above_u[rows], between[rows], ur << 20 | vr, -cx[rows], 10),
+                             (above_v[rows], beyond[rows], ur << 20 | vr << 10, cx[rows], 0)],
+                      w, cmax)
+        classes, violated = _class_sums(word, w, cmax)
+        del word
+        checked += 2 * classes
+        bad.append(violated)
+    return checked, np.concatenate([np.zeros(0, dtype=np.int64), *bad])
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
@@ -353,10 +491,12 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     Jacobiator is alternating, Humphreys, Introduction to Lie Algebras, 1.1).
     A distinct sorted triple thus stands for two classes that are both
     violated or both clean, and a repeated one for one class whose terms
-    cancel pairwise.  Any other table joins all its rows and keys each term
-    by the smallest rotation, (a, b, c) or (a, c, b) by parity.
+    cancel pairwise; :func:`_banded_sweep` sums these terms band by band.
+    Any other table joins all its rows at once and keys each term by the
+    smallest rotation, (a, b, c) or (a, c, b) by parity.  The report
+    carries the decision as ``antisymmetric``.
 
-    The five runs of each joined row are bounded by indexing the table's own
+    The runs of each joined row are bounded by indexing the table's own
     row offsets, ``start[q]`` being the first row with i * n + j >= q, so no
     bound is searched for.
 
@@ -376,70 +516,34 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     if 40 + w > 63:
         raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
                          f"are too wide to pack a Jacobi term in 63 bits")
-    i, j, m, c = (col.astype(np.int32) for col in (T.i, T.j, T.m, T.c))
+    cols = tuple(col.astype(np.int32) for col in (T.j, T.m, T.c))
     antisymmetric = not check_antisymmetry(L)
-    rows = i < j if antisymmetric else slice(None)
-    x, y, mx, cx = i[rows], j[rows], m[rows], c[rows]
-    u, v = np.minimum(x, y), np.maximum(x, y)
-    # Rows are sorted by (i, j, m), so the rows [m, z] are one block with z
-    # ascending.  It splits at u <= v into five runs, z < u, z = u,
-    # u < z < v, z = v and z > v, with the sorted triples (z, u, v) in runs
-    # 0-1, (u, z, v) in runs 2-3 and (u, v, z) in run 4.  parity is +1 or -1
-    # as (x, y, z) is an even or odd permutation of its sorted triple, and 0
-    # where an index repeats.  Where u = v the running maximum empties runs 2-3.
-    base = mx * n
-    bounds = np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])
-    bounds = np.maximum.accumulate(T.start[bounds], axis=0)
-    count = np.diff(bounds, axis=0)
-    parity = np.array([[1], [0], [-1], [0], [1]], dtype=np.int32) * np.sign(y - x)
-    head = np.concatenate([u << 10 | v, u << 10 | v, u << 20 | v, u << 20 | v, u << 20 | v << 10])
-    # The terms run by run, so z is shifted into place by slices.  Each
-    # per-term column is dropped once used (see MAX_JACOBI_TERMS for the peak).
-    edge = np.cumsum(count.sum(axis=1))
-    count = count.ravel()
-    b = _ranges(bounds[:-1].ravel(), count)
-    key = j.take(b)
-    key[:edge[1]] <<= 20
-    key[edge[1]:edge[3]] <<= 10
-    key |= np.repeat(head, count)
-    coef = c.take(b)
-    coef *= np.repeat((parity * cx if antisymmetric else np.tile(cx, 5)).ravel(), count)
-    coef += cmax
-    p = m.take(b)
-    del b
-    if not antisymmetric:  # key each term by its class: (a, c, b) where the parity is odd
-        odd = np.repeat(parity.ravel() < 0, count)
-        key[odd] = _swap_last(key[odd])
-        del odd
-    word = key.astype(np.int64)
-    del key
-    word <<= 10
-    word |= p
-    word <<= w
-    word |= coef
-    del p, coef
-    word.sort()
-    coef = word & ((1 << w) - 1)
-    coef -= cmax
-    word >>= w  # now key << 10 | p
-    first = _run_starts(word)
-    total = np.add.reduceat(coef, first)
-    del coef
-    triple = word[first] >> 10
-    del word, first
-    classes = triple[_run_starts(triple)]
-    bad = triple[total != 0]
-    bad = bad[_run_starts(bad)]
     if antisymmetric:
-        mid = classes >> 10 & 1023
-        repeated = (classes >> 20 == mid) | (mid == classes & 1023)
-        checked = 2 * len(classes) - int(np.count_nonzero(repeated))
+        checked, bad = _banded_sweep(T, cols, w, cmax)
         bad = np.sort(np.concatenate([bad, _swap_last(bad)]))
     else:
-        checked = len(classes)
+        x, (y, mx, cx) = T.i.astype(np.int32), cols
+        u, v = np.minimum(x, y), np.maximum(x, y)
+        # The runs of [m, z] as in _banded_sweep, with the sorted triples
+        # (z, u, v) in runs 0-1, (u, z, v) in runs 2-3 and (u, v, z) in run
+        # 4.  parity is +1 or -1 as (x, y, z) is an even or odd permutation
+        # of its sorted triple, and 0 where an index repeats.  Where u = v
+        # the running maximum empties runs 2-3.
+        base = mx * n
+        bounds = np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])
+        bounds = np.maximum.accumulate(T.start[bounds], axis=0)
+        count = np.diff(bounds, axis=0)
+        parity = np.array([[1], [0], [-1], [0], [1]], dtype=np.int32) * np.sign(y - x)
+        heads = (u << 10 | v, u << 10 | v, u << 20 | v, u << 20 | v, u << 20 | v << 10)
+        # Key each term by its class: (a, c, b) where the parity is odd.
+        word = _words(cols, [(bounds[r], count[r], heads[r], cx, shift)
+                             for r, shift in enumerate((20, 20, 10, 10, 0))], w, cmax,
+                      odd=parity.ravel() < 0)
+        checked, bad = _class_sums(word, w, cmax)
+        del word
     violations = [(int(q >> 20), int(q >> 10 & 1023), int(q & 1023))
                   for q in bad[:MAX_JACOBI_VIOLATIONS]]
-    return JacobiReport(L.lie_type, checked, violations)
+    return JacobiReport(L.lie_type, checked, violations, antisymmetric)
 
 
 def killing_form(L: LieAlgebra) -> np.ndarray:
@@ -474,14 +578,16 @@ def check_sl2(L: LieAlgebra) -> list[Root]:
     neg = rs.locate(-X)
     cartan = np.flatnonzero((T.i < k) & (T.j >= k))  # the rows [D_i, g_b]
     b = T.j[cartan] - k
-    key, total = _group_sums(np.r_[b * n + T.m[cartan], np.arange(len(rs)) * (n + 1) + k],
-                             np.r_[X[b, T.i[cartan]] * T.c[cartan], np.full(len(rs), -2)])
+    key, total = _group_sums(
+        np.concatenate([b * n + T.m[cartan], np.arange(len(rs)) * (n + 1) + k]),
+        np.concatenate([X[b, T.i[cartan]] * T.c[cartan], np.full(len(rs), -2)]))
     law1 = key[total != 0] // n
-    pair = np.flatnonzero(T.j == np.r_[np.full(k, -1), k + neg][T.i])  # the rows [g_a, g_{-a}]
+    # The rows [g_a, g_{-a}].
+    pair = np.flatnonzero(T.j == np.concatenate([np.full(k, -1), k + neg])[T.i])
     na, nm = np.nonzero(X)
-    key, total = _group_sums(np.r_[(T.i[pair] - k) * n + T.m[pair], na * n + nm],
-                             np.r_[T.c[pair], X[na, nm]])
-    bad = np.unique(np.r_[law1, neg[law1], key[total != 0] // n])
+    key, total = _group_sums(np.concatenate([(T.i[pair] - k) * n + T.m[pair], na * n + nm]),
+                             np.concatenate([T.c[pair], X[na, nm]]))
+    bad = np.unique(np.concatenate([law1, neg[law1], key[total != 0] // n]))
     return [rs.roots[r] for r in bad.tolist()]
 
 
@@ -508,10 +614,10 @@ def slk_model_check(L: LieAlgebra) -> bool:
     s, d, support, up = k + 1, np.arange(k), X != 0, X.sum(axis=1) > 0
     start, end = support.argmax(axis=1), k - support[:, ::-1].argmax(axis=1)
     # The image entries: basis index, row, column and value.
-    owner = np.r_[d, d, k + np.arange(len(X))]
-    row = np.r_[d, d + 1, np.where(up, start, end)]
-    col = np.r_[d, d + 1, np.where(up, end, start)]
-    value = np.r_[np.repeat([1, -1], k), np.where(up, 1, -1)]
+    owner = np.concatenate([d, d, k + np.arange(len(X))])
+    row = np.concatenate([d, d + 1, np.where(up, start, end)])
+    col = np.concatenate([d, d + 1, np.where(up, end, start)])
+    value = np.concatenate([np.repeat([1, -1], k), np.where(up, 1, -1)])
     flat = np.zeros((n, s * s), dtype=np.int64)
     flat[owner, row * s + col] = value
     if not is_nonsingular(flat @ flat.T):
@@ -519,12 +625,12 @@ def slk_model_check(L: LieAlgebra) -> bool:
     x, y = _join(col, row)  # A_u[a, b] A_v[b, c] with u = owner[x], v = owner[y]
     r, e = _join(T.m, owner)  # row r of the table and an entry of the image of its output
     product = value[x] * value[y]
-    u = np.r_[owner[x], owner[y], T.i[r]]
-    v = np.r_[owner[y], owner[x], T.j[r]]
-    a = np.r_[row[x], row[x], row[e]]
-    c = np.r_[col[y], col[y], col[e]]
+    u = np.concatenate([owner[x], owner[y], T.i[r]])
+    v = np.concatenate([owner[y], owner[x], T.j[r]])
+    a = np.concatenate([row[x], row[x], row[e]])
+    c = np.concatenate([col[y], col[y], col[e]])
     _, total = _group_sums(((u * n + v) * s + a) * s + c,
-                           np.r_[product, -product, -T.c[r] * value[e]])
+                           np.concatenate([product, -product, -T.c[r] * value[e]]))
     return not total.any()
 
 
@@ -556,7 +662,7 @@ _CSV_ROW = _row_templates("%d,%d,", "%d:%d", (";", "\n"))
 def _fill_rows(L: LieAlgebra, templates: np.ndarray, sep: str) -> str:
     """The i < j rows written by one %-format pass over a template per row."""
     fields, first = _upper_half(L)
-    last = np.r_[first[1:], True]
+    last = np.concatenate([first[1:], [True]])
     keep = np.ones(fields.shape, dtype=bool)
     keep[:, :2] = first[:, None]
     return sep.join(templates[2 * first + last].tolist()) % tuple(fields[keep].tolist())

@@ -95,10 +95,10 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
                          f"the limit of {MAX_ROOT_ENTRIES}")
     C = cartan_matrix(t)
     eye = np.eye(k, dtype=np.int64)
-    X = frontier = np.r_[eye, -eye]
+    X = frontier = np.concatenate([eye, -eye])
     while len(frontier):
         images = frontier[:, None, :] - (frontier @ C)[:, :, None] * eye
-        pool = np.r_[X, images.reshape(-1, k)]
+        pool = np.concatenate([X, images.reshape(-1, k)])
         _, first = np.unique(_keys(pool), return_index=True)
         X, frontier = pool[first], pool[first[first >= len(X)]]
     if len(X) != t.root_count:

@@ -95,7 +95,7 @@ def _planar(t: LieType) -> tuple[np.ndarray, np.ndarray]:
     up[:, 2:] = np.tri(k - 1, k - 2, -1, dtype=np.int64)
     down = -up
     down[:, :2] = (0, -1)
-    return np.r_[i, -i, 0], np.vstack([up, down, np.zeros((1, k), dtype=np.int64)])
+    return np.concatenate([i, -i, [0]]), np.vstack([up, down, np.zeros((1, k), dtype=np.int64)])
 
 
 @per_type
@@ -250,7 +250,8 @@ def sign_pairs(t: LieType | str) -> np.ndarray:
     keep[keep] = summable[first[keep], second[keep]]
     x, y, z, first, second = x[keep], y[keep], z[keep], first[keep], second[keep]
     sign = _triangle_sign(len(root_of) - center, x, y, z, center)
-    a, b, sign = np.r_[first, second], np.r_[second, first], np.r_[sign, -sign]
+    a, b = np.concatenate([first, second]), np.concatenate([second, first])
+    sign = np.concatenate([sign, -sign])
     if not sign.all():
         q = int(np.flatnonzero(sign == 0)[0])
         raise RuntimeError(f"{t}: degenerate wheel triangle (an arc of n/2) for "

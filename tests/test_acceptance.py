@@ -97,6 +97,38 @@ def test_c08_names_a_root_breaking_sl2(monkeypatch, with_coefficients):
                            "D4: (-1, 0, 0, 0) and 1 more roots break sl2 laws")
 
 
+@pytest.mark.parametrize("paired, actual", [
+    (False, "A2: antisymmetry violated; 9 Jacobi violations; "
+            "D4: antisymmetry violated; 22 Jacobi violations"),
+    (True, "A2: 10 Jacobi violations; D4: 34 Jacobi violations"),
+], ids=["one-row", "with-mirror"])
+def test_c07_decides_antisymmetry_once(paired, actual, monkeypatch, with_coefficients):
+    # One [g_a, g_b] row negated breaks antisymmetry; negating its mirror
+    # too restores it and leaves only Jacobi violations.  C07 reads the
+    # decision from the Jacobi report, so each type's table is checked for
+    # antisymmetry once.
+    real = liealg.build
+
+    def corrupted(t):
+        L = real(t)
+        T = L.table
+        c = T.c.copy()
+        row = int(np.flatnonzero((T.i >= L.rank) & (T.i < T.j) & (T.m >= L.rank))[0])
+        c[row] = -c[row]
+        if paired:
+            c[(T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])] *= -1
+        return with_coefficients(L, c)
+
+    calls = []
+    check_antisymmetry = liealg.check_antisymmetry
+    monkeypatch.setattr(liealg, "build", corrupted)
+    monkeypatch.setattr(liealg, "check_antisymmetry",
+                        lambda L: calls.append(L.lie_type.label) or check_antisymmetry(L))
+    c07 = dict(CRITERIA)["C07-lie-algebra-laws"]
+    assert c07(["A2", "D4"]) == (False, c07.expected, actual)
+    assert calls == ["A2", "D4"]
+
+
 def test_second_run_reading_the_memo_changes_no_outcome():
     # A fresh interpreter, so the first run fills the per-type memo (the
     # shared algebras included) and the second reads it.

@@ -197,9 +197,8 @@ CORRUPTIONS = {"flip": lambda c: -c, "double": lambda c: 2 * c,
 PAIRED = {f"paired-{name}": change for name, change in CORRUPTIONS.items()}
 
 
-@pytest.mark.parametrize("label", SMALL_LABELS)
-@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS, *PAIRED])
-def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
+def _corrupted(label, corruption, with_coefficients):
+    """The algebra of ``label`` with three rows changed by ``corruption`` (None: unchanged)."""
     L = build(make_type(label))
     T = L.table
     c = T.c.copy()
@@ -213,13 +212,50 @@ def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
             mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
             c[row] = PAIRED[corruption](int(c[row]))
             c[mirror] = -c[row]
-    L = with_coefficients(L, c)
+    return with_coefficients(L, c)
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS, *PAIRED])
+def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
+    L = _corrupted(label, corruption, with_coefficients)
     report = check_jacobi(L)
     assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert report.antisymmetric == (not check_antisymmetry(L))
     if corruption in PAIRED:
-        assert not check_antisymmetry(L)
+        assert report.antisymmetric
     else:
         assert report.ok == (corruption is None)
+
+
+@pytest.fixture
+def tiny_bands(monkeypatch):
+    """Jacobi bands of 3 terms, so every antisymmetric table is swept in many
+    bands and a smallest index with more terms leaves empty bands behind it.
+    Returns the list that collects the term count of each band swept."""
+    sizes = []
+    class_sums = liealg._class_sums
+
+    def counted(word, w, cmax):
+        sizes.append(len(word))
+        return class_sums(word, w, cmax)
+
+    monkeypatch.setattr(liealg, "_JACOBI_BAND_TERMS", 3)
+    monkeypatch.setattr(liealg, "_class_sums", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS[1:])  # A1's join is too small to split much
+@pytest.mark.parametrize("corruption", [None, *PAIRED])
+def test_jacobi_in_tiny_bands_matches_reference(label, corruption, with_coefficients, tiny_bands):
+    # No class straddles a band edge: each is summed whole in the band of
+    # its smallest index, whatever the band size.
+    L = _corrupted(label, corruption, with_coefficients)
+    report = check_jacobi(L)
+    assert report.antisymmetric
+    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert len(tiny_bands) > 10 and 0 in tiny_bands
+    assert report.ok == (corruption is None)
 
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:
@@ -263,6 +299,18 @@ def test_jacobi_matches_reference_on_random_tables(table, data):
     lone = (*data.draw(st.sampled_from(free)), data.draw(st.integers(-3, 3)))
     L = _algebra_from_rows(n, rows + [lone])
     report = check_jacobi(L)
+    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+
+
+@settings(max_examples=60)
+@given(antisymmetric_rows())
+def test_jacobi_in_tiny_bands_matches_reference_on_random_tables(table):
+    n, rows = table
+    L = _algebra_from_rows(n, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liealg, "_JACOBI_BAND_TERMS", 3)
+        report = check_jacobi(L)
+    assert report.antisymmetric
     assert (report.triples_checked, report.violations) == reference_jacobi(L)
 
 
