@@ -95,7 +95,7 @@ def _cmd_lie(args) -> int:
         elif check == "jacobi":
             report = liealg.check_jacobi(L)
             ok = report.ok
-            label = f"jacobi ({report.triples_checked} cyclic triple classes)"
+            label = f"jacobi ({report.triples_checked} generator triples)"
         elif check == "killing":
             ok = liealg.is_nondegenerate(liealg.killing_form(L))
             label = "killing form nondegenerate"

@@ -20,7 +20,6 @@ they are given, so a corrupted coefficient shows up in every check.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ __all__ = [
     "JacobiReport",
     "MAX_JACOBI_TERMS",
     "term_bounds",
+    "refuse_oversized",
     "n_sign",
     "root_signs",
     "build",
@@ -52,22 +52,22 @@ __all__ = [
     "load_structure_constants",
 ]
 
-# ``build`` refuses a type whose Jacobi join could exceed this many terms.
-# The join is never smaller than the table, so this bounds the table too.
-# check_jacobi joins every row of a table that is not antisymmetric at once,
-# at about 25 bytes per term of the full join at its peak (tracemalloc, E8
-# with one row negated: 1.17M terms, 29 MB), so the limit keeps that under
-# about 250 MB.  The antisymmetric tables ``build`` makes are summed band by
-# band (_JACOBI_BAND_TERMS), peaking at about 4 MB on E8 and 9 MB on A31.  A31
-# (dimension 1023, within check_jacobi's 1024) is the largest A type accepted.
+# ``build`` refuses a type whose table's self-join could exceed this many
+# terms (:func:`term_bounds`); the join is never smaller than the table, so
+# this bounds the table too.  check_jacobi joins the rows of a generating set
+# only, _JACOBI_BAND_TERMS terms at a time: at most 2.5 times the self-join
+# when every element is in the set, and far fewer on a built table, where
+# the 2k generators suffice (E8: 161k terms, the self-join 1.17M).  A31 is the
+# largest A type accepted.
 MAX_JACOBI_TERMS = 10_000_000
-# The antisymmetric Jacobi sweep joins, sorts and sums about this many terms
-# at a time: their words and coefficients (2 MB) stay within a 2 MB L2 cache.
-# Measured in process on a 2-vCPU Xeon VM (median of 15 alternating rounds),
-# bands of 2^15, 2^16, 2^17, 2^18 and 2^19 terms took E8 23.0, 21.0, 20.6,
-# 20.7 and 24.1 ms, and A31 172, 124, 110, 111 and 111 ms; one band holding
-# the whole join took 24.7 and 148 ms.
-_JACOBI_BAND_TERMS = 1 << 17
+# check_jacobi sums the terms of consecutive generators in groups of about
+# this many terms.  Each group's joins also read the whole table, so small
+# groups cost time on large tables and large ones peak higher.  Measured in
+# process on a 2-vCPU Xeon VM (median of 15 alternating rounds), groups of
+# 2^14, 2^15, 2^16 and 2^17 terms took E8 10.4, 8.7, 9.1 and 9.7 ms and A31
+# 121, 85, 65 and 63 ms, at tracemalloc peaks of 1.2, 2.1, 3.5 and 5.6 MB on
+# E8 and 4.1, 4.1, 4.5 and 7.4 MB on A31.
+_JACOBI_BAND_TERMS = 1 << 16
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
 
@@ -228,7 +228,7 @@ class LieAlgebra:
 
 
 def term_bounds(t: LieType | str) -> tuple[int, int]:
-    """Closed-form upper bounds on (table rows, Jacobi join terms) of a type.
+    """Closed-form upper bounds on (table rows, terms of the table's self-join) of a type.
 
     Each root has exactly 2h - 4 summable partners ((a, b) = -1), each simple
     root pairs nonzero with exactly 4h - 6 roots, and all root supports add up
@@ -246,17 +246,26 @@ def term_bounds(t: LieType | str) -> tuple[int, int]:
     return table, join
 
 
+def refuse_oversized(t: LieType | str) -> None:
+    """ValueError, naming the type and the bound, if :func:`term_bounds` passes MAX_JACOBI_TERMS.
+
+    Closed form: nothing of the type is built.
+    """
+    t = as_type(t)
+    table_rows, join_terms = term_bounds(t)
+    if join_terms > MAX_JACOBI_TERMS:
+        raise ValueError(
+            f"{t} is too large: up to {table_rows:,} structure constants and "
+            f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
+
+
 @per_type
 def build(t: LieType | str) -> LieAlgebra:
     """The structure-constant table of one type, its rows from the four bracket rules.
 
     Built once per type and shared by every later call, so read-only (``from_rows``).
     """
-    table_rows, join_terms = term_bounds(t)
-    if join_terms > MAX_JACOBI_TERMS:
-        raise ValueError(
-            f"{t} is too large: up to {table_rows:,} structure constants and "
-            f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
+    refuse_oversized(t)
     rs = enumerate_roots(t)
     C = cartan_matrix(t)
     X = rs.coords
@@ -328,12 +337,14 @@ def check_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
 
 @dataclass
 class JacobiReport:
-    """Outcome of the exhaustive Jacobi sweep.
+    """Outcome of the Jacobi check on a generating set (:func:`check_jacobi`).
 
-    ``triples_checked`` counts the cyclic classes of basis triples with a
-    nonzero term [[x, y], z]; every other class is zero by the table itself.
-    ``antisymmetric`` is the sweep's own antisymmetry decision
-    (:func:`check_antisymmetry` found no pair), which chose its path.
+    ``antisymmetric`` is the check's own antisymmetry decision
+    (:func:`check_antisymmetry` found no pair).  A table that is not
+    antisymmetric is not swept: it reads 0 triples and no violation, and is
+    not ok.  ``triples_checked`` counts the triples (s, y, z), s in the
+    generating set and y < z, with a nonzero term of J(s, y, z); every other
+    such triple is zero by the table itself.
     """
 
     lie_type: LieType
@@ -343,207 +354,114 @@ class JacobiReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.antisymmetric and not self.violations
 
 
-def _swap_last(key: np.ndarray) -> np.ndarray:
-    """(a, b, c) -> (a, c, b) on triples packed as a << 20 | b << 10 | c."""
-    return key & ~0xFFFFF | (key & 1023) << 10 | key >> 10 & 1023
+def _generating_set(L: LieAlgebra) -> np.ndarray:
+    """The basis elements whose derivations :func:`check_jacobi` checks, ascending.
 
-
-def _words(cols, runs, w: int, cmax: int, odd=None) -> np.ndarray:
-    """The Jacobi terms of some runs of rows [m, z], one int64 word per term.
-
-    ``cols`` are the table's j, m and c as int32.  Each run is a tuple
-    (first row, row count, key head, coefficient factor, shift) of arrays
-    with one entry per joined row [x, y] -> m; the run's terms take z from
-    its rows into the key as head | z << shift.  ``odd``, one flag per
-    entry of the runs in turn, swaps the last two indices of the key.  A
-    term is packed as (key << 10 | p) << w | (c_xy c_mz factor + cmax).
+    These are the 2k generators g_{+-alpha_i} and every element that the
+    generation certificate leaves uncovered.  The level of g_a is |height a|
+    and that of D_i is 2, so the generators are the elements of level 1.  A
+    row [s, a] -> c alone in its bracket, with s a generator and a of lower
+    level than c, covers c: e_c is then a multiple of [e_s, e_a].  By
+    induction on the level, the returned elements generate the table.  A
+    table not laid out on its root system (dimension other than k + |Phi|)
+    has no levels, and every element is returned.
     """
-    j, m, c = cols
-    lo, count, head, factor = (np.concatenate(part) for part in zip(*(run[:4] for run in runs)))
-    b = _ranges(lo, count)
-    key = j.take(b)
-    # The terms run by run, so z is shifted into place by slices.  Each
-    # per-term column is dropped once used (see MAX_JACOBI_TERMS for the peak).
-    edge = 0
-    for run in runs:
-        end = edge + int(run[1].sum())
-        key[edge:end] <<= run[4]
-        edge = end
-    key |= np.repeat(head, count)
-    coef = c.take(b)
-    coef *= np.repeat(factor, count)
-    coef += cmax
-    p = m.take(b)
-    del b
-    if odd is not None:
-        odd = np.repeat(odd, count)
-        key[odd] = _swap_last(key[odd])
-        del odd
-    word = key.astype(np.int64)
-    del key
-    word <<= 10
-    word |= p
-    word <<= w
-    word |= coef
-    return word
+    T, n, k = L.table, L.dimension, L.rank
+    if n != k + len(L.root_system):
+        return np.arange(n)
+    level = np.concatenate([np.full(k, 2), np.abs(L.root_system.coords.sum(axis=1))])
+    pair = T.i * n + T.j
+    alone = T.start[pair + 1] - T.start[pair] == 1
+    covered = np.zeros(n, dtype=bool)
+    covered[T.m[alone & (level[T.i] == 1) & (level[T.j] < level[T.m])]] = True
+    return np.flatnonzero((level == 1) | ~covered)
 
 
-def _class_sums(word: np.ndarray, w: int, cmax: int) -> tuple[int, np.ndarray]:
-    """How many distinct keys the packed terms have, and the keys that sum to nonzero on some e_p.
-
-    Sorting the words by value groups the terms by (key, p); ``word`` is
-    sorted and shifted in place.  The keys come ascending.
-    """
-    word.sort()
-    coef = word & ((1 << w) - 1)
-    coef -= cmax
-    word >>= w  # now key << 10 | p
-    last = np.flatnonzero(np.concatenate([word[1:] != word[:-1], [len(word) > 0]]))
-    # A run's sum is the step of the running sum across its last term
-    # (cheaper than reduceat over many short runs).
-    np.cumsum(coef, out=coef)
-    total = coef[last]
-    del coef
-    total[1:] -= total[:-1]
-    triple = word[last] >> 10
-    bad = triple[total != 0]
-    del last, total
-    return len(_run_starts(triple)), bad[_run_starts(bad)]
-
-
-def _banded_sweep(T: StructureTable, cols, w: int, cmax: int) -> tuple[int, np.ndarray]:
-    """The class count and the violated sorted triples (ascending) of an antisymmetric table.
-
-    Only the i < j rows [u, v] -> m are joined (u < v, see
-    :func:`check_jacobi`).  The rows [m, z] split at u < v into five runs,
-    z < u, z = u, u < z < v, z = v and z > v, with the sorted triples
-    (z, u, v), (u, u, v), (u, z, v), (u, v, v) and (u, v, z) of parity +1,
-    0, -1, 0 and +1.  The terms of the two runs with a repeated index cancel
-    pairwise, so their classes (one per bracket [u, v] with such a run) are
-    counted from the row bounds, not joined.  The other terms are summed in
-    bands [a0, a1) of the smallest index a, about _JACOBI_BAND_TERMS terms
-    each: the u < z < v and z > v runs of the rows with u in the band (a
-    contiguous row range, the rows being sorted by i), and the z < u runs
-    of the rows with u > a0, clipped to z in [a0, min(a1, u)).  A class
-    lies in one band, so each band is joined, sorted and summed on its own.
-    """
-    n, j = T.n, cols[0]
-    upper = np.flatnonzero(T.i < T.j)
-    u = T.i[upper].astype(np.int32)
-    v, mx, cx = (col.take(upper) for col in cols)
-    base = mx * n
-    below, at_u, above_u, at_v, above_v, end = T.start[
-        np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])]
-    between, beyond = at_v - above_u, end - above_v  # the u < z < v and z > v run lengths
-    pair = u << 10 | v
-    checked = len(_run_starts(pair[above_u > at_u])) + len(_run_starts(pair[above_v > at_v]))
-    # The terms whose smallest index is below a, for a = 0..n: the u < z < v
-    # and z > v runs of the rows with u < a, and the terms with z < a of the
-    # z < u runs, found by how many of these runs cover each table row.
-    first_row = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=first_row[1:])
-    cover = np.cumsum(np.bincount(below, minlength=len(j) + 1)
-                      - np.bincount(at_u, minlength=len(j) + 1))[:-1]
-    by_z = np.bincount(j, cover, minlength=n).astype(np.int64)
-    total = (np.concatenate([[0], np.cumsum(between + beyond)])[first_row]
-             + np.concatenate([[0], np.cumsum(by_z)]))
-    edges = np.searchsorted(total, np.arange(0, total[-1], _JACOBI_BAND_TERMS), side="right") - 1
-    bad = []
-    for a0, a1 in zip(edges.tolist(), [*edges[1:].tolist(), n]):
-        rows = slice(first_row[a0], first_row[a1])  # a0 <= u < a1
-        tail = slice(first_row[a0 + 1], None)  # u > a0
-        low = T.start[base[tail] + a0]
-        high = T.start[base[tail] + np.minimum(u[tail], a1)]
-        ur, vr = u[rows], v[rows]
-        word = _words(cols, [(low, high - low, u[tail] << 10 | v[tail], cx[tail], 20),
-                             (above_u[rows], between[rows], ur << 20 | vr, -cx[rows], 10),
-                             (above_v[rows], beyond[rows], ur << 20 | vr << 10, cx[rows], 0)],
-                      w, cmax)
-        classes, violated = _class_sums(word, w, cmax)
-        del word
-        checked += 2 * classes
-        bad.append(violated)
-    return checked, np.concatenate([np.zeros(0, dtype=np.int64), *bad])
+def _keyed(n: int, s, y, z, p, c) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobi terms with y < z, keyed (s, y, z, p) in one int64, and their coefficients."""
+    keep = y < z
+    return ((s[keep] * n + y[keep]) * n + z[keep]) * n + p[keep], c[keep]
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
-    """Exhaustive Jacobi check, as a join of the structure table with itself.
+    """The Jacobi identity of an antisymmetric table, decided on a generating set.
 
-    Each row [x, y] -> m meets each row [m, z] -> p in one term of
-    [[x, y], z] on e_p.  J(x, y, z) is the sum of that term over the three
-    rotations of (x, y, z), so a cyclic class is violated when its terms sum
-    to nonzero on some e_p; violations are reported as the smallest rotation
-    of the class (at most MAX_JACOBI_VIOLATIONS of them, in lexicographic
-    order).  Each term is keyed by its sorted triple a <= b <= c and the
-    parity of (x, y, z) against it: the even permutations are the rotations
-    of (a, b, c), the odd ones those of (a, c, b), and a triple with a
-    repeated index has one class, itself.
+    Call x good when ad_x is a derivation: [x, [y, z]] = [[x, y], z] +
+    [y, [x, z]] for all y, z.  If x is good, ad_[x, y] = [ad_x, ad_y] is a
+    commutator of derivations, so the good elements form a subalgebra, and
+    if they include a generating set S (:func:`_generating_set`) every
+    element is good.  On an antisymmetric table the derivation identity of
+    s at (y, z) reads J(s, y, z) = 0, and the Jacobiator J is alternating,
+    so the Jacobi identity holds exactly when J(s, y, z) = 0 for every s in S
+    and y < z, and each violated (s, y, z) is a violated Jacobi triple
+    (Humphreys, Introduction to Lie Algebras and Representation Theory, 1.1,
+    1.3 and 18.3).
 
-    On an antisymmetric table (:func:`check_antisymmetry` finds no pair)
-    only the i < j rows are joined: the table being canonical, its i > j
-    rows are then exactly the mirrors (j, i, m, -c) of the i < j rows and no
-    row has i = j.  The mirror of a term is its negative in the class of
-    opposite parity, so the class of (a, b, c) sums to the parity-signed
-    total S of the i < j terms and the class of (a, c, b) to -S (the
-    Jacobiator is alternating, Humphreys, Introduction to Lie Algebras, 1.1).
-    A distinct sorted triple thus stands for two classes that are both
-    violated or both clean, and a repeated one for one class whose terms
-    cancel pairwise; :func:`_banded_sweep` sums these terms band by band.
-    Any other table joins all its rows at once and keys each term by the
-    smallest rotation, (a, b, c) or (a, c, b) by parity.  The report
-    carries the decision as ``antisymmetric``.
+    J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y], one join of the
+    table with itself per term: a row [u, v] -> m meets a row [m, w] -> p in
+    one term of [[u, v], w] on e_p.  The terms are summed per (s, y, z, p)
+    for consecutive groups of S of about _JACOBI_BAND_TERMS terms each,
+    counted exactly before any join, so a triple is summed whole in the
+    group of its s.  Violations are reported as the smallest rotation of
+    (s, y, z), in lexicographic order, at most MAX_JACOBI_VIOLATIONS of them.
 
-    The runs of each joined row are bounded by indexing the table's own
-    row offsets, ``start[q]`` being the first row with i * n + j >= q, so no
-    bound is searched for.
-
-    Each term is one int64 word: the key packed as a << 20 | b << 10 | c,
-    then p in 10 bits, then the coefficient offset to be nonnegative in the
-    low w bits, w the bit width of twice the largest |c_a c_b|.  Sorting the
-    words by value groups the terms by (key, p).  Two inputs cannot be
-    packed, and both are refused with ValueError before the join is
-    allocated: a dimension over 1024, and coefficients so wide that
-    40 + w > 63 bits (max |c| of about 2^11 or more).
+    A table that is not antisymmetric is reported with ``antisymmetric``
+    False and is not swept.  The sums run in int64: coefficients wide enough
+    to overflow them raise ValueError before any term is made.
     """
     T, n = L.table, L.dimension
-    if n > 1 << 10:
-        raise ValueError(f"check_jacobi packs basis indices in 10 bits; dimension {n} > 1024")
-    cmax = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0))) ** 2
-    w = (2 * cmax).bit_length()
-    if 40 + w > 63:
-        raise ValueError(f"structure constants up to {math.isqrt(cmax)} in absolute value "
-                         f"are too wide to pack a Jacobi term in 63 bits")
-    cols = tuple(col.astype(np.int32) for col in (T.j, T.m, T.c))
-    antisymmetric = not check_antisymmetry(L)
-    if antisymmetric:
-        checked, bad = _banded_sweep(T, cols, w, cmax)
-        bad = np.sort(np.concatenate([bad, _swap_last(bad)]))
-    else:
-        x, (y, mx, cx) = T.i.astype(np.int32), cols
-        u, v = np.minimum(x, y), np.maximum(x, y)
-        # The runs of [m, z] as in _banded_sweep, with the sorted triples
-        # (z, u, v) in runs 0-1, (u, z, v) in runs 2-3 and (u, v, z) in run
-        # 4.  parity is +1 or -1 as (x, y, z) is an even or odd permutation
-        # of its sorted triple, and 0 where an index repeats.  Where u = v
-        # the running maximum empties runs 2-3.
-        base = mx * n
-        bounds = np.stack([base, base + u, base + u + 1, base + v, base + v + 1, base + n])
-        bounds = np.maximum.accumulate(T.start[bounds], axis=0)
-        count = np.diff(bounds, axis=0)
-        parity = np.array([[1], [0], [-1], [0], [1]], dtype=np.int32) * np.sign(y - x)
-        heads = (u << 10 | v, u << 10 | v, u << 20 | v, u << 20 | v, u << 20 | v << 10)
-        # Key each term by its class: (a, c, b) where the parity is odd.
-        word = _words(cols, [(bounds[r], count[r], heads[r], cx, shift)
-                             for r, shift in enumerate((20, 20, 10, 10, 0))], w, cmax,
-                      odd=parity.ravel() < 0)
-        checked, bad = _class_sums(word, w, cmax)
-        del word
-    violations = [(int(q >> 20), int(q >> 10 & 1023), int(q & 1023))
-                  for q in bad[:MAX_JACOBI_VIOLATIONS]]
-    return JacobiReport(L.lie_type, checked, violations, antisymmetric)
+    if check_antisymmetry(L):
+        return JacobiReport(L.lie_type, 0, [], False)
+    seeds = _generating_set(L)
+    first = T.start[::n].astype(np.int64)  # the rows [x, .] are first[x]:first[x + 1]
+    length = np.diff(first)
+    into = np.argsort(T.j, kind="stable")  # the rows [., x] are into[at[x]:at[x + 1]]
+    at = np.concatenate([[0], np.cumsum(np.bincount(T.j, minlength=n))])
+    upper = np.flatnonzero(T.i < T.j)
+    # The terms of s: its rows [s, y] -> m and [z, s] -> m meet the rows
+    # [m, .], and its rows [m, s] meet the i < j rows onto e_m.
+    onto = np.bincount(T.m[upper], minlength=n)
+    terms = np.bincount(T.i, length[T.m], n) + np.bincount(T.j, length[T.m] + onto[T.i], n)
+    total = np.concatenate([[0], np.cumsum(terms[seeds].astype(np.int64))])
+    widest = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0)))
+    if widest * widest * int(total[-1]) >= 1 << 63:
+        raise ValueError(f"structure constants up to {widest} in absolute value "
+                         f"could overflow the int64 Jacobi sums")
+    edges = np.unique(np.searchsorted(total, np.arange(0, total[-1], _JACOBI_BAND_TERMS),
+                                      side="right") - 1).tolist()
+    checked, bad = 0, [np.zeros(0, dtype=np.int64)]
+    for g0, g1 in zip(edges, [*edges[1:], len(seeds)]):
+        group = seeds[g0:g1]
+        outgoing = _ranges(first[group], length[group])  # the rows [s, .]
+        incoming = into[_ranges(at[group], at[group + 1] - at[group])]  # the rows [., s]
+        # [[s, y], z]: a row [s, y] -> m meets a row [m, z] -> p.
+        a, b = _join(T.m[outgoing], T.i)
+        a = outgoing[a]
+        parts = [_keyed(n, T.i[a], T.j[a], T.j[b], T.m[b], T.c[a] * T.c[b])]
+        # [[y, z], s]: an i < j row [y, z] -> m meets a row [m, s] -> p.
+        a, b = _join(T.m[upper], T.i[incoming])
+        a, b = upper[a], incoming[b]
+        parts.append(_keyed(n, T.j[b], T.i[a], T.j[a], T.m[b], T.c[a] * T.c[b]))
+        # [[z, s], y]: a row [z, s] -> m meets a row [m, y] -> p.
+        a, b = _join(T.m[incoming], T.i)
+        a = incoming[a]
+        parts.append(_keyed(n, T.j[a], T.j[b], T.i[a], T.m[b], T.c[a] * T.c[b]))
+        del a, b
+        key, coef = _group_sums(*(np.concatenate(column) for column in zip(*parts)))
+        del parts
+        triple = key // n
+        checked += len(_run_starts(triple))
+        bad.append(triple[coef != 0])
+    bad = np.concatenate(bad)
+    s, yz = np.divmod(bad, n * n)
+    # The smallest rotation of a violated (s, y, z), y < z, is (s, y, z) when
+    # s < y and (y, z, s) otherwise: J vanishes on a repeated index.
+    rotated = np.unique(np.where(s < yz // n, bad, yz * n + s))[:MAX_JACOBI_VIOLATIONS]
+    violations = [(int(q // (n * n)), int(q // n % n), int(q % n)) for q in rotated]
+    return JacobiReport(L.lie_type, checked, violations, True)
 
 
 def killing_form(L: LieAlgebra) -> np.ndarray:

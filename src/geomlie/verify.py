@@ -273,7 +273,9 @@ def _c06_pairing_invariance(t: LieType) -> list[str]:
     return [] if np.array_equal(P.T @ C @ P, C) else ["P^t C P != C"]
 
 
-@_criterion("C07-lie-algebra-laws", "antisymmetry + Jacobi clean, dims k+|Phi|, E8 within budget")
+@_criterion("C07-lie-algebra-laws",
+            "antisymmetry + ad of each of the 2k generators a derivation (Jacobi), "
+            "dims k+|Phi|, E8 within budget")
 def _c07_lie_laws(t: LieType) -> list[str]:
     fails = []
     L = liealg.build(t)
@@ -513,10 +515,17 @@ def _evaluate(c: Criterion, t: LieType) -> CheckResult:
 
 
 def _records(criteria: Iterable[Criterion], labels: Iterable[str]) -> list[CheckResult]:
+    """The records of each criterion on each type, in that order.
+
+    A type too large for the Lie criteria is refused with ValueError before
+    any criterion runs (:func:`liealg.refuse_oversized`).
+    """
     with warnings.catch_warnings():
         # The D3 rank-floor notice is the user's concern, not the sweep's.
         warnings.filterwarnings("ignore", message="D3 coincides with A3")
         types = [as_type(lab) for lab in labels]
+        for t in types:
+            liealg.refuse_oversized(t)
         return [_evaluate(c, t) for c in criteria for t in types]
 
 

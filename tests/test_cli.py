@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,21 @@ def test_lie_refuses_oversized_type(capsys):
     assert code == 2
     assert "A60 is too large" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("label", ["A40", "A128"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_verify_refuses_oversized_type_before_any_criterion(label, json_flag, capsys, monkeypatch):
+    # The Lie criteria cannot run past MAX_JACOBI_TERMS, so verify refuses the
+    # type up front with one line, from the closed-form bound build uses.
+    calls = []
+    monkeypatch.setattr(verify, "_evaluate", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "A2", label, *json_flag)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: {label} is too large: ") and err.count("\n") == 1
+    assert f"over MAX_JACOBI_TERMS = {liealg.MAX_JACOBI_TERMS:,}" in err
 
 
 def test_roots_refuses_oversized_type(capsys):

@@ -160,12 +160,18 @@ def _flipped_root_root_sign(L):
 
 
 def test_jacobi_negative_control(with_coefficients):
-    # One flipped structure-constant sign must surface as violations.
+    # One flipped structure-constant sign breaks antisymmetry, which fails
+    # the table before any Jacobi term is summed; flipping its mirror too
+    # keeps the table antisymmetric and leaves Jacobi violations.
     L = build(make_type("A2"))
-    L = with_coefficients(L, _flipped_root_root_sign(L))
-    report = check_jacobi(L)
-    assert len(report.violations) >= 1
-    assert check_antisymmetry(L)
+    T = L.table
+    c = _flipped_root_root_sign(L)
+    report = check_jacobi(with_coefficients(L, c))
+    assert (report.ok, report.antisymmetric, report.violations) == (False, False, [])
+    row = int(np.flatnonzero(c != T.c)[0])
+    c[(T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])] *= -1
+    report = check_jacobi(with_coefficients(L, c))
+    assert report.antisymmetric and len(report.violations) >= 1
 
 
 def reference_jacobi(L) -> tuple[int, list[tuple[int, int, int]]]:
@@ -189,12 +195,69 @@ def reference_jacobi(L) -> tuple[int, list[tuple[int, int, int]]]:
     return len(classes), bad[:liealg.MAX_JACOBI_VIOLATIONS]
 
 
-# The new coefficient from the old one; 2047 is the widest value check_jacobi packs.
+def reference_generator_sweep(L, seeds) -> tuple[int, list[tuple[int, int, int]]]:
+    """J(s, y, z) by the textbook formula, for s in ``seeds`` and y < z, over Python dicts.
+
+    J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y], each bracket read
+    row by row.  Returns (how many (s, y, z) have a term, the smallest
+    rotations of the violated ones, ascending).
+    """
+    T = L.table
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, y, m, c in zip(T.i.tolist(), T.j.tolist(), T.m.tolist(), T.c.tolist()):
+        rows.setdefault((x, y), []).append((m, c))
+    checked, bad = 0, set()
+    for s in seeds:
+        for y in range(L.dimension):
+            for z in range(y + 1, L.dimension):
+                total: dict[int, int] = {}
+                for u, v, w in ((s, y, z), (y, z, s), (z, s, y)):
+                    for m, c1 in rows.get((u, v), ()):
+                        for p, c2 in rows.get((m, w), ()):
+                            total[p] = total.get(p, 0) + c1 * c2
+                checked += bool(total)
+                if any(total.values()):
+                    bad.add(min((s, y, z), (y, z, s), (z, s, y)))
+    return checked, sorted(bad)[:liealg.MAX_JACOBI_VIOLATIONS]
+
+
+def generators(L) -> list[int]:
+    """The basis indices of the 2k generators g_{+-alpha_i}, ascending."""
+    unit = np.eye(L.rank, dtype=np.int64)
+    return sorted(L.rank + L.root_system.index[tuple(v)] for v in [*unit.tolist(), *(-unit).tolist()])
+
+
+def assert_reference_verdict(L, report):
+    """The report's verdict is the exhaustive sweep's, and each violation one of its classes."""
+    _, bad = reference_jacobi(L)
+    antisymmetric = not check_antisymmetry(L)
+    assert report.antisymmetric == antisymmetric
+    assert report.ok == (antisymmetric and not bad)
+    assert set(report.violations) <= set(bad)
+    if antisymmetric:
+        assert (report.triples_checked, report.violations) == \
+            reference_generator_sweep(L, liealg._generating_set(L).tolist())
+    else:
+        assert (report.triples_checked, report.violations) == (0, [])
+
+
+# The new coefficient from the old one.
 CORRUPTIONS = {"flip": lambda c: -c, "double": lambda c: 2 * c,
-               "plus-one": lambda c: c + 1, "wide": lambda c: 2047}
+               "plus-one": lambda c: c + 1, "wide": lambda c: 2047, "zero": lambda c: 0}
 # A paired corruption changes a row (i, j, m) and its mirror (j, i, m) together,
-# so the table stays antisymmetric and check_jacobi joins its i < j rows only.
+# so the table stays antisymmetric and check_jacobi sums its terms.
 PAIRED = {f"paired-{name}": change for name, change in CORRUPTIONS.items()}
+
+
+def _paired_change(L, rows, change):
+    """The coefficients of L's table with each of ``rows`` changed and its mirror set to match."""
+    T = L.table
+    c = T.c.copy()
+    for row in rows:
+        mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
+        c[row] = change(int(c[row]))
+        c[mirror] = -c[row]
+    return c
 
 
 def _corrupted(label, corruption, with_coefficients):
@@ -208,10 +271,7 @@ def _corrupted(label, corruption, with_coefficients):
         for row in rng.sample(range(len(c)), 3):
             c[row] = change(int(c[row]))
     elif corruption in PAIRED:
-        for row in rng.sample(np.flatnonzero(T.i < T.j).tolist(), 3):
-            mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
-            c[row] = PAIRED[corruption](int(c[row]))
-            c[mirror] = -c[row]
+        c = _paired_change(L, rng.sample(np.flatnonzero(T.i < T.j).tolist(), 3), PAIRED[corruption])
     return with_coefficients(L, c)
 
 
@@ -220,8 +280,7 @@ def _corrupted(label, corruption, with_coefficients):
 def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
     L = _corrupted(label, corruption, with_coefficients)
     report = check_jacobi(L)
-    assert (report.triples_checked, report.violations) == reference_jacobi(L)
-    assert report.antisymmetric == (not check_antisymmetry(L))
+    assert_reference_verdict(L, report)
     if corruption in PAIRED:
         assert report.antisymmetric
     else:
@@ -230,32 +289,81 @@ def test_jacobi_matches_reference_sweep(label, corruption, with_coefficients):
 
 @pytest.fixture
 def tiny_bands(monkeypatch):
-    """Jacobi bands of 3 terms, so every antisymmetric table is swept in many
-    bands and a smallest index with more terms leaves empty bands behind it.
-    Returns the list that collects the term count of each band swept."""
+    """Jacobi groups of 3 terms, so every generator is summed in a group of its
+    own.  Returns the list that collects the term count of each sum taken."""
     sizes = []
-    class_sums = liealg._class_sums
+    group_sums = liealg._group_sums
 
-    def counted(word, w, cmax):
-        sizes.append(len(word))
-        return class_sums(word, w, cmax)
+    def counted(key, values):
+        sizes.append(len(key))
+        return group_sums(key, values)
 
     monkeypatch.setattr(liealg, "_JACOBI_BAND_TERMS", 3)
-    monkeypatch.setattr(liealg, "_class_sums", counted)
+    monkeypatch.setattr(liealg, "_group_sums", counted)
     return sizes
 
 
-@pytest.mark.parametrize("label", SMALL_LABELS[1:])  # A1's join is too small to split much
+@pytest.mark.parametrize("label", SMALL_LABELS[1:])  # A1 has only two generators
 @pytest.mark.parametrize("corruption", [None, *PAIRED])
 def test_jacobi_in_tiny_bands_matches_reference(label, corruption, with_coefficients, tiny_bands):
-    # No class straddles a band edge: each is summed whole in the band of
-    # its smallest index, whatever the band size.
+    # A triple is summed whole in the group of its s, whatever the group size.
     L = _corrupted(label, corruption, with_coefficients)
     report = check_jacobi(L)
     assert report.antisymmetric
-    assert (report.triples_checked, report.violations) == reference_jacobi(L)
-    assert len(tiny_bands) > 10 and 0 in tiny_bands
+    assert_reference_verdict(L, report)
+    # One sum for the antisymmetry decision, then one per generator at least.
+    assert len(tiny_bands) >= 1 + 2 * L.rank
     assert report.ok == (corruption is None)
+
+
+def test_zeroed_generator_row_grows_the_generating_set(with_coefficients):
+    # [g_a1, g_a2] -> g_{a1+a2} and its mirror are the only rows that cover
+    # g_{a1+a2} on A2.  Zeroed, the element joins the generating set, and
+    # the verdict is still the exhaustive sweep's.
+    L = build(make_type("A2"))
+    T = L.table
+    index = L.root_system.index
+    s, a, top = (L.rank + index[r] for r in ((1, 0), (0, 1), (1, 1)))
+    row = int(np.flatnonzero((T.i == s) & (T.j == a) & (T.m == top))[0])
+    Z = with_coefficients(L, _paired_change(L, [row], lambda c: 0))
+    assert liealg._generating_set(Z).tolist() == sorted([*generators(L), top])
+    report = check_jacobi(Z)
+    assert not report.ok
+    assert_reference_verdict(Z, report)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+@pytest.mark.parametrize("change", ["zero", "flip", "double", "plus-one"])
+def test_corrupted_generator_rows_match_reference(label, change, with_coefficients):
+    # Each row [g_{+-a_i}, g_a] -> g_c that covers g_c, changed with its mirror.
+    L = build(make_type(label))
+    T = L.table
+    level = np.abs(np.concatenate([np.full(L.rank, 2), L.root_system.coords.sum(axis=1)]))
+    covering = np.flatnonzero((level[T.i] == 1) & (T.m >= L.rank) & (level[T.j] < level[T.m]))
+    for row in random.Random(f"{label}-{change}").sample(covering.tolist(), 6):
+        C = with_coefficients(L, _paired_change(L, [row], CORRUPTIONS[change]))
+        report = check_jacobi(C)
+        assert not report.ok
+        assert_reference_verdict(C, report)
+
+
+def test_rows_within_one_level_certify_nothing():
+    # On A3's layout: x, y, z = D1, D2, D3 and u, v = g_{a1+a2}, g_{a2+a3}, with
+    # [x, y] = u and [u, z] = v, so J(x, y, z) = v.  ad of g_a1 scales x, y,
+    # z, u and v by 1, 2, 4, 3 and 7, a grading, so it is a derivation, and
+    # every other generator brackets to zero.  Each row [g_a1, e] -> e joins
+    # an element to itself, so it covers nothing: x, y and z stay in the
+    # generating set, where the violation is found.
+    L = build(make_type("A3"))
+    g, u, v = (L.rank + L.root_system.index[r] for r in ((1, 0, 0), (1, 1, 0), (0, 1, 1)))
+    upper = [(g, 0, 0, 1), (g, 1, 1, 2), (g, 2, 2, 4), (g, u, u, 3), (g, v, v, 7),
+             (0, 1, u, 1), (u, 2, v, 1)]
+    rows = upper + [(j, i, m, -c) for i, j, m, c in upper]
+    C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, *zip(*rows)))
+    assert liealg._generating_set(C).tolist() == list(range(L.dimension))
+    report = check_jacobi(C)
+    assert report.violations == [(0, 1, 2), (0, 2, 1)]
+    assert_reference_verdict(C, report)
 
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:
@@ -286,68 +394,80 @@ def antisymmetric_rows(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
 @settings(max_examples=60)
 @given(antisymmetric_rows(), st.data())
 def test_jacobi_matches_reference_on_random_tables(table, data):
-    # Small indices make terms with z = x or z = y common.  One lone row
-    # with no mirror (a zero coefficient, or i = j, included) turns the
-    # table into one whose Jacobi join reads every row.
+    # Small indices make terms with z = s or y = s common; dimension 3 is
+    # A1's layout, so the generation certificate reads levels there.  One
+    # lone row with no mirror (a zero coefficient, or i = j, included) makes
+    # a table that is not antisymmetric, unless its coefficient is zero.
     n, rows = table
     L = _algebra_from_rows(n, rows)
-    report = check_jacobi(L)
-    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert_reference_verdict(L, check_jacobi(L))
     taken = {row[:3] for row in rows}
     free = [(x, y, m) for x in range(n) for y in range(n) for m in range(n)
             if (x, y, m) not in taken]
     lone = (*data.draw(st.sampled_from(free)), data.draw(st.integers(-3, 3)))
     L = _algebra_from_rows(n, rows + [lone])
-    report = check_jacobi(L)
-    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert_reference_verdict(L, check_jacobi(L))
 
 
 @settings(max_examples=60)
-@given(antisymmetric_rows())
-def test_jacobi_in_tiny_bands_matches_reference_on_random_tables(table):
+@given(antisymmetric_rows(), st.integers(1, 3))
+def test_jacobi_in_tiny_bands_matches_reference_on_random_tables(table, budget):
     n, rows = table
     L = _algebra_from_rows(n, rows)
+    want = check_jacobi(L)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(liealg, "_JACOBI_BAND_TERMS", 3)
+        patch.setattr(liealg, "_JACOBI_BAND_TERMS", budget)
         report = check_jacobi(L)
+    assert report == want
     assert report.antisymmetric
-    assert (report.triples_checked, report.violations) == reference_jacobi(L)
+    assert_reference_verdict(L, report)
 
 
 @pytest.mark.parametrize("label", sorted(JACOBI_ALGEBRAS))
 def test_cli_jacobi_prints_reference_class_count(label, capsys):
     L = JACOBI_ALGEBRAS[label]
-    classes, bad = reference_jacobi(L)
+    triples, bad = reference_generator_sweep(L, generators(L))
     assert not bad
     assert cli.main(["lie", label, "--check", "jacobi"]) == 0
     out = capsys.readouterr().out
-    assert out == f"dimension {L.dimension}\n  jacobi ({classes} cyclic triple classes): ok\n"
+    assert out == f"dimension {L.dimension}\n  jacobi ({triples} generator triples): ok\n"
 
 
-def _refusal_peak(L) -> int:
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="pack"):
-            check_jacobi(L)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_jacobi_refuses_dimension_past_1024_before_allocating():
-    # E8's rows in a table of dimension 1025: a join of 1.17M terms, were it built.
+def test_jacobi_sweeps_dimension_past_1024():
+    # E8's rows in a table of dimension 1025: not laid out on E8's root
+    # system, so every element is checked as a derivation, group by group.
     L = build(make_type("E8"))
     T = L.table
     L = dataclasses.replace(L, table=liealg.StructureTable.from_rows(1025, T.i, T.j, T.m, T.c))
-    assert L.dimension == 1025
-    assert _refusal_peak(L) < 1_000_000
+    assert liealg._generating_set(L).tolist() == list(range(1025))
+    tracemalloc.start()
+    try:
+        report = check_jacobi(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16_000_000
 
 
-def test_jacobi_refuses_unpackable_coefficient_before_allocating(with_coefficients):
+def test_jacobi_refuses_overflowing_coefficient_before_allocating(with_coefficients):
+    # A lone wide coefficient breaks antisymmetry, and nothing is summed;
+    # paired with its mirror, one of 2^31 could overflow the int64 sums.
     L = build(make_type("E8"))
     c = L.table.c.copy()
     c[0] = 2048
-    assert _refusal_peak(with_coefficients(L, c)) < 1_000_000
+    report = check_jacobi(with_coefficients(L, c))
+    assert (report.ok, report.antisymmetric, report.triples_checked) == (False, False, 0)
+    W = with_coefficients(L, _paired_change(L, [int(np.flatnonzero(L.table.i < L.table.j)[0])],
+                                            lambda c: 1 << 31))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow"):
+            check_jacobi(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sign_cocycle():

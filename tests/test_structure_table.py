@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomlie.lattice import make_type
-from geomlie.liealg import (MAX_JACOBI_TERMS, AlgebraElement, StructureTable, build,
+from geomlie import liealg
+from geomlie.lattice import cartan_matrix, make_type
+from geomlie.liealg import (MAX_JACOBI_TERMS, AlgebraElement, StructureTable, bracket, build,
                             check_antisymmetry, check_jacobi, killing_form, term_bounds)
 from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
@@ -121,10 +122,9 @@ def test_enumerate_roots_refuses_oversized_type_before_allocating():
 
 @pytest.mark.parametrize("label, limit_mb", [("E8", 8), ("A31", 16)], ids=["E8", "A31"])
 def test_jacobi_peak_within_band_bounds(label, limit_mb):
-    # check_jacobi sums an antisymmetric table's join band by band, so its
-    # peak is set by the band and the per-row bounds, not by the join: the
-    # i < j rows meet 0.58M rows on E8 and 3.2M on A31, the largest type
-    # accepted (MAX_JACOBI_TERMS).
+    # check_jacobi sums the generators' terms group by group, so its peak is
+    # set by the group and the table, not by the terms: 161k of them on E8
+    # and 757k on A31, the largest type accepted (MAX_JACOBI_TERMS).
     L = build(label)
     tracemalloc.start()
     try:
@@ -258,3 +258,40 @@ def test_check_antisymmetry_matches_the_summed_definition(case):
 def test_built_tables_are_antisymmetric():
     for label in ALL_ACCEPTED_LABELS:
         assert not check_antisymmetry(build(label)), label
+
+
+def test_generators_generate_every_built_table():
+    # The generation certificate covers every element but the 2k generators
+    # g_{+-a_i}, so check_jacobi checks exactly their derivations.
+    for label in ALL_ACCEPTED_LABELS:
+        L = build(label)
+        unit = np.eye(L.rank, dtype=np.int64)
+        roots = [*unit.tolist(), *(-unit).tolist()]
+        generators = sorted(L.rank + L.root_system.index[tuple(r)] for r in roots)
+        assert liealg._generating_set(L).tolist() == generators, label
+        assert check_jacobi(L).ok, label
+
+
+@pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
+def test_serre_relations(label):
+    # e_i = g_{a_i}, f_i = -g_{-a_i} and h_i = D_i satisfy Serre's relations
+    # (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    # 18.1), read pair by pair through ``bracket``, which shares no code with
+    # check_jacobi.
+    L = build(label)
+    k, C = L.rank, cartan_matrix(label).tolist()
+    unit = np.eye(k, dtype=np.int64)
+    e = [L.root_gen(unit[i]) for i in range(k)]
+    f = [-L.root_gen(-unit[i]) for i in range(k)]
+    h = [L.cartan_gen(i + 1) for i in range(k)]
+    zero = AlgebraElement(())
+    for i in range(k):
+        for j in range(k):
+            assert bracket(L, h[i], e[j]) == e[j].scaled(C[i][j])
+            assert bracket(L, h[i], f[j]) == f[j].scaled(-C[i][j])
+            assert bracket(L, e[i], f[j]) == (h[i] if i == j else zero)
+            if i != j:
+                x, y = e[j], f[j]
+                for _ in range(1 - C[i][j]):
+                    x, y = bracket(L, e[i], x), bracket(L, f[i], y)
+                assert x.is_zero and y.is_zero, (i, j)
