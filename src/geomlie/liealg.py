@@ -54,20 +54,22 @@ __all__ = [
 
 # ``build`` refuses a type whose table's self-join could exceed this many
 # terms (:func:`term_bounds`); the join is never smaller than the table, so
-# this bounds the table too.  check_jacobi joins the rows of a generating set
-# only, _JACOBI_BAND_TERMS terms at a time: at most 2.5 times the self-join
-# when every element is in the set, and far fewer on a built table, where
-# the 2k generators suffice (E8: 161k terms, the self-join 1.17M).  A31 is the
-# largest A type accepted.
+# this bounds the table too.  check_jacobi forms the terms of a generating
+# set only: the self-join plus half of it when every element is in the set,
+# far fewer on a built table, where the 2k generators suffice (E8: 97k terms
+# against a self-join of 1.17M; A31, the largest A type accepted: 459k).
 MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi sums the terms of consecutive generators in groups of about
-# this many terms.  Each group's joins also read the whole table, so small
-# groups cost time on large tables and large ones peak higher.  Measured in
-# process on a 2-vCPU Xeon VM (median of 15 alternating rounds), groups of
-# 2^14, 2^15, 2^16 and 2^17 terms took E8 10.4, 8.7, 9.1 and 9.7 ms and A31
-# 121, 85, 65 and 63 ms, at tracemalloc peaks of 1.2, 2.1, 3.5 and 5.6 MB on
-# E8 and 4.1, 4.1, 4.5 and 7.4 MB on A31.
-_JACOBI_BAND_TERMS = 1 << 16
+# this many terms.  A group reads only its generators' row ranges, so the
+# budget sets the peak, not the time.  In process on a 2-vCPU Xeon VM, the
+# median ms of 15 rounds alternating the budgets and the tracemalloc MB of
+# a warm call (at 2^14 the D20 and A31 peaks are the antisymmetry sort):
+#   budget   E8              D12             D20              A31
+#   2^14     6.17 ms 1.76 MB 5.06 ms 1.64 MB 25.7 ms  3.56 MB 29.5 ms  4.06 MB
+#   2^15     6.03 ms 3.29 MB 5.08 ms 3.08 MB 25.0 ms  4.00 MB 28.1 ms  4.06 MB
+#   2^16     6.19 ms 4.58 MB 5.07 ms 4.86 MB 25.5 ms  6.78 MB 28.3 ms  6.58 MB
+#   2^17     6.06 ms 7.25 MB 5.09 ms 6.12 MB 26.5 ms 12.71 MB 31.3 ms 12.46 MB
+_JACOBI_BAND_TERMS = 1 << 14
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
 
@@ -380,12 +382,6 @@ def _generating_set(L: LieAlgebra) -> np.ndarray:
     return np.flatnonzero((level == 1) | ~covered)
 
 
-def _keyed(n: int, s, y, z, p, c) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobi terms with y < z, keyed (s, y, z, p) in one int64, and their coefficients."""
-    keep = y < z
-    return ((s[keep] * n + y[keep]) * n + z[keep]) * n + p[keep], c[keep]
-
-
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """The Jacobi identity of an antisymmetric table, decided on a generating set.
 
@@ -400,13 +396,16 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     (Humphreys, Introduction to Lie Algebras and Representation Theory, 1.1,
     1.3 and 18.3).
 
-    J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y], one join of the
-    table with itself per term: a row [u, v] -> m meets a row [m, w] -> p in
-    one term of [[u, v], w] on e_p.  The terms are summed per (s, y, z, p)
-    for consecutive groups of S of about _JACOBI_BAND_TERMS terms each,
-    counted exactly before any join, so a triple is summed whole in the
-    group of its s.  Violations are reported as the smallest rotation of
-    (s, y, z), in lexicographic order, at most MAX_JACOBI_VIOLATIONS of them.
+    Antisymmetry folds J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y]
+    onto the rows [s, .] as A(s, y, z) - A(s, z, y) - [s, [y, z]], with
+    A(s, y, z) = [[s, y], z], and every term is read from row ranges, with
+    no join: a row [s, y] -> m meets the rows [m, w] -> p in a term of
+    A(s, y, w), and a row [s, x] -> p the i < j rows [y, z] -> x in one of
+    -[s, [y, z]].  The terms are summed per (s, y, z, p) for consecutive
+    groups of S of about _JACOBI_BAND_TERMS terms, counted exactly before
+    any term is made, so a triple is summed whole in the group of its s.
+    Violations are reported as the smallest rotation of (s, y, z), in
+    lexicographic order, at most MAX_JACOBI_VIOLATIONS of them.
 
     A table that is not antisymmetric is reported with ``antisymmetric``
     False and is not swept.  The sums run in int64: coefficients wide enough
@@ -418,14 +417,13 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     seeds = _generating_set(L)
     first = T.start[::n].astype(np.int64)  # the rows [x, .] are first[x]:first[x + 1]
     length = np.diff(first)
-    into = np.argsort(T.j, kind="stable")  # the rows [., x] are into[at[x]:at[x + 1]]
-    at = np.concatenate([[0], np.cumsum(np.bincount(T.j, minlength=n))])
     upper = np.flatnonzero(T.i < T.j)
-    # The terms of s: its rows [s, y] -> m and [z, s] -> m meet the rows
-    # [m, .], and its rows [m, s] meet the i < j rows onto e_m.
     onto = np.bincount(T.m[upper], minlength=n)
-    terms = np.bincount(T.i, length[T.m], n) + np.bincount(T.j, length[T.m] + onto[T.i], n)
-    total = np.concatenate([[0], np.cumsum(terms[seeds].astype(np.int64))])
+    at = np.concatenate([[0], np.cumsum(onto)])  # onto e_x: by_output[at[x]:at[x + 1]]
+    by_output = upper[np.argsort(T.m[upper], kind="stable")]
+    # A row [s, x] -> m makes length[m] A terms and onto[x] B terms.
+    terms = np.bincount(T.i, length[T.m] + onto[T.j], n)[seeds].astype(np.int64)
+    total = np.concatenate([[0], np.cumsum(terms)])
     widest = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0)))
     if widest * widest * int(total[-1]) >= 1 << 63:
         raise ValueError(f"structure constants up to {widest} in absolute value "
@@ -435,25 +433,22 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     checked, bad = 0, [np.zeros(0, dtype=np.int64)]
     for g0, g1 in zip(edges, [*edges[1:], len(seeds)]):
         group = seeds[g0:g1]
-        outgoing = _ranges(first[group], length[group])  # the rows [s, .]
-        incoming = into[_ranges(at[group], at[group + 1] - at[group])]  # the rows [., s]
-        # [[s, y], z]: a row [s, y] -> m meets a row [m, z] -> p.
-        a, b = _join(T.m[outgoing], T.i)
-        a = outgoing[a]
-        parts = [_keyed(n, T.i[a], T.j[a], T.j[b], T.m[b], T.c[a] * T.c[b])]
-        # [[y, z], s]: an i < j row [y, z] -> m meets a row [m, s] -> p.
-        a, b = _join(T.m[upper], T.i[incoming])
-        a, b = upper[a], incoming[b]
-        parts.append(_keyed(n, T.j[b], T.i[a], T.j[a], T.m[b], T.c[a] * T.c[b]))
-        # [[z, s], y]: a row [z, s] -> m meets a row [m, y] -> p.
-        a, b = _join(T.m[incoming], T.i)
-        a = incoming[a]
-        parts.append(_keyed(n, T.j[a], T.j[b], T.i[a], T.m[b], T.c[a] * T.c[b]))
-        del a, b
-        key, coef = _group_sums(*(np.concatenate(column) for column in zip(*parts)))
-        del parts
+        rows = _ranges(first[group], length[group])  # the rows [s, x] -> m
+        x, m = T.j[rows], T.m[rows]
+        # A(s, x, w): the row [s, x] -> m meets a row [m, w] -> p, a term of
+        # J(s, x, w) if x < w and of -J(s, w, x) if w < x; w = x cancels.
+        a, b = np.repeat(rows, length[m]), _ranges(first[m], length[m])
+        y, w = T.j[a], T.j[b]
+        key_a = ((T.i[a] * n + np.minimum(y, w)) * n + np.maximum(y, w)) * n + T.m[b]
+        coef_a = np.sign(w - y) * T.c[a] * T.c[b]
+        # -[s, [y, z]]: the row [s, x] -> p meets an i < j row [y, z] -> x.
+        a, b = np.repeat(rows, onto[x]), by_output[_ranges(at[x], onto[x])]
+        key_b = ((T.i[a] * n + T.i[b]) * n + T.j[b]) * n + T.m[a]
+        key, coef = _group_sums(np.concatenate([key_a, key_b]),
+                                np.concatenate([coef_a, -T.c[a] * T.c[b]]))
         triple = key // n
-        checked += len(_run_starts(triple))
+        distinct = triple[_run_starts(triple)]
+        checked += int(np.count_nonzero(distinct // n % n != distinct % n))  # not (s, y, y)
         bad.append(triple[coef != 0])
     bad = np.concatenate(bad)
     s, yz = np.divmod(bad, n * n)

@@ -408,7 +408,9 @@ def _c14_folding(t: LieType) -> list[str]:
 def _coxeter_projection_injective(t: LieType) -> bool:
     """Whether the Coxeter-plane projection separates all roots: exactly for
     A_k with k even (h odd) and for E7, E8, never for D_k or E6 (measured on
-    A2-A16, D3-D16 and E6-E8)."""
+    A2-A31, D3-D20 and E6-E8).  Only "never" is proved: a diagram symmetry
+    that keeps the bipartition commutes with the Coxeter element, so it
+    joins the projections of alpha_i and alpha_(sigma i)."""
     return (t.family == "A" and t.rank % 2 == 0) or t.label in ("E7", "E8")
 
 

@@ -470,6 +470,19 @@ def test_jacobi_refuses_overflowing_coefficient_before_allocating(with_coefficie
     assert peak < 2_000_000
 
 
+def test_jacobi_overflow_guard_reads_the_exact_term_count(with_coefficients, tiny_bands):
+    # The guard refuses exactly when widest^2 times the number of terms
+    # summed reaches 2^63, so a per-generator count off by one row shows.
+    L = build(make_type("E8"))
+    assert check_jacobi(L).ok
+    terms = sum(tiny_bands[1:])  # the first sum is the antisymmetry decision's
+    widest = math.isqrt(((1 << 63) - 1) // terms)  # the largest with widest^2 * terms < 2^63
+    row = [int(np.flatnonzero(L.table.i < L.table.j)[0])]
+    assert not check_jacobi(with_coefficients(L, _paired_change(L, row, lambda c: widest))).ok
+    with pytest.raises(ValueError, match="overflow"):
+        check_jacobi(with_coefficients(L, _paired_change(L, row, lambda c: widest + 1)))
+
+
 def test_sign_cocycle():
     # eps(a, b) = (-1)^(b^t B a) is the bracket sign N(a, b).  Its symmetric
     # part is (-1)^((a, b)) and it is bimultiplicative (Kac, Infinite-

@@ -88,7 +88,15 @@ def test_term_bounds_hold(label):
     on_roots = (T.i >= t.rank) & (T.j >= t.rank) & (T.m >= t.rank)
     assert np.count_nonzero(on_roots) == t.root_count * (2 * t.coxeter_number - 4)
     row_length = np.bincount(T.i, minlength=L.dimension)
-    assert int(row_length[T.m].sum()) <= join_bound
+    self_join = int(row_length[T.m].sum())
+    assert self_join <= join_bound
+    # check_jacobi's terms: a row [s, x] -> m of a generator s meets the rows
+    # of e_m and the i < j rows onto e_x.
+    onto = np.bincount(T.m[T.i < T.j], minlength=L.dimension)
+    of_seeds = np.isin(T.i, liealg._generating_set(L))
+    sweep = int((row_length[T.m] + onto[T.j])[of_seeds].sum())
+    assert sweep <= join_bound
+    assert 2 * sweep <= 3 * self_join
 
 
 def test_build_refuses_oversized_type_before_allocating():
@@ -123,8 +131,8 @@ def test_enumerate_roots_refuses_oversized_type_before_allocating():
 @pytest.mark.parametrize("label, limit_mb", [("E8", 8), ("A31", 16)], ids=["E8", "A31"])
 def test_jacobi_peak_within_band_bounds(label, limit_mb):
     # check_jacobi sums the generators' terms group by group, so its peak is
-    # set by the group and the table, not by the terms: 161k of them on E8
-    # and 757k on A31, the largest type accepted (MAX_JACOBI_TERMS).
+    # set by the group and the table, not by the terms: 97k of them on E8
+    # and 459k on A31, the largest type accepted (MAX_JACOBI_TERMS).
     L = build(label)
     tracemalloc.start()
     try:
