@@ -87,13 +87,13 @@ def _cmd_lie(args) -> int:
     failed = False
     checks = ("antisym", "jacobi", "killing", "sl2", "model") if args.check == "all" \
         else (args.check,)
+    # check_jacobi decides antisymmetry itself, so --check all reads it from the report.
+    report = liealg.check_jacobi(L) if "jacobi" in checks else None
     for check in checks:
         if check == "antisym":
-            bad = liealg.check_antisymmetry(L)
-            ok = not bad
+            ok = report.antisymmetric if report is not None else not liealg.check_antisymmetry(L)
             label = "antisymmetry"
         elif check == "jacobi":
-            report = liealg.check_jacobi(L)
             ok = report.ok
             label = f"jacobi ({report.triples_checked} generator triples)"
         elif check == "killing":

@@ -56,19 +56,19 @@ __all__ = [
 # terms (:func:`term_bounds`); the join is never smaller than the table, so
 # this bounds the table too.  check_jacobi forms the terms of a generating
 # set only: the self-join plus half of it when every element is in the set,
-# far fewer on a built table, where the 2k generators suffice (E8: 97k terms
-# against a self-join of 1.17M; A31, the largest A type accepted: 459k).
+# far fewer on a built table, where e_1..e_k and g_{-theta} suffice (E8:
+# 55k terms against a self-join of 1.17M; A31, the largest A type: 241k).
 MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi sums the terms of consecutive generators in groups of about
 # this many terms.  A group reads only its generators' row ranges, so the
-# budget sets the peak, not the time.  In process on a 2-vCPU Xeon VM, the
-# median ms of 15 rounds alternating the budgets and the tracemalloc MB of
-# a warm call (at 2^14 the D20 and A31 peaks are the antisymmetry sort):
+# budget sets the peak more than the time.  In process on a 2-vCPU Xeon VM,
+# the median ms of 15 rounds alternating the budgets and the tracemalloc MB
+# of a warm call (at 2^14 the D20 and A31 peaks are the antisymmetry sort):
 #   budget   E8              D12             D20              A31
-#   2^14     6.17 ms 1.76 MB 5.06 ms 1.64 MB 25.7 ms  3.56 MB 29.5 ms  4.06 MB
-#   2^15     6.03 ms 3.29 MB 5.08 ms 3.08 MB 25.0 ms  4.00 MB 28.1 ms  4.06 MB
-#   2^16     6.19 ms 4.58 MB 5.07 ms 4.86 MB 25.5 ms  6.78 MB 28.3 ms  6.58 MB
-#   2^17     6.06 ms 7.25 MB 5.09 ms 6.12 MB 26.5 ms 12.71 MB 31.3 ms 12.46 MB
+#   2^13     5.98 ms 1.13 MB 4.86 ms 0.98 MB 22.1 ms  3.56 MB 25.7 ms  4.06 MB
+#   2^14     5.49 ms 1.67 MB 4.44 ms 1.59 MB 20.7 ms  3.56 MB 23.5 ms  4.06 MB
+#   2^15     5.07 ms 2.41 MB 4.30 ms 2.43 MB 19.6 ms  4.03 MB 22.2 ms  4.06 MB
+#   2^16     5.06 ms 4.19 MB 4.13 ms 3.44 MB 19.6 ms  6.72 MB 22.1 ms  6.48 MB
 _JACOBI_BAND_TERMS = 1 << 14
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
@@ -131,10 +131,22 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate([[len(ordered) > 0], ordered[1:] != ordered[:-1]]))
 
 
+def _stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.sort(key) and its stable argsort, by one sort of the words key << b | position."""
+    b = len(key).bit_length()
+    if key.size and (int(key.min()) < 0 or int(key.max()) >> (63 - b)):
+        raise ValueError(f"sort keys of {len(key)} rows must lie in [0, 2^{63 - b})")
+    order = np.arange(len(key))
+    word = np.left_shift(key, b, dtype=np.int64)
+    word |= order
+    word.sort()
+    np.bitwise_and(word, (1 << b) - 1, out=order)
+    return np.right_shift(word, b, out=word), order
+
+
 def _group_sums(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the sum of ``values`` over each."""
-    order = np.argsort(key)
-    key = key[order]
+    key, order = _stable_order(key)
     first = _run_starts(key)
     return key[first], np.add.reduceat(values[order], first)
 
@@ -307,13 +319,12 @@ def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (a, b) with left[a] == right[b], grouped by a, b ascending.
 
-    Keys are nonnegative ints.  Sorted by key (a stable argsort), the right
-    positions fall into one run per distinct key, and an int32 slot per key
-    value, the number of its run, gives each left key its run directly,
-    with no search.
+    Keys are nonnegative ints.  Sorted by key (:func:`_stable_order`), the
+    right positions fall into one run per distinct key, in ascending order,
+    and an int32 slot per key value, the number of its run, gives each left
+    key its run directly, with no search.
     """
-    order = np.argsort(right, kind="stable")
-    ordered = right[order]
+    ordered, order = _stable_order(right)
     first = _run_starts(ordered)
     slot = np.full(max(int(left.max(initial=-1)), int(right.max(initial=-1))) + 1, len(first),
                    dtype=np.int32)
@@ -344,9 +355,9 @@ class JacobiReport:
     ``antisymmetric`` is the check's own antisymmetry decision
     (:func:`check_antisymmetry` found no pair).  A table that is not
     antisymmetric is not swept: it reads 0 triples and no violation, and is
-    not ok.  ``triples_checked`` counts the triples (s, y, z), s in the
-    generating set and y < z, with a nonzero term of J(s, y, z); every other
-    such triple is zero by the table itself.
+    not ok.  ``triples_checked`` counts the (s, y, z) with s in the
+    generating set (e_1..e_k and g_{-theta} on a built table) and y < z that
+    have a nonzero term of J(s, y, z); the others are zero by the table.
     """
 
     lie_type: LieType
@@ -362,19 +373,22 @@ class JacobiReport:
 def _generating_set(L: LieAlgebra) -> np.ndarray:
     """The basis elements whose derivations :func:`check_jacobi` checks, ascending.
 
-    These are the 2k generators g_{+-alpha_i} and every element that the
-    generation certificate leaves uncovered.  The level of g_a is |height a|
-    and that of D_i is 2, so the generators are the elements of level 1.  A
-    row [s, a] -> c alone in its bracket, with s a generator and a of lower
-    level than c, covers c: e_c is then a multiple of [e_s, e_a].  By
-    induction on the level, the returned elements generate the table.  A
-    table not laid out on its root system (dimension other than k + |Phi|)
-    has no levels, and every element is returned.
+    These are e_1..e_k and g_{-theta}, the images at t = 1 of the affine
+    generators (Kac, Infinite-Dimensional Lie Algebras, ch. 7), and every
+    element the generation certificate leaves uncovered.  The level of D_i
+    is the Coxeter number h, of g_a height a for a > 0 and h - height |a|
+    for a < 0, so the generators are the elements of level 1.  A row
+    [s, a] -> c alone in its bracket, with s a generator and a of lower
+    level than c, covers c: e_c is a multiple of [e_s, e_a].  By induction
+    on the level, the returned elements generate the table.  A table not
+    laid out on its root system (dimension other than k + |Phi|) has no
+    levels, and every element is returned.
     """
-    T, n, k = L.table, L.dimension, L.rank
+    T, n, k, h = L.table, L.dimension, L.rank, L.lie_type.coxeter_number
     if n != k + len(L.root_system):
         return np.arange(n)
-    level = np.concatenate([np.full(k, 2), np.abs(L.root_system.coords.sum(axis=1))])
+    height = L.root_system.coords.sum(axis=1)
+    level = np.concatenate([np.full(k, h), np.where(height > 0, height, h + height)])
     pair = T.i * n + T.j
     alone = T.start[pair + 1] - T.start[pair] == 1
     covered = np.zeros(n, dtype=bool)
@@ -388,13 +402,13 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     Call x good when ad_x is a derivation: [x, [y, z]] = [[x, y], z] +
     [y, [x, z]] for all y, z.  If x is good, ad_[x, y] = [ad_x, ad_y] is a
     commutator of derivations, so the good elements form a subalgebra, and
-    if they include a generating set S (:func:`_generating_set`) every
-    element is good.  On an antisymmetric table the derivation identity of
-    s at (y, z) reads J(s, y, z) = 0, and the Jacobiator J is alternating,
-    so the Jacobi identity holds exactly when J(s, y, z) = 0 for every s in S
-    and y < z, and each violated (s, y, z) is a violated Jacobi triple
-    (Humphreys, Introduction to Lie Algebras and Representation Theory, 1.1,
-    1.3 and 18.3).
+    if they include a generating set S (:func:`_generating_set`, e_1..e_k
+    and g_{-theta} on a built table) every element is good.  On an
+    antisymmetric table the derivation identity of s at (y, z) reads
+    J(s, y, z) = 0, and J is alternating, so the Jacobi identity holds
+    exactly when J(s, y, z) = 0 for every s in S and y < z, and each
+    violated (s, y, z) is a violated Jacobi triple (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 1.1, 1.3 and 18.3).
 
     Antisymmetry folds J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y]
     onto the rows [s, .] as A(s, y, z) - A(s, z, y) - [s, [y, z]], with
@@ -420,7 +434,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     upper = np.flatnonzero(T.i < T.j)
     onto = np.bincount(T.m[upper], minlength=n)
     at = np.concatenate([[0], np.cumsum(onto)])  # onto e_x: by_output[at[x]:at[x + 1]]
-    by_output = upper[np.argsort(T.m[upper], kind="stable")]
+    by_output = upper[_stable_order(T.m[upper])[1]]
     # A row [s, x] -> m makes length[m] A terms and onto[x] B terms.
     terms = np.bincount(T.i, length[T.m] + onto[T.j], n)[seeds].astype(np.int64)
     total = np.concatenate([[0], np.cumsum(terms)])

@@ -274,8 +274,8 @@ def _c06_pairing_invariance(t: LieType) -> list[str]:
 
 
 @_criterion("C07-lie-algebra-laws",
-            "antisymmetry + ad of each of the 2k generators a derivation (Jacobi), "
-            "dims k+|Phi|, E8 within budget")
+            "antisymmetry + ad of each of the k + 1 generators e_1..e_k and g_{-theta} "
+            "a derivation (Jacobi), dims k+|Phi|, E8 within budget")
 def _c07_lie_laws(t: LieType) -> list[str]:
     fails = []
     L = liealg.build(t)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -40,3 +41,16 @@ def with_coefficients():
     and indexed, never written in place.
     """
     return _with_coefficients
+
+
+def _generators(L) -> list[int]:
+    """The basis indices of e_1..e_k and g_{-theta}, ascending; theta is the root of largest height."""
+    X = L.root_system.coords
+    roots = [*np.eye(L.rank, dtype=np.int64).tolist(), (-X[X.sum(axis=1).argmax()]).tolist()]
+    return sorted(L.rank + L.root_system.index[tuple(r)] for r in roots)
+
+
+@pytest.fixture
+def generators():
+    """The k + 1 generators of a built algebra, e_1..e_k and g_{-theta}: ``generators(L)``."""
+    return _generators

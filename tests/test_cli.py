@@ -107,6 +107,36 @@ def test_lie_check_all(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["E8", "E8-one-row-negated"])
+def test_lie_check_all_decides_antisymmetry_once(corrupt, capsys, monkeypatch, with_coefficients):
+    # The antisymmetry line reads the Jacobi report's decision, so the table
+    # is checked for antisymmetry once, and a lone negated row fails both lines.
+    real_build, real_check = liealg.build, liealg.check_antisymmetry
+
+    def corrupted(t):
+        L = real_build(t)
+        c = L.table.c.copy()
+        c[0] = -c[0]
+        return with_coefficients(L, c)
+
+    calls = []
+    if corrupt:
+        monkeypatch.setattr(liealg, "build", corrupted)
+    monkeypatch.setattr(liealg, "check_antisymmetry",
+                        lambda L: calls.append(L.lie_type.label) or real_check(L))
+    code, out, _ = run(capsys, "lie", "E8", "--check", "all")
+    assert calls == ["E8"]
+    if corrupt:
+        assert code == 1
+        assert out.splitlines()[:3] == ["dimension 248", "  antisymmetry: FAIL",
+                                        "  jacobi (0 generator triples): FAIL"]
+    else:
+        assert code == 0
+        assert out == ("dimension 248\n  antisymmetry: ok\n  jacobi (25197 generator triples): ok\n"
+                       "  killing form nondegenerate: ok\n  sl2 triples: ok\n"
+                       "  matrix model (n/a): ok\n")
+
+
 def test_lie_refuses_oversized_type(capsys):
     code, out, err = run(capsys, "lie", "A60", "--check", "jacobi")
     assert code == 2

@@ -221,12 +221,6 @@ def reference_generator_sweep(L, seeds) -> tuple[int, list[tuple[int, int, int]]
     return checked, sorted(bad)[:liealg.MAX_JACOBI_VIOLATIONS]
 
 
-def generators(L) -> list[int]:
-    """The basis indices of the 2k generators g_{+-alpha_i}, ascending."""
-    unit = np.eye(L.rank, dtype=np.int64)
-    return sorted(L.rank + L.root_system.index[tuple(v)] for v in [*unit.tolist(), *(-unit).tolist()])
-
-
 def assert_reference_verdict(L, report):
     """The report's verdict is the exhaustive sweep's, and each violation one of its classes."""
     _, bad = reference_jacobi(L)
@@ -312,21 +306,21 @@ def test_jacobi_in_tiny_bands_matches_reference(label, corruption, with_coeffici
     assert report.antisymmetric
     assert_reference_verdict(L, report)
     # One sum for the antisymmetry decision, then one per generator at least.
-    assert len(tiny_bands) >= 1 + 2 * L.rank
+    assert len(tiny_bands) >= 1 + (L.rank + 1)
     assert report.ok == (corruption is None)
 
 
-def test_zeroed_generator_row_grows_the_generating_set(with_coefficients):
-    # [g_a1, g_a2] -> g_{a1+a2} and its mirror are the only rows that cover
-    # g_{a1+a2} on A2.  Zeroed, the element joins the generating set, and
-    # the verdict is still the exhaustive sweep's.
+def test_zeroed_generator_row_grows_the_generating_set(with_coefficients, generators):
+    # [g_{-theta}, g_a2] -> g_{-a1} and its mirror are the only rows that
+    # cover g_{-a1} on A2.  Zeroed, the element joins the generating set,
+    # and the verdict is still the exhaustive sweep's.
     L = build(make_type("A2"))
     T = L.table
     index = L.root_system.index
-    s, a, top = (L.rank + index[r] for r in ((1, 0), (0, 1), (1, 1)))
-    row = int(np.flatnonzero((T.i == s) & (T.j == a) & (T.m == top))[0])
+    s, a, out = (L.rank + index[r] for r in ((-1, -1), (0, 1), (-1, 0)))
+    row = int(np.flatnonzero((T.i == s) & (T.j == a) & (T.m == out))[0])
     Z = with_coefficients(L, _paired_change(L, [row], lambda c: 0))
-    assert liealg._generating_set(Z).tolist() == sorted([*generators(L), top])
+    assert liealg._generating_set(Z).tolist() == sorted([*generators(L), out])
     report = check_jacobi(Z)
     assert not report.ok
     assert_reference_verdict(Z, report)
@@ -335,10 +329,14 @@ def test_zeroed_generator_row_grows_the_generating_set(with_coefficients):
 @pytest.mark.parametrize("label", ["A3", "D4"])
 @pytest.mark.parametrize("change", ["zero", "flip", "double", "plus-one"])
 def test_corrupted_generator_rows_match_reference(label, change, with_coefficients):
-    # Each row [g_{+-a_i}, g_a] -> g_c that covers g_c, changed with its mirror.
+    # Each row [e_i or g_{-theta}, g_a] -> g_c that covers g_c, changed with
+    # its mirror: the level of g_a is height a for a > 0, h - height |a| for
+    # a < 0, and that of D_i is h.
     L = build(make_type(label))
     T = L.table
-    level = np.abs(np.concatenate([np.full(L.rank, 2), L.root_system.coords.sum(axis=1)]))
+    h = L.lie_type.coxeter_number
+    height = L.root_system.coords.sum(axis=1)
+    level = np.concatenate([np.full(L.rank, h), np.where(height > 0, height, h + height)])
     covering = np.flatnonzero((level[T.i] == 1) & (T.m >= L.rank) & (level[T.j] < level[T.m]))
     for row in random.Random(f"{label}-{change}").sample(covering.tolist(), 6):
         C = with_coefficients(L, _paired_change(L, [row], CORRUPTIONS[change]))
@@ -424,13 +422,41 @@ def test_jacobi_in_tiny_bands_matches_reference_on_random_tables(table, budget):
 
 
 @pytest.mark.parametrize("label", sorted(JACOBI_ALGEBRAS))
-def test_cli_jacobi_prints_reference_class_count(label, capsys):
+def test_cli_jacobi_prints_reference_class_count(label, capsys, generators):
     L = JACOBI_ALGEBRAS[label]
     triples, bad = reference_generator_sweep(L, generators(L))
     assert not bad
     assert cli.main(["lie", label, "--check", "jacobi"]) == 0
     out = capsys.readouterr().out
     assert out == f"dimension {L.dimension}\n  jacobi ({triples} generator triples): ok\n"
+
+
+@given(st.lists(st.integers(0, 7) | st.integers(0, (1 << 57) - 1), max_size=63))
+def test_stable_order_is_the_stable_argsort(keys):
+    # Up to 63 keys take b = 6 position bits, so every key below 2^57 packs;
+    # small keys make duplicates, and the list may be empty.
+    key = np.array(keys, dtype=np.int64)
+    ordered, order = liealg._stable_order(key)
+    assert np.array_equal(ordered, np.sort(key))
+    assert np.array_equal(order, np.argsort(key, kind="stable"))
+    assert (ordered.dtype, order.dtype) == (np.int64, np.intp)
+
+
+@pytest.mark.parametrize("bad", [1 << 46, -1], ids=["at-bound", "negative"])
+def test_stable_order_refuses_keys_outside_the_packing_before_allocating(bad):
+    # 100,000 keys take b = 17 position bits, so keys must lie in [0, 2^46).
+    key = np.zeros(100_000, dtype=np.int64)
+    key[1] = (1 << 46) - 1
+    assert liealg._stable_order(key)[1][-1] == 1
+    key[0] = bad
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\[0, 2\^46\)"):
+            liealg._stable_order(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # one int64 array of the keys' length is 800 kB
 
 
 def test_jacobi_sweeps_dimension_past_1024():

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -131,8 +132,8 @@ def test_enumerate_roots_refuses_oversized_type_before_allocating():
 @pytest.mark.parametrize("label, limit_mb", [("E8", 8), ("A31", 16)], ids=["E8", "A31"])
 def test_jacobi_peak_within_band_bounds(label, limit_mb):
     # check_jacobi sums the generators' terms group by group, so its peak is
-    # set by the group and the table, not by the terms: 97k of them on E8
-    # and 459k on A31, the largest type accepted (MAX_JACOBI_TERMS).
+    # set by the group and the table, not by the terms: 55k of them on E8
+    # and 241k on A31, the largest type accepted (MAX_JACOBI_TERMS).
     L = build(label)
     tracemalloc.start()
     try:
@@ -268,15 +269,53 @@ def test_built_tables_are_antisymmetric():
         assert not check_antisymmetry(build(label)), label
 
 
-def test_generators_generate_every_built_table():
-    # The generation certificate covers every element but the 2k generators
-    # g_{+-a_i}, so check_jacobi checks exactly their derivations.
+def closure_dimension(L, seeds: list[int]) -> int:
+    """Dimension of the smallest subspace that holds ``seeds`` and is closed under their ad.
+
+    That subspace lies in the subalgebra the seeds generate.  Brackets are
+    read pair by pair through ``bracket_basis``; on a built table each is a
+    multiple of one root vector or a Cartan combination, and the Cartan
+    combinations are kept while they raise the exact rank (sympy).
+    """
+    k = L.rank
+    roots, cartan = set(seeds), []
+    queue = [AlgebraElement(((x, 1),)) for x in seeds]
+    while queue:
+        x = queue.pop()
+        for s in seeds:
+            y = bracket(L, AlgebraElement(((s, 1),)), x)
+            support = [i for i, _ in y.terms]
+            if all(i < k for i in support):
+                vector = [dict(y.terms).get(i, 0) for i in range(k)]
+                if y.terms and sympy.Matrix([*cartan, vector]).rank() > len(cartan):
+                    cartan.append(vector)
+                    queue.append(y)
+            else:
+                assert len(support) == 1, support  # one root vector
+                if support[0] not in roots:
+                    roots.add(support[0])
+                    queue.append(AlgebraElement(((support[0], 1),)))
+    return len(roots) + len(cartan)
+
+
+@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+def test_affine_generators_generate_by_closure(label, generators):
+    # e_1..e_k and g_{-theta} generate the whole algebra; e_1..e_k alone
+    # reach only the positive root vectors.  Shares no code with the
+    # generation certificate of check_jacobi.
+    L = build(label)
+    seeds = generators(L)
+    assert closure_dimension(L, seeds) == L.rank + len(L.root_system)
+    positive = [x for x in seeds if L.root_system.coords[x - L.rank].sum() > 0]
+    assert closure_dimension(L, positive) == len(L.root_system) // 2
+
+
+def test_generators_generate_every_built_table(generators):
+    # The generation certificate covers every element but e_1..e_k and
+    # g_{-theta}, so check_jacobi checks exactly their k + 1 derivations.
     for label in ALL_ACCEPTED_LABELS:
         L = build(label)
-        unit = np.eye(L.rank, dtype=np.int64)
-        roots = [*unit.tolist(), *(-unit).tolist()]
-        generators = sorted(L.rank + L.root_system.index[tuple(r)] for r in roots)
-        assert liealg._generating_set(L).tolist() == generators, label
+        assert liealg._generating_set(L).tolist() == generators(L), label
         assert check_jacobi(L).ok, label
 
 
