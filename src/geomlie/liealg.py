@@ -62,13 +62,13 @@ MAX_JACOBI_TERMS = 10_000_000
 # check_jacobi sums the terms of consecutive generators in groups of about
 # this many terms.  A group reads only its generators' row ranges, so the
 # budget sets the peak more than the time.  In process on a 2-vCPU Xeon VM,
-# the median ms of 15 rounds alternating the budgets and the tracemalloc MB
-# of a warm call (at 2^14 the D20 and A31 peaks are the antisymmetry sort):
+# the median ms of 41 rounds alternating the budgets and the tracemalloc MB
+# of a warm call (at 2^14 the D20 and A31 peaks are check_antisymmetry's):
 #   budget   E8              D12             D20              A31
-#   2^13     5.98 ms 1.13 MB 4.86 ms 0.98 MB 22.1 ms  3.56 MB 25.7 ms  4.06 MB
-#   2^14     5.49 ms 1.67 MB 4.44 ms 1.59 MB 20.7 ms  3.56 MB 23.5 ms  4.06 MB
-#   2^15     5.07 ms 2.41 MB 4.30 ms 2.43 MB 19.6 ms  4.03 MB 22.2 ms  4.06 MB
-#   2^16     5.06 ms 4.19 MB 4.13 ms 3.44 MB 19.6 ms  6.72 MB 22.1 ms  6.48 MB
+#   2^13     3.20 ms 1.13 MB 2.64 ms 0.98 MB 13.0 ms  3.56 MB 15.7 ms  4.06 MB
+#   2^14     3.09 ms 1.67 MB 2.55 ms 1.59 MB 12.9 ms  3.56 MB 14.0 ms  4.06 MB
+#   2^15     3.00 ms 2.41 MB 2.51 ms 2.43 MB 12.6 ms  4.03 MB 14.6 ms  4.06 MB
+#   2^16     2.94 ms 4.19 MB 2.48 ms 3.44 MB 12.2 ms  6.72 MB 14.0 ms  6.48 MB
 _JACOBI_BAND_TERMS = 1 << 14
 # check_jacobi reports at most this many violating triples.
 MAX_JACOBI_VIOLATIONS = 100_000
@@ -121,9 +121,6 @@ class AlgebraElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-
-ZERO = AlgebraElement(())
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -227,18 +224,12 @@ class LieAlgebra:
 
     # -- bracket ----------------------------------------------------------
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
-        """Bracket of two basis elements by global index."""
-        T = self.table
-        n = T.n
-        i, j = integer_array((i, j)).tolist()
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError("basis index out of range")
-        lo, hi = T.start[i * n + j:i * n + j + 2].tolist()
-        if hi == lo:
-            return ZERO
-        if hi == lo + 1:  # every nonzero bracket but [g_a, g_-a] has one term
-            return AlgebraElement(((int(T.m[lo]), int(T.c[lo])),))
-        return AlgebraElement(tuple(zip(T.m[lo:hi].tolist(), T.c[lo:hi].tolist())))
+        """[e_i, e_j] by global index: :func:`bracket` of the two basis elements.
+
+        ``bracket`` is the one reader of the table's rows, and it validates
+        each index once.
+        """
+        return bracket(self, AlgebraElement(((i, 1),)), AlgebraElement(((j, 1),)))
 
 
 def term_bounds(t: LieType | str) -> tuple[int, int]:
@@ -306,13 +297,36 @@ def build(t: LieType | str) -> LieAlgebra:
     return LieAlgebra(t, rs, StructureTable.from_rows(n, i, j, m, c))
 
 
+def _basis_index(i, n: int) -> int:
+    """A basis index of a table of dimension n as a Python int.
+
+    ValueError if it is not an integer or not in [0, n): a negative index
+    would read another bracket's rows.
+    """
+    if not isinstance(i, int):
+        i = integer_array(i).item()
+    if not 0 <= i < n:
+        raise ValueError("basis index out of range")
+    return i
+
+
 def bracket(L: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the basis bracket table."""
+    """Bilinear extension of the basis bracket table.
+
+    Reads the rows start[i * n + j]:start[i * n + j + 1] of each pair of
+    terms as Python ints; each term's index is validated once, y's before
+    the loop and each of x's in it.
+    """
+    T, n = L.table, L.dimension
+    start, M, C = T.start, T.m, T.c
+    right = [(_basis_index(j, n), cj) for j, cj in y.terms]
     acc: dict[int, int] = {}
     for i, ci in x.terms:
-        for j, cj in y.terms:
-            for m, c in L.bracket_basis(i, j).terms:
-                acc[m] = acc.get(m, 0) + ci * cj * c
+        row = _basis_index(i, n) * n
+        for j, cj in right:
+            for r in range(start.item(row + j), start.item(row + j + 1)):
+                m = M.item(r)
+                acc[m] = acc.get(m, 0) + ci * cj * C.item(r)
     return AlgebraElement.from_dict(acc)
 
 
@@ -418,6 +432,9 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     -[s, [y, z]].  The terms are summed per (s, y, z, p) for consecutive
     groups of S of about _JACOBI_BAND_TERMS terms, counted exactly before
     any term is made, so a triple is summed whole in the group of its s.
+    A key holds s, y, z and p in four fields of b = (n - 1).bit_length()
+    bits, highest first, so it sorts as (s, y, z, p) and shifts and masks
+    read the fields back.
     Violations are reported as the smallest rotation of (s, y, z), in
     lexicographic order, at most MAX_JACOBI_VIOLATIONS of them.
 
@@ -444,6 +461,8 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
                          f"could overflow the int64 Jacobi sums")
     edges = np.unique(np.searchsorted(total, np.arange(0, total[-1], _JACOBI_BAND_TERMS),
                                       side="right") - 1).tolist()
+    bits = (n - 1).bit_length()
+    mask = (1 << bits) - 1
     checked, bad = 0, [np.zeros(0, dtype=np.int64)]
     for g0, g1 in zip(edges, [*edges[1:], len(seeds)]):
         group = seeds[g0:g1]
@@ -453,23 +472,23 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
         # J(s, x, w) if x < w and of -J(s, w, x) if w < x; w = x cancels.
         a, b = np.repeat(rows, length[m]), _ranges(first[m], length[m])
         y, w = T.j[a], T.j[b]
-        key_a = ((T.i[a] * n + np.minimum(y, w)) * n + np.maximum(y, w)) * n + T.m[b]
+        key_a = ((T.i[a] << bits | np.minimum(y, w)) << bits | np.maximum(y, w)) << bits | T.m[b]
         coef_a = np.sign(w - y) * T.c[a] * T.c[b]
         # -[s, [y, z]]: the row [s, x] -> p meets an i < j row [y, z] -> x.
         a, b = np.repeat(rows, onto[x]), by_output[_ranges(at[x], onto[x])]
-        key_b = ((T.i[a] * n + T.i[b]) * n + T.j[b]) * n + T.m[a]
+        key_b = ((T.i[a] << bits | T.i[b]) << bits | T.j[b]) << bits | T.m[a]
         key, coef = _group_sums(np.concatenate([key_a, key_b]),
                                 np.concatenate([coef_a, -T.c[a] * T.c[b]]))
-        triple = key // n
+        triple = key >> bits
         distinct = triple[_run_starts(triple)]
-        checked += int(np.count_nonzero(distinct // n % n != distinct % n))  # not (s, y, y)
+        checked += int(np.count_nonzero((distinct >> bits ^ distinct) & mask))  # not (s, y, y)
         bad.append(triple[coef != 0])
     bad = np.concatenate(bad)
-    s, yz = np.divmod(bad, n * n)
+    s, yz = bad >> 2 * bits, bad & ((1 << 2 * bits) - 1)
     # The smallest rotation of a violated (s, y, z), y < z, is (s, y, z) when
     # s < y and (y, z, s) otherwise: J vanishes on a repeated index.
-    rotated = np.unique(np.where(s < yz // n, bad, yz * n + s))[:MAX_JACOBI_VIOLATIONS]
-    violations = [(int(q // (n * n)), int(q // n % n), int(q % n)) for q in rotated]
+    rotated = np.unique(np.where(s < yz >> bits, bad, yz << bits | s))[:MAX_JACOBI_VIOLATIONS]
+    violations = [(q >> 2 * bits, q >> bits & mask, q & mask) for q in rotated.tolist()]
     return JacobiReport(L.lie_type, checked, violations, True)
 
 

@@ -129,6 +129,70 @@ def test_bracket_bilinear(label, data):
     assert bracket(L, z, x + y) == bracket(L, z, x) + bracket(L, z, y)
 
 
+def _bracket_oracle(T, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """[x, y] summed over a dict of the table's rows, keyed by (i, j)."""
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, m, c in zip(T.i.tolist(), T.j.tolist(), T.m.tolist(), T.c.tolist()):
+        rows.setdefault((i, j), []).append((m, c))
+    acc: dict[int, int] = {}
+    for i, ci in x.terms:
+        for j, cj in y.terms:
+            for m, c in rows.get((int(i), int(j)), ()):
+                acc[m] = acc.get(m, 0) + ci * cj * c
+    return AlgebraElement.from_dict(acc)
+
+
+def _writable(L, data) -> liealg.LieAlgebra:
+    """A copy of L whose table columns are writable copies, with drawn rows given new m and c.
+
+    The pairs (i, j) and the row index stay, so the rows of each bracket
+    are where ``start`` says, but an output may repeat within a bracket and
+    a coefficient may be zero: the table is not canonical.
+    """
+    T = L.table
+    columns = {name: getattr(T, name).copy() for name in ("i", "j", "m", "c", "start")}
+    for row in data.draw(st.lists(st.integers(0, len(T.c) - 1), max_size=8)):
+        columns["m"][row] = data.draw(st.integers(0, T.n - 1))
+        columns["c"][row] = data.draw(st.integers(-5, 5))
+    return dataclasses.replace(L, table=liealg.StructureTable(T.n, **columns))
+
+
+# An index as a Python int, a numpy int or an integral float.
+INDEX_KINDS = [int, np.int64, np.int32, float]
+
+
+@given(st.sampled_from(["A1", "A2", *sorted(JACOBI_ALGEBRAS)]), st.booleans(),
+       st.sampled_from(INDEX_KINDS), st.data())
+def test_bracket_matches_dict_oracle(label, corrupt, kind, data):
+    L = build(make_type(label))
+    if corrupt:
+        L = _writable(L, data)
+    x, y = (data.draw(algebra_elements(L.dimension)) for _ in range(2))
+    want = _bracket_oracle(L.table, x, y)
+    x, y = (AlgebraElement(tuple((kind(i), c) for i, c in e.terms)) for e in (x, y))
+    assert bracket(L, x, y) == want
+    i, j = (data.draw(st.integers(0, L.dimension - 1)) for _ in range(2))
+    want = _bracket_oracle(L.table, AlgebraElement(((i, 1),)), AlgebraElement(((j, 1),)))
+    assert L.bracket_basis(kind(i), kind(j)) == want
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("bad, message", [
+    (-1, "basis index out of range"), (np.int64(-1), "basis index out of range"),
+    ("n", "basis index out of range"), (1.5, "expected integers")],
+    ids=["minus-one", "numpy-minus-one", "n", "one-and-a-half"])
+def test_bracket_refuses_a_bad_index(side, bad, message):
+    # A negative index must not wrap round to another bracket's rows.
+    L = build(make_type("A2"))
+    bad = L.dimension if bad == "n" else bad
+    good, wrong = AlgebraElement(((0, 1),)), AlgebraElement(((bad, 1),))
+    args = (wrong, good) if side == "x" else (good, wrong)
+    with pytest.raises(ValueError, match=message):
+        bracket(L, *args)
+    with pytest.raises(ValueError, match=message):
+        L.bracket_basis(*(e.terms[0][0] for e in args))
+
+
 def test_a2_bracket_table_verbatim():
     L = build(make_type("A2"))
     sym = {"W1": L.cartan_gen(1), "W2": L.cartan_gen(2),
@@ -419,6 +483,54 @@ def test_jacobi_in_tiny_bands_matches_reference_on_random_tables(table, budget):
     assert report == want
     assert report.antisymmetric
     assert_reference_verdict(L, report)
+
+
+def _synthetic_rows(n: int) -> list[tuple[int, int, int, int]]:
+    """Seeded random antisymmetric rows on dimension n, with index n - 1 as i, j and m."""
+    rng = random.Random(n)
+    top = n - 1
+    upper = [(0, top, top, 1), (1, top, 0, -2), (top - 1, top, 1, 3)]
+    for _ in range(3 * n):
+        x, y = sorted(rng.sample(range(n), 2))
+        upper.append((x, y, rng.randrange(n), rng.choice((-2, -1, 1, 2))))
+    return upper + [(y, x, m, -c) for x, y, m, c in upper]
+
+
+def _packing_edge_algebras() -> dict[str, liealg.LieAlgebra]:
+    """Tables at the edges of check_jacobi's b-bit key fields, b = (n - 1).bit_length().
+
+    Dimension 1 (b = 0) and 2 (b = 1); A2, n = 8, where every field is
+    full; dimensions 9 and 65, one past a power of two; and A2's rows in a
+    table of dimension 9, not laid out on a root system, where every element
+    is a generator.
+    """
+    A2 = build(make_type("A2"))
+    T = A2.table
+    flipped = _paired_change(A2, [int(np.flatnonzero(T.i < T.j)[-1])], lambda c: -c)
+    return {"n1": _algebra_from_rows(1, [(0, 0, 0, 0)]),
+            "n1-lone": _algebra_from_rows(1, [(0, 0, 0, 1)]),
+            "n2": _algebra_from_rows(2, [(0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, -1), (1, 0, 1, -1)]),
+            "A2": A2,
+            "A2-paired": dataclasses.replace(
+                A2, table=liealg.StructureTable.from_rows(8, T.i, T.j, T.m, flipped)),
+            "n9": _algebra_from_rows(9, _synthetic_rows(9)),
+            "n65": _algebra_from_rows(65, _synthetic_rows(65)),
+            "A2-in-n9": _algebra_from_rows(9, zip(T.i.tolist(), T.j.tolist(), T.m.tolist(),
+                                                  T.c.tolist()))}
+
+
+PACKING_EDGES = _packing_edge_algebras()
+
+
+@pytest.mark.parametrize("name", PACKING_EDGES)
+def test_jacobi_at_the_edges_of_the_key_packing(name):
+    L = PACKING_EDGES[name]
+    report = check_jacobi(L)
+    assert_reference_verdict(L, report)
+    if name.startswith("A2-in") or name == "n65":
+        assert liealg._generating_set(L).tolist() == list(range(L.dimension))
+    if name in ("A2-paired", "n9", "n65"):
+        assert report.antisymmetric and report.violations
 
 
 @pytest.mark.parametrize("label", sorted(JACOBI_ALGEBRAS))
