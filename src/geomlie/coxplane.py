@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LieType, as_type, cartan_matrix, per_type
-from .rootsys import Root, coxeter_matrix, enumerate_roots, orbit_decomposition
+from .rootsys import Root, coxeter_matrix, enumerate_roots, orbit_decomposition, summable_pairs
 
 __all__ = [
     "DegeneratePlaneError",
@@ -36,10 +36,6 @@ PALETTE = (
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#393b79", "#8c6d31",
     "#843c39", "#7b4173", "#637939", "#3182bd",
 )
-
-# Entries of the root pairing held at once while searching for SVG edges (2 MB of int64).
-_PAIRING_BLOCK = 1 << 18
-
 
 class DegeneratePlaneError(ValueError):
     """No distinguished rotation plane exists (rank 1, h = 2)."""
@@ -136,25 +132,14 @@ def _edges(t: LieType, fibres: list[list[int]]) -> tuple[list[int], list[int]]:
     """For each (fibre of i, fibre of j), its first pair i < j in row-major
     order with a_i - a_j a root; the i and the j as two lists.
 
-    a_i - a_j is a root exactly when |a_i - a_j|^2 = 4 - 2 (a_i, a_j) = 2,
-    i.e. (a_i, a_j) = 1.  The pairing is formed in blocks of rows of at most
-    ``_PAIRING_BLOCK`` entries, never as the whole |Phi| x |Phi| matrix.
+    a_i - a_j is a root exactly when a_i + (-a_j) is, and -a_j is root
+    n - 1 - j, so the pairs are read off :func:`~geomlie.rootsys.summable_pairs`.
     """
-    X = enumerate_roots(t).coords
-    XC = X @ cartan_matrix(t)
-    n = len(X)
+    (a, b), n = summable_pairs(t), t.root_count
     rep = np.empty(n, dtype=np.int64)
     for group in fibres:
         rep[group] = group[0]
-    rows = max(1, _PAIRING_BLOCK // n)
-    firsts, seconds = [], []
-    for lo in range(0, n, rows):
-        # Rows lo..lo+rows against columns lo.., so j > i is the strict upper triangle.
-        i, j = np.nonzero(XC[lo:lo + rows] @ X[lo:].T == 1)
-        upper = j > i
-        firsts.append(i[upper] + lo)
-        seconds.append(j[upper] + lo)
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    i, j = np.divmod(np.sort((a * n + n - 1 - b)[a + b < n - 1]), n)  # j = n - 1 - b > i
     _, first = np.unique(rep[i] * n + rep[j], return_index=True)
     first.sort()
     return i[first].tolist(), j[first].tolist()
@@ -168,8 +153,7 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
     a root, drawn between the first such pair in row-major order.  Colors
     follow the orbit of the coxeter_bar operator through a fixed palette.
     Each root's coordinates are formatted once and every element is built
-    from those strings; the edge search holds at most ``_PAIRING_BLOCK``
-    pairings at a time.  Rank 1 degenerates to two dots on a fixed axis.
+    from those strings.  Rank 1 degenerates to two dots on a fixed axis.
     """
     if size < 1:
         raise ValueError(f"SVG size must be a positive number of pixels, got {size}")

@@ -10,9 +10,9 @@ Bracket rules:
 * [g_a, g_b] = N(a, b) g_{a+b} when a+b is a root, else 0,
 
 with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix
-(:func:`root_signs`).  All structure constants live in one sparse
-:class:`StructureTable`: one row per nonzero ordered basis bracket term and
-one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2
+on :func:`~geomlie.rootsys.summable_pairs`.  All structure constants live in
+one sparse :class:`StructureTable`: one row per nonzero ordered basis bracket
+term and one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2
 checks, the matrix model and the export all read the table of the algebra
 they are given, so a corrupted coefficient shows up in every check.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from ._exact import _ranges, integer_array, is_nonsingular
 from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
-from .rootsys import Root, RootSystem, enumerate_roots
+from .rootsys import Root, RootSystem, enumerate_roots, summable_pairs
 
 __all__ = [
     "AlgebraElement",
@@ -38,7 +38,6 @@ __all__ = [
     "term_bounds",
     "refuse_oversized",
     "n_sign",
-    "root_signs",
     "build",
     "bracket",
     "check_antisymmetry",
@@ -84,14 +83,6 @@ def n_sign(t: LieType | str, alpha, beta) -> int:
         if int(v @ C @ v) != 2:
             raise ValueError(f"{tuple(v)} is not a root")
     return -1 if int(b @ B @ a) % 2 else 1
-
-
-def root_signs(t: LieType | str) -> np.ndarray:
-    """N[a, b] = (-1)^(var(b) . a) where a + b is a root ((a, b) = -1), else 0, in root order."""
-    t = as_type(t)
-    X = enumerate_roots(t).coords
-    S = X @ seifert_matrix(t) @ X.T  # S[b, a] = var(b) . a, so (a, b) = S[a, b] + S[b, a]
-    return np.where(S + S.T == -1, 1 - 2 * (S.T % 2), 0)
 
 
 @dataclass(frozen=True)
@@ -272,24 +263,21 @@ def build(t: LieType | str) -> LieAlgebra:
     """
     refuse_oversized(t)
     rs = enumerate_roots(t)
-    C = cartan_matrix(t)
-    X = rs.coords
-    k = t.rank
+    X, k = rs.coords, t.rank
     n = k + len(rs)
     # [D_i, g_b] = (a_i, b) g_b and [g_b, D_i] = -(a_i, b) g_b.
-    HG = C @ X.T
+    HG = cartan_matrix(t) @ X.T
     hi, hb = np.nonzero(HG)
     hv = HG[hi, hb]
     hb = hb + k
-    # [g_a, g_-a] = -var(a), one row per nonzero coordinate of a.
+    # [g_a, g_-a] = -var(a), one row per nonzero coordinate of a; g_-a is e_{n - 1 - a}.
     na, nm = np.nonzero(X)
     nv = -X[na, nm]
-    nb = k + rs.locate(-X[na])
-    # [g_a, g_b] = N(a, b) g_{a+b}.
-    N = root_signs(t)
-    ra, rb = np.nonzero(N)
+    nb = n - 1 - na
+    # [g_a, g_b] = N(a, b) g_{a+b} with N(a, b) = (-1)^(var(b) . a) = (-1)^(b^t B a).
+    ra, rb = summable_pairs(t)
+    rv = 1 - 2 * (np.einsum("pi,pi->p", (X @ seifert_matrix(t))[rb], X[ra]) % 2)
     rm = k + rs.locate(X[ra] + X[rb])
-    rv = N[ra, rb]
     i = np.concatenate([hi, hb, na + k, ra + k])
     j = np.concatenate([hb, hi, nb, rb + k])
     m = np.concatenate([hb, hb, nm, rm])
@@ -521,7 +509,7 @@ def check_sl2(L: LieAlgebra) -> list[Root]:
     """
     T, n, k, rs = L.table, L.dimension, L.rank, L.root_system
     X = rs.coords
-    neg = rs.locate(-X)
+    neg = np.arange(len(rs))[::-1]  # -roots[a] is roots[len - 1 - a]
     cartan = np.flatnonzero((T.i < k) & (T.j >= k))  # the rows [D_i, g_b]
     b = T.j[cartan] - k
     key, total = _group_sums(

@@ -28,6 +28,7 @@ __all__ = [
     "OrbitDecomposition",
     "FoldingSpec",
     "enumerate_roots",
+    "summable_pairs",
     "coxeter_matrix",
     "monodromy_matrix",
     "sT_matrices",
@@ -44,7 +45,7 @@ Root = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RootSystem:
-    """The finite set of roots of one type, in lexicographic order."""
+    """The roots of one type in lexicographic order; -roots[i] is roots[-1 - i]."""
 
     lie_type: LieType
     roots: tuple[Root, ...]
@@ -109,6 +110,30 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
     X.setflags(write=False)
     roots = tuple(map(tuple, X.tolist()))
     return RootSystem(t, roots, MappingProxyType({r: i for i, r in enumerate(roots)}), X)
+
+
+# Entries of the root pairing held at once while listing the summable pairs (2 MB of int64).
+_PAIRING_BLOCK = 1 << 18
+
+
+@per_type
+def summable_pairs(t: LieType | str) -> tuple[np.ndarray, np.ndarray]:
+    """Root indices (a, b) of every ordered pair with (a, b) = -1, in row-major order.
+
+    These are the pairs whose sum is a root (|a + b|^2 = 4 + 2 (a, b) = 2).  The
+    i < j pairs are found in row blocks of the pairing of at most ``_PAIRING_BLOCK``
+    entries, never the whole |Phi| x |Phi| matrix, and listed in both orders.
+    """
+    X = enumerate_roots(t).coords
+    XC, n = X @ cartan_matrix(t), len(X)
+    rows = max(1, _PAIRING_BLOCK // n)
+    keys = []
+    for lo in range(0, n, rows):
+        # Rows lo..lo+rows against columns lo.., so j > i is the strict upper triangle.
+        i, j = np.nonzero(XC[lo:lo + rows] @ X[lo:].T == -1)
+        i, j = i[j > i] + lo, j[j > i] + lo
+        keys += [i * n + j, j * n + i]
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 @per_type

@@ -33,7 +33,7 @@ from .lattice import (LieType, as_type, cartan_matrix, make_type, seifert_matrix
                       stabilized_pairing_matrix)
 from .rootsys import (CLASSICAL_FOLDINGS, OPERATORS, classical_folding, coxeter_matrix,
                       enumerate_roots, fold, monodromy_matrix,
-                      orbit_decomposition, verify_sT_identity)
+                      orbit_decomposition, summable_pairs, verify_sT_identity)
 
 __all__ = ["CheckResult", "Criterion", "ALL_TYPE_LABELS", "CRITERIA", "run_verify",
            "PRINTED_MONODROMY", "expected_orbit_table", "expected_folded_cartan"]
@@ -333,7 +333,13 @@ def _c10_killing(t: LieType) -> list[str]:
             "planar triangle sign equals the algebraic sign on all summable pairs",
             applies=lambda t: t.family in ("A", "D"))
 def _c11_planar_sign(t: LieType) -> list[str]:
-    bad = int(np.count_nonzero(wheel.sign_pairs(t) != liealg.root_signs(t)))
+    # In (i, j, m) order the table's rows [g_a, g_b] -> g_{a+b} are the summable pairs.
+    T, k = liealg.build(t).table, t.rank
+    rows = (T.i >= k) & (T.j >= k) & (T.m >= k)
+    a, b = summable_pairs(t)
+    if not (np.array_equal(T.i[rows] - k, a) and np.array_equal(T.j[rows] - k, b)):
+        return ["the [g_a, g_b] rows onto roots are not the summable pairs"]
+    bad = np.count_nonzero(T.c[rows] != wheel.sign_pairs(t))
     return [f"{bad} mismatches"] if bad else []
 
 

@@ -47,8 +47,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import LieType, as_type, cartan_matrix, per_type, projective_basis
-from .rootsys import Root, enumerate_roots, orbit_decomposition
+from .lattice import LieType, as_type, per_type, projective_basis
+from .rootsys import Root, enumerate_roots, orbit_decomposition, summable_pairs
 
 __all__ = [
     "VertexPoint",
@@ -230,41 +230,37 @@ def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:
 
 
 def sign_pairs(t: LieType | str) -> np.ndarray:
-    """Planar bracket sign of every ordered pair of A or D roots, as one array.
+    """Planar bracket sign of every summable pair of A or D roots, as one array.
 
-    Entry [a, b] (root indices in :func:`enumerate_roots` order) is the
-    planar sign of roots a and b when a + b is a root, i.e. when (a, b) = -1,
-    and 0 otherwise.  Every concatenation x -> y -> z of two segments is one
-    triangle: it signs (class(x, y), class(y, z)) with its triangle sign and
-    the reversed pair with the opposite sign.
+    Entry q is the planar sign of the pair (a[q], b[q]) of
+    :func:`~geomlie.rootsys.summable_pairs`, the ordered pairs with
+    (a, b) = -1.  Every concatenation x -> y -> z of two segments whose
+    roots are summable is one triangle: it signs (class(x, y), class(y, z))
+    with its triangle sign and the reversed pair with the opposite sign.
     """
     t = as_type(t)
-    rs = enumerate_roots(t)
-    X = rs.coords
-    summable = X @ cartan_matrix(t) @ X.T == -1
-    root_of = _segment_roots(t)
-    center = t.family == "D"
+    root_of, center = _segment_roots(t), t.family == "D"
+    rs, (a, b), n = enumerate_roots(t), summable_pairs(t), t.root_count
+    listed = np.append(a * n + b, n * n)  # n^2 ends the list: no pair key reaches it
     x, y, z = np.indices((len(root_of),) * 3).reshape(3, -1)
     first, second = root_of[x, y], root_of[y, z]
     keep = (first >= 0) & (second >= 0)
-    keep[keep] = summable[first[keep], second[keep]]
+    key = first[keep] * n + second[keep]
+    keep[keep] = listed[listed.searchsorted(key)] == key
     x, y, z, first, second = x[keep], y[keep], z[keep], first[keep], second[keep]
     sign = _triangle_sign(len(root_of) - center, x, y, z, center)
-    a, b = np.concatenate([first, second]), np.concatenate([second, first])
+    at = listed.searchsorted(np.concatenate([first * n + second, second * n + first]))
     sign = np.concatenate([sign, -sign])
     if not sign.all():
-        q = int(np.flatnonzero(sign == 0)[0])
+        q = at[np.flatnonzero(sign == 0)[0]]
         raise RuntimeError(f"{t}: degenerate wheel triangle (an arc of n/2) for "
                            f"{rs.roots[a[q]]}, {rs.roots[b[q]]}")
-    pos = np.zeros(summable.shape, dtype=bool)
-    neg = np.zeros(summable.shape, dtype=bool)
-    pos[a[sign > 0], b[sign > 0]] = True
-    neg[a[sign < 0], b[sign < 0]] = True
+    pos, neg = (np.bincount(at[side], minlength=len(a)) > 0 for side in (sign > 0, sign < 0))
     for bad, what in ((pos & neg, "inconsistent planar signs"),
-                      (summable & ~(pos | neg), "no concatenable representatives")):
+                      (~(pos | neg), "no concatenable representatives")):
         if bad.any():
-            ia, ib = (int(v[0]) for v in np.nonzero(bad))
-            raise RuntimeError(f"{t}: {what} for {rs.roots[ia]}, {rs.roots[ib]}")
+            q = np.flatnonzero(bad)[0]
+            raise RuntimeError(f"{t}: {what} for {rs.roots[a[q]]}, {rs.roots[b[q]]}")
     return pos.astype(np.int64) - neg
 
 

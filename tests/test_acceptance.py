@@ -59,6 +59,29 @@ def test_criterion_on_type(name, label, verify_records):
     assert r.status == want, f"expected {r.expected}; actual {r.actual}\n{r.traceback}"
 
 
+# Every type the Lie layer builds, and the claims that reach past rank 8.
+LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)] + \
+    ["E6", "E7", "E8"]
+LIE_NOT_APPLICABLE = {
+    "C03-printed-monodromy": {lab for lab in LIE_LABELS if lab[0] != "E"},
+    "C09-type-A-matrix-model": set(LIE_LABELS) - {f"A{k}" for k in range(1, 9)},
+    "C11-planar-sign-rule": {"E6", "E7", "E8"},
+    "C14-folding": set(LIE_LABELS) - {"A3", "A5", "A7", "D4", "D5", "D6", "D7", "D8", "E6"},
+    "C15-coxeter-plane": {"A1"},
+}
+
+
+def test_every_lie_layer_type_passes():
+    # 52 types: 692 records pass and 140 are n/a (C03 49, C09 44, C11 3, C14 43, C15 1).
+    want = {(name, lab): "n/a" if lab in LIE_NOT_APPLICABLE.get(name, ()) else "pass"
+            for name, _ in CRITERIA for lab in LIE_LABELS}
+    assert [len(labels) for labels in LIE_NOT_APPLICABLE.values()] == [49, 44, 3, 43, 1]
+    assert sum(status == "pass" for status in want.values()) == 692
+    got = {(r.name, r.label): r for r in run_verify(LIE_LABELS)}
+    bad = {key: f"{r.status}: {r.actual}" for key, r in got.items() if r.status != want[key]}
+    assert got.keys() == want.keys() and not bad
+
+
 def test_crash_on_one_type_hides_nothing(monkeypatch):
     name, c05 = CRITERIA[4]
 
@@ -129,6 +152,44 @@ def test_c07_decides_antisymmetry_once(paired, actual, monkeypatch, with_coeffic
     c07 = dict(CRITERIA)["C07-lie-algebra-laws"]
     assert c07(["A2", "D4"]) == (False, c07.expected, actual)
     assert calls == ["A2", "D4"]
+
+
+def _corrupt_d5_pair(monkeypatch, with_coefficients, change):
+    """liealg.build with the first [g_a, g_b] -> g_{a+b} row of D5 and its mirror changed."""
+    real = liealg.build
+
+    def corrupted(t):
+        L = real(t)
+        if t.label != "D5":
+            return L
+        T = L.table
+        c = T.c.copy()
+        row = int(np.flatnonzero((T.i >= L.rank) & (T.i < T.j) & (T.m >= L.rank))[0])
+        rows = [row, T.start[T.j[row] * L.dimension + T.i[row]]]  # [g_b, g_a] has one row
+        c[rows] = change(c[rows])
+        return with_coefficients(L, c)
+
+    monkeypatch.setattr(liealg, "build", corrupted)
+
+
+def test_c11_reads_the_built_table(monkeypatch, with_coefficients):
+    # A [g_a, g_b] row negated with its mirror keeps the table antisymmetric,
+    # and the planar rule, compared with the table's own coefficients, names
+    # both rows on D5 and nothing elsewhere.
+    _corrupt_d5_pair(monkeypatch, with_coefficients, lambda c: -c)
+    c11 = dict(CRITERIA)["C11-planar-sign-rule"]
+    assert c11(["A5", "D4", "D5", "D6"]) == (False, c11.expected, "D5: 2 mismatches")
+
+
+def test_c11_names_a_missing_pair(monkeypatch, with_coefficients):
+    # A zeroed pair leaves the table with two rows fewer than the summable
+    # pairs: a named failure, not a shape error.
+    _corrupt_d5_pair(monkeypatch, with_coefficients, lambda c: 0 * c)
+    name = "C11-planar-sign-rule"
+    monkeypatch.setattr(verify, "CRITERIA", ((name, dict(CRITERIA)[name]),))
+    [result] = run_verify(["D5"])
+    assert (result.status, result.actual) == (
+        "fail", "the [g_a, g_b] rows onto roots are not the summable pairs")
 
 
 def test_second_run_reading_the_memo_changes_no_outcome():

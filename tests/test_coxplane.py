@@ -301,7 +301,8 @@ def test_svg_circles_mark_k_fibres(label):
 
 def test_svg_edges_never_form_the_whole_pairing():
     # A60 has 3660 roots, so its |Phi| x |Phi| int64 pairing alone is 107 MB;
-    # the edge search holds row blocks of it, and the 14 MB text stays.
+    # the edges are read off the summable pairs, which are found in row
+    # blocks of it, and the 14 MB text stays.
     n = len(enumerate_roots("A60"))
     render_svg("A60")  # fills the per-type caches outside the traced region
     tracemalloc.start()

@@ -21,7 +21,7 @@ from geomlie._exact import is_nonsingular
 from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             check_jacobi, check_sl2, export_structure_constants,
                             is_nondegenerate, killing_form,
-                            load_structure_constants, n_sign, root_signs,
+                            load_structure_constants, n_sign,
                             slk_model_check)
 from geomlie.lattice import make_type, seifert_matrix
 from geomlie.rootsys import enumerate_roots
@@ -65,20 +65,22 @@ def test_n_sign_examples():
 
 @pytest.mark.parametrize("label", ["A2", "A4", "D4", "E6"])
 def test_n_sign_antisymmetric_on_summable_pairs(label):
-    # root_signs is the batched form of n_sign, zero off the summable pairs.
+    # build's [g_a, g_b] -> g_{a+b} rows are the batched form of n_sign: in
+    # the table's (i, j, m) order they are the brute-force summable pairs, in
+    # row-major order, each with the coefficient n_sign(a, b).
     t = make_type(label)
     rs = enumerate_roots(t)
     X = rs.coords
-    N = root_signs(t)
+    T, k = build(t).table, t.rank
+    onto_roots = (T.i >= k) & (T.j >= k) & (T.m >= k)
+    rows = zip(*(col[onto_roots].tolist() for col in (T.i, T.j, T.c)))
     for a in range(len(rs)):
         for b in range(len(rs)):
-            s = tuple(int(x) for x in (X[a] + X[b]))
-            if s in rs.index:
+            if tuple(int(x) for x in (X[a] + X[b])) in rs.index:
                 assert n_sign(t, rs.roots[a], rs.roots[b]) * \
                     n_sign(t, rs.roots[b], rs.roots[a]) == -1
-                assert N[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
-            else:
-                assert N[a, b] == 0
+                assert next(rows) == (k + a, k + b, n_sign(t, rs.roots[a], rs.roots[b]))
+    assert next(rows, None) is None
 
 
 def test_build_dimensions():

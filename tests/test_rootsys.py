@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
 from geomlie.lattice import cartan_matrix, make_type, projective_basis, seifert_matrix
 from geomlie.rootsys import (CLASSICAL_FOLDINGS, FoldingSpec, coxeter_matrix,
                              enumerate_roots, fold, monodromy_matrix,
-                             orbit_decomposition, rootsystem_payload, sT_matrices)
+                             orbit_decomposition, rootsystem_payload, sT_matrices,
+                             summable_pairs)
 from geomlie.verify import PRINTED_MONODROMY, expected_folded_cartan, expected_orbit_table
 
 ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
     ["E6", "E7", "E8"]
 # Past the paper's ranks: c = -B^{-1}B^t against the reflection product.
 WIDE_LABELS = [f"A{k}" for k in range(9, 17)] + [f"D{k}" for k in range(9, 17)]
+# Every type the Lie layer builds.
+LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)] + \
+    ["E6", "E7", "E8"]
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
@@ -118,11 +123,44 @@ def test_root_system_axioms(label):
         assert np.all(arr >= 0) or np.all(arr <= 0)
 
 
-@pytest.mark.parametrize("label", ALL_LABELS + [f"{f}{k}" for f in "AD" for k in range(9, 17)])
+@pytest.mark.parametrize("label", LIE_LABELS)
 def test_locate_matches_index(label):
     rs = enumerate_roots(label)
     assert rs.locate(rs.coords).tolist() == [rs.index[r] for r in rs.roots]
     assert rs.locate(-rs.coords).tolist() == [rs.index[tuple(-x for x in r)] for r in rs.roots]
+    # Negation reverses the lexicographic order.
+    assert rs.locate(-rs.coords).tolist() == list(range(len(rs)))[::-1]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_summable_pairs_match_brute_force(label):
+    # Every ordered pair whose sum is in the root index, row-major.
+    rs = enumerate_roots(label)
+    want = [(a, b) for a, x in enumerate(rs.roots) for b, y in enumerate(rs.roots)
+            if tuple(p + q for p, q in zip(x, y)) in rs.index]
+    assert list(zip(*(v.tolist() for v in summable_pairs(label)))) == want
+
+
+@pytest.mark.parametrize("label", LIE_LABELS)
+def test_summable_pair_count(label):
+    # Each root has exactly 2h - 4 summable partners, which term_bounds relies on.
+    t = make_type(label)
+    a, b = summable_pairs(t)
+    assert len(a) == len(b) == t.root_count * (2 * t.coxeter_number - 4)
+    assert not (a.flags.writeable or b.flags.writeable)
+
+
+def test_summable_pairs_never_form_the_whole_pairing():
+    # A60 has 3660 roots, so its |Phi| x |Phi| int64 pairing alone is 107 MB;
+    # the search holds row blocks of it.
+    n = len(enumerate_roots("A60"))  # the closure, outside the traced region
+    tracemalloc.start()
+    try:
+        summable_pairs.__wrapped__(make_type("A60"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 @given(st.sampled_from(ALL_LABELS), st.data())

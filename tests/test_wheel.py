@@ -10,7 +10,7 @@ import pytest
 
 from geomlie.lattice import make_type
 from geomlie.liealg import n_sign
-from geomlie.rootsys import enumerate_roots, monodromy_matrix
+from geomlie.rootsys import enumerate_roots, monodromy_matrix, summable_pairs
 from geomlie import coxplane, wheel
 from geomlie.wheel import (build_wheel, classes_payload, enumerate_classes,
                            rotation_angle, segment_class, sign_pairs)
@@ -206,24 +206,31 @@ def test_e_label_step_is_monodromy(label):
 
 
 def _summable_pairs(t):
-    """Every ordered pair (a, b) of root indices whose sum is a root."""
+    """Every ordered pair (a, b) of root indices whose sum is a root, row-major."""
     rs = enumerate_roots(t)
     X = rs.coords
     return [(a, b) for a in range(len(rs)) for b in range(len(rs))
             if tuple(int(x) for x in (X[a] + X[b])) in rs.index]
 
 
+def _aligned_signs(t):
+    """sign_pairs(t) with the brute-force pairs it is aligned with, checked to be its pairs."""
+    signs = sign_pairs(t)
+    pairs = _summable_pairs(t)
+    assert list(zip(*(v.tolist() for v in summable_pairs(t)))) == pairs
+    assert signs.shape == (len(pairs),) and np.all(np.abs(signs) == 1)
+    return zip(pairs, signs.tolist())
+
+
 def _check_sign_rule_matches_algebra(label):
     t = make_type(label)
     rs = enumerate_roots(t)
-    signs = sign_pairs(t)
-    pairs = _summable_pairs(t)
-    assert np.count_nonzero(signs) == len(pairs)
+    signed = list(_aligned_signs(t))
     if label == "A1":  # one positive root: nothing is summable
-        assert not pairs
+        assert not signed
         return
-    for a, b in pairs:
-        assert signs[a, b] == n_sign(t, rs.roots[a], rs.roots[b])
+    for (a, b), sign in signed:
+        assert sign == n_sign(t, rs.roots[a], rs.roots[b])
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -283,11 +290,8 @@ def _check_sign_pairs_match_float_reference(label):
     t = make_type(label)
     positions = {v.label: (v.x, v.y) for v in build_wheel(t).vertices}
     classes = [c.segments for c in enumerate_classes(t)]
-    signs = sign_pairs(t)
-    pairs = _summable_pairs(t)
-    assert np.count_nonzero(signs) == len(pairs)
-    for a, b in pairs:
-        assert signs[a, b] == _float_reference_sign(t, positions, classes, a, b)
+    for (a, b), sign in _aligned_signs(t):
+        assert sign == _float_reference_sign(t, positions, classes, a, b)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -318,16 +322,15 @@ def test_d_sign_pairs_inconsistent_signs_named(monkeypatch):
 
 
 def test_d_sign_antisymmetric_example():
-    signs = sign_pairs("D4")
-    assert np.array_equal(signs, -signs.T)
+    signed = dict(_aligned_signs("D4"))
+    assert all(signed[b, a] == -sign for (a, b), sign in signed.items())
 
 
 def test_d_sign_requires_summable_roots():
-    signs = sign_pairs("D4")
     rs = enumerate_roots("D4")
-    assert signs[rs.index[(1, 0, 0, 0)], rs.index[(-1, 0, 0, 0)]] == 0
+    assert (rs.index[(1, 0, 0, 0)], rs.index[(-1, 0, 0, 0)]) not in dict(_aligned_signs("D4"))
     rs = enumerate_roots("A4")
-    assert sign_pairs("A4")[rs.index[(1, 0, 0, 0)], rs.index[(0, 1, 0, 0)]] in (1, -1)
+    assert dict(_aligned_signs("A4"))[rs.index[(1, 0, 0, 0)], rs.index[(0, 1, 0, 0)]] in (1, -1)
     with pytest.raises(ValueError, match="for A and D types"):
         sign_pairs("E6")
 
