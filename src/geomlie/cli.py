@@ -36,7 +36,7 @@ def _cmd_info(args) -> int:
     print(f"rank            {t.rank}")
     print(f"coxeter number  {t.coxeter_number}")
     print(f"roots           {t.root_count}")
-    print(f"lie dimension   {t.rank + t.root_count}")
+    print(f"lie dimension   {t.dimension}")
     return 0
 
 

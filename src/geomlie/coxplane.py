@@ -135,7 +135,7 @@ def _edges(t: LieType, fibres: list[list[int]]) -> tuple[list[int], list[int]]:
     a_i - a_j is a root exactly when a_i + (-a_j) is, and -a_j is root
     n - 1 - j, so the pairs are read off :func:`~geomlie.rootsys.summable_pairs`.
     """
-    (a, b), n = summable_pairs(t), t.root_count
+    (a, b, _, _), n = summable_pairs(t), t.root_count
     rep = np.empty(n, dtype=np.int64)
     for group in fibres:
         rep[group] = group[0]

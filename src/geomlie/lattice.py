@@ -65,6 +65,11 @@ class LieType:
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @property
+    def dimension(self) -> int:
+        """Dimension k + |Phi| of the Lie algebra."""
+        return self.rank + self.root_count
+
     def __str__(self) -> str:
         return self.label
 

@@ -9,12 +9,15 @@ Bracket rules:
 * [g_a, g_{-a}] = -var(a),
 * [g_a, g_b] = N(a, b) g_{a+b} when a+b is a root, else 0,
 
-with the sign N(a, b) = (-1)^(var(b) . a) read off the intersection matrix
-on :func:`~geomlie.rootsys.summable_pairs`.  All structure constants live in
-one sparse :class:`StructureTable`: one row per nonzero ordered basis bracket
-term and one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2
-checks, the matrix model and the export all read the table of the algebra
-they are given, so a corrupted coefficient shows up in every check.
+with the sign N(a, b) = (-1)^(var(b) . a).  The pairs, their sums and
+parities come from :func:`~geomlie.rootsys.summable_pairs`, spread along the
+orbits of the Coxeter element, which preserves the intersection matrix and
+so N.  A type of dimension k + |Phi| over MAX_DIMENSION is refused before
+anything is built.  All structure constants live in one sparse
+:class:`StructureTable`: one row per nonzero ordered basis bracket term and
+one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2 checks,
+the matrix model and the export all read the table of the algebra they are
+given, so a corrupted coefficient shows up in every check.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ __all__ = [
     "LieAlgebra",
     "StructureTable",
     "JacobiReport",
-    "MAX_JACOBI_TERMS",
-    "term_bounds",
+    "MAX_DIMENSION",
     "refuse_oversized",
     "n_sign",
     "build",
@@ -51,13 +53,11 @@ __all__ = [
     "load_structure_constants",
 ]
 
-# ``build`` refuses a type whose table's self-join could exceed this many
-# terms (:func:`term_bounds`); the join is never smaller than the table, so
-# this bounds the table too.  check_jacobi forms the terms of a generating
-# set only: the self-join plus half of it when every element is in the set,
-# far fewer on a built table, where e_1..e_k and g_{-theta} suffice (E8:
-# 55k terms against a self-join of 1.17M; A31, the largest A type: 241k).
-MAX_JACOBI_TERMS = 10_000_000
+# ``build`` refuses a type of dimension n = k + |Phi| over this bound, so every
+# basis index fits the 10-bit fields of check_jacobi's (s, y, z, p) key, and
+# the int32 n^2 + 1 row index and a dense int64 Killing matrix stay within
+# 4 MB and 8 MB.  The largest types accepted are A31 (n = 1023) and D22 (946).
+MAX_DIMENSION = 2**10
 # check_jacobi sums the terms of consecutive generators in groups of about
 # this many terms.  A group reads only its generators' row ranges, so the
 # budget sets the peak more than the time.  In process on a 2-vCPU Xeon VM,
@@ -223,36 +223,12 @@ class LieAlgebra:
         return bracket(self, AlgebraElement(((i, 1),)), AlgebraElement(((j, 1),)))
 
 
-def term_bounds(t: LieType | str) -> tuple[int, int]:
-    """Closed-form upper bounds on (table rows, terms of the table's self-join) of a type.
-
-    Each root has exactly 2h - 4 summable partners ((a, b) = -1), each simple
-    root pairs nonzero with exactly 4h - 6 roots, and all root supports add up
-    to at most twice the positive heights, h k (h + 1) / 3 (Freudenthal-de
-    Vries).  A row onto g_c joins the at most 2h - 4 + 2k rows of g_c; a row
-    onto D_i joins the 4h - 6 rows of D_i.
-    """
-    t = as_type(t)
-    k, h = t.rank, t.coxeter_number
-    summable, cartan_row = 2 * h - 4, 4 * h - 6
-    supports = h * k * (h + 1) // 3
-    onto_roots = t.root_count * summable + 2 * k * cartan_row  # [g, g] and [D, g], [g, D]
-    table = onto_roots + supports
-    join = onto_roots * (summable + 2 * k) + supports * cartan_row
-    return table, join
-
-
 def refuse_oversized(t: LieType | str) -> None:
-    """ValueError, naming the type and the bound, if :func:`term_bounds` passes MAX_JACOBI_TERMS.
-
-    Closed form: nothing of the type is built.
-    """
+    """ValueError naming the type if its dimension is over MAX_DIMENSION; nothing is built."""
     t = as_type(t)
-    table_rows, join_terms = term_bounds(t)
-    if join_terms > MAX_JACOBI_TERMS:
-        raise ValueError(
-            f"{t} is too large: up to {table_rows:,} structure constants and "
-            f"{join_terms:,} Jacobi terms, over MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS:,}")
+    if t.dimension > MAX_DIMENSION:
+        raise ValueError(f"{t} is too large: dimension {t.dimension:,}, "
+                         f"over MAX_DIMENSION = {MAX_DIMENSION:,}")
 
 
 @per_type
@@ -263,8 +239,7 @@ def build(t: LieType | str) -> LieAlgebra:
     """
     refuse_oversized(t)
     rs = enumerate_roots(t)
-    X, k = rs.coords, t.rank
-    n = k + len(rs)
+    X, k, n = rs.coords, t.rank, t.dimension
     # [D_i, g_b] = (a_i, b) g_b and [g_b, D_i] = -(a_i, b) g_b.
     HG = cartan_matrix(t) @ X.T
     hi, hb = np.nonzero(HG)
@@ -275,13 +250,11 @@ def build(t: LieType | str) -> LieAlgebra:
     nv = -X[na, nm]
     nb = n - 1 - na
     # [g_a, g_b] = N(a, b) g_{a+b} with N(a, b) = (-1)^(var(b) . a) = (-1)^(b^t B a).
-    ra, rb = summable_pairs(t)
-    rv = 1 - 2 * (np.einsum("pi,pi->p", (X @ seifert_matrix(t))[rb], X[ra]) % 2)
-    rm = k + rs.locate(X[ra] + X[rb])
+    ra, rb, rm, parity = summable_pairs(t)
     i = np.concatenate([hi, hb, na + k, ra + k])
     j = np.concatenate([hb, hi, nb, rb + k])
-    m = np.concatenate([hb, hb, nm, rm])
-    c = np.concatenate([hv, -hv, nv, rv])
+    m = np.concatenate([hb, hb, nm, rm + k])
+    c = np.concatenate([hv, -hv, nv, 1 - 2 * parity])
     return LieAlgebra(t, rs, StructureTable.from_rows(n, i, j, m, c))
 
 

@@ -76,8 +76,8 @@ def _keys(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
 
 
-# The closure holds the |Phi| x k root array several times over; A128, the
-# largest type accepted, has 2.1M entries and a 135 MB peak.
+# The closure holds the |Phi| x k root array several times over; the largest
+# types accepted are A160 (4,121,600 entries) and D128 (4,161,536).
 MAX_ROOT_ENTRIES = 2**22
 
 
@@ -112,28 +112,34 @@ def enumerate_roots(t: LieType | str) -> RootSystem:
     return RootSystem(t, roots, MappingProxyType({r: i for i, r in enumerate(roots)}), X)
 
 
-# Entries of the root pairing held at once while listing the summable pairs (2 MB of int64).
-_PAIRING_BLOCK = 1 << 18
-
-
 @per_type
-def summable_pairs(t: LieType | str) -> tuple[np.ndarray, np.ndarray]:
-    """Root indices (a, b) of every ordered pair with (a, b) = -1, in row-major order.
+def summable_pairs(t: LieType | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Root indices (a, b, a + b) and the parity of b^t B a of every ordered
+    pair with (a, b) = -1, that is with a + b a root, in row-major order.
 
-    These are the pairs whose sum is a root (|a + b|^2 = 4 + 2 (a, b) = 2).  The
-    i < j pairs are found in row blocks of the pairing of at most ``_PAIRING_BLOCK``
-    entries, never the whole |Phi| x |Phi| matrix, and listed in both orders.
+    The Coxeter element c acts freely on the roots in k orbits of size h
+    (Bourbaki, Lie Groups and Lie Algebras, ch. V, 6.2) and preserves B, so
+    the pairs of one root per orbit, from the k x |Phi| pairing, are carried
+    with their sums and parities through the h powers of c's permutation.
+    RuntimeError names the type unless c acts so and c^t B c = B.
     """
-    X = enumerate_roots(t).coords
-    XC, n = X @ cartan_matrix(t), len(X)
-    rows = max(1, _PAIRING_BLOCK // n)
-    keys = []
-    for lo in range(0, n, rows):
-        # Rows lo..lo+rows against columns lo.., so j > i is the strict upper triangle.
-        i, j = np.nonzero(XC[lo:lo + rows] @ X[lo:].T == -1)
-        i, j = i[j > i] + lo, j[j > i] + lo
-        keys += [i * n + j, j * n + i]
-    return np.divmod(np.sort(np.concatenate(keys)), n)
+    dec = orbit_decomposition(t, "coxeter_bar")
+    X, B, c = dec.root_system.coords, seifert_matrix(t), coxeter_matrix(t)
+    if not (dec.is_free and len(dec.orbits) == t.rank and np.array_equal(c.T @ B @ c, B)):
+        raise RuntimeError(f"{t}: c does not act freely in {t.rank} orbits with c^t B c = B")
+    # Row r of the k x |Phi| pairing holds the 2h - 4 partners of reps[r].
+    reps = np.array([orbit[0] for orbit in dec.orbits])
+    b = np.nonzero(X[reps] @ cartan_matrix(t) @ X.T == -1)[1].reshape(len(reps), -1)
+    parity = np.einsum("rpi,ri->rp", X[b] @ B, X[reps]) % 2
+    total = dec.root_system.locate((X[reps, None] + X[b]).reshape(-1, t.rank)).reshape(b.shape)
+    n = len(X)
+    rows = np.empty((n, b.shape[1]), dtype=np.int64)  # row a: (b * n + (a + b)) * 2 + parity
+    for _ in range(dec.operator_order):
+        rows[reps] = (b * n + total) << 1 | parity
+        reps, b, total = dec.step[reps], dec.step[b], dec.step[total]
+    rows.sort(axis=1)
+    b, total = np.divmod(rows.ravel() >> 1, n)
+    return np.repeat(np.arange(n), rows.shape[1]), b, total, rows.ravel() & 1
 
 
 @per_type

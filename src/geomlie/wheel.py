@@ -240,7 +240,7 @@ def sign_pairs(t: LieType | str) -> np.ndarray:
     """
     t = as_type(t)
     root_of, center = _segment_roots(t), t.family == "D"
-    rs, (a, b), n = enumerate_roots(t), summable_pairs(t), t.root_count
+    rs, (a, b, _, _), n = enumerate_roots(t), summable_pairs(t), t.root_count
     listed = np.append(a * n + b, n * n)  # n^2 ends the list: no pair key reaches it
     x, y, z = np.indices((len(root_of),) * 3).reshape(3, -1)
     first, second = root_of[x, y], root_of[y, z]

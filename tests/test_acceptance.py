@@ -21,7 +21,7 @@ import sympy
 
 from geomlie import _exact, liealg, verify
 from geomlie.lattice import cartan_matrix
-from geomlie.rootsys import enumerate_roots
+from geomlie.rootsys import enumerate_roots, sT_matrices
 from geomlie.verify import ALL_TYPE_LABELS, CRITERIA, Criterion, run_verify
 
 # The types outside each family-specific claim; every other record must pass.
@@ -60,7 +60,7 @@ def test_criterion_on_type(name, label, verify_records):
 
 
 # Every type the Lie layer builds, and the claims that reach past rank 8.
-LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)] + \
+LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 23)] + \
     ["E6", "E7", "E8"]
 LIE_NOT_APPLICABLE = {
     "C03-printed-monodromy": {lab for lab in LIE_LABELS if lab[0] != "E"},
@@ -72,11 +72,11 @@ LIE_NOT_APPLICABLE = {
 
 
 def test_every_lie_layer_type_passes():
-    # 52 types: 692 records pass and 140 are n/a (C03 49, C09 44, C11 3, C14 43, C15 1).
+    # 54 types: 718 records pass and 146 are n/a (C03 51, C09 46, C11 3, C14 45, C15 1).
     want = {(name, lab): "n/a" if lab in LIE_NOT_APPLICABLE.get(name, ()) else "pass"
             for name, _ in CRITERIA for lab in LIE_LABELS}
-    assert [len(labels) for labels in LIE_NOT_APPLICABLE.values()] == [49, 44, 3, 43, 1]
-    assert sum(status == "pass" for status in want.values()) == 692
+    assert [len(labels) for labels in LIE_NOT_APPLICABLE.values()] == [51, 46, 3, 45, 1]
+    assert sum(status == "pass" for status in want.values()) == 718
     got = {(r.name, r.label): r for r in run_verify(LIE_LABELS)}
     bad = {key: f"{r.status}: {r.actual}" for key, r in got.items() if r.status != want[key]}
     assert got.keys() == want.keys() and not bad
@@ -100,6 +100,19 @@ def test_crash_on_one_type_hides_nothing(monkeypatch):
     assert bad.actual == "RuntimeError: lost the table"
     assert 'raise RuntimeError("lost the table")' in bad.traceback
     assert crashing(["A2", "D5"]) == (False, c05.expected, "D5: RuntimeError: lost the table")
+
+
+def test_c06_needs_the_seifert_form_preserved(monkeypatch):
+    # The reflection s_1 preserves C = B + B^t but not B, so with s_1 in
+    # place of the D5 monodromy C06 fails on D5 alone.
+    real = verify.monodromy_matrix
+    monkeypatch.setattr(verify, "monodromy_matrix",
+                        lambda t: sT_matrices(t, 1)[0] if t.label == "D5" else real(t))
+    S = sT_matrices("D5", 1)[0]
+    C = cartan_matrix("D5")
+    assert np.array_equal(S.T @ C @ S, C)
+    c06 = dict(CRITERIA)["C06-pairing-invariance"]
+    assert c06(["D4", "D5", "E6"]) == (False, c06.expected, "D5: P^t B P != B")
 
 
 def test_c08_names_a_root_breaking_sl2(monkeypatch, with_coefficients):

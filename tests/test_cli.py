@@ -138,16 +138,16 @@ def test_lie_check_all_decides_antisymmetry_once(corrupt, capsys, monkeypatch, w
 
 
 def test_lie_refuses_oversized_type(capsys):
-    code, out, err = run(capsys, "lie", "A60", "--check", "jacobi")
+    code, out, err = run(capsys, "lie", "A32", "--check", "jacobi")
     assert code == 2
-    assert "A60 is too large" in err
+    assert "A32 is too large" in err
     assert out == ""
 
 
 @pytest.mark.parametrize("label", ["A40", "A128"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_verify_refuses_oversized_type_before_any_criterion(label, json_flag, capsys, monkeypatch):
-    # The Lie criteria cannot run past MAX_JACOBI_TERMS, so verify refuses the
+    # The Lie criteria cannot run past MAX_DIMENSION, so verify refuses the
     # type up front with one line, from the closed-form bound build uses.
     calls = []
     monkeypatch.setattr(verify, "_evaluate", lambda *args: calls.append(args))
@@ -156,7 +156,7 @@ def test_verify_refuses_oversized_type_before_any_criterion(label, json_flag, ca
     assert time.perf_counter() - start < 1.0
     assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"error: {label} is too large: ") and err.count("\n") == 1
-    assert f"over MAX_JACOBI_TERMS = {liealg.MAX_JACOBI_TERMS:,}" in err
+    assert f"over MAX_DIMENSION = {liealg.MAX_DIMENSION:,}" in err
 
 
 def test_roots_refuses_oversized_type(capsys):

@@ -24,7 +24,7 @@ from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             load_structure_constants, n_sign,
                             slk_model_check)
 from geomlie.lattice import make_type, seifert_matrix
-from geomlie.rootsys import enumerate_roots
+from geomlie.rootsys import enumerate_roots, summable_pairs
 from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "D4", "D5"]
@@ -63,24 +63,29 @@ def test_n_sign_examples():
         n_sign("A2", (2, 0), (0, 1))
 
 
-@pytest.mark.parametrize("label", ["A2", "A4", "D4", "E6"])
+@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
 def test_n_sign_antisymmetric_on_summable_pairs(label):
-    # build's [g_a, g_b] -> g_{a+b} rows are the batched form of n_sign: in
-    # the table's (i, j, m) order they are the brute-force summable pairs, in
-    # row-major order, each with the coefficient n_sign(a, b).
+    # summable_pairs spreads the pairs of one root per Coxeter orbit along
+    # the orbits; here every ordered pair of roots is tried.  Its pairs are
+    # the brute-force ones in row-major order, each with the index of its sum
+    # in rs.index and the parity behind n_sign.  build's [g_a, g_b] -> g_{a+b}
+    # rows, in the table's (i, j, m) order, are the same pairs with the
+    # coefficient n_sign(a, b).
     t = make_type(label)
     rs = enumerate_roots(t)
-    X = rs.coords
     T, k = build(t).table, t.rank
     onto_roots = (T.i >= k) & (T.j >= k) & (T.m >= k)
-    rows = zip(*(col[onto_roots].tolist() for col in (T.i, T.j, T.c)))
-    for a in range(len(rs)):
-        for b in range(len(rs)):
-            if tuple(int(x) for x in (X[a] + X[b])) in rs.index:
-                assert n_sign(t, rs.roots[a], rs.roots[b]) * \
-                    n_sign(t, rs.roots[b], rs.roots[a]) == -1
-                assert next(rows) == (k + a, k + b, n_sign(t, rs.roots[a], rs.roots[b]))
-    assert next(rows, None) is None
+    rows = zip(*(col[onto_roots].tolist() for col in (T.i, T.j, T.m, T.c)))
+    listed = zip(*(col.tolist() for col in summable_pairs(t)))
+    for a, x in enumerate(rs.roots):
+        for b, y in enumerate(rs.roots):
+            total = rs.index.get(tuple(p + q for p, q in zip(x, y)))
+            if total is not None:
+                sign = n_sign(t, x, y)
+                assert sign * n_sign(t, y, x) == -1
+                assert next(listed) == (a, b, total, (1 - sign) // 2)
+                assert next(rows) == (k + a, k + b, k + total, sign)
+    assert next(listed, None) is None and next(rows, None) is None
 
 
 def test_build_dimensions():

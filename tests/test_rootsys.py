@@ -13,6 +13,7 @@ from sympy import primefactors
 from sympy.liealgebras.cartan_matrix import CartanMatrix
 from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
 
+from geomlie import rootsys
 from geomlie.lattice import cartan_matrix, make_type, projective_basis, seifert_matrix
 from geomlie.rootsys import (CLASSICAL_FOLDINGS, FoldingSpec, coxeter_matrix,
                              enumerate_roots, fold, monodromy_matrix,
@@ -25,7 +26,7 @@ ALL_LABELS = [f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(3, 9)] + \
 # Past the paper's ranks: c = -B^{-1}B^t against the reflection product.
 WIDE_LABELS = [f"A{k}" for k in range(9, 17)] + [f"D{k}" for k in range(9, 17)]
 # Every type the Lie layer builds.
-LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)] + \
+LIE_LABELS = [f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 23)] + \
     ["E6", "E7", "E8"]
 
 
@@ -138,21 +139,33 @@ def test_summable_pairs_match_brute_force(label):
     rs = enumerate_roots(label)
     want = [(a, b) for a, x in enumerate(rs.roots) for b, y in enumerate(rs.roots)
             if tuple(p + q for p, q in zip(x, y)) in rs.index]
-    assert list(zip(*(v.tolist() for v in summable_pairs(label)))) == want
+    assert list(zip(*(v.tolist() for v in summable_pairs(label)[:2]))) == want
 
 
 @pytest.mark.parametrize("label", LIE_LABELS)
 def test_summable_pair_count(label):
-    # Each root has exactly 2h - 4 summable partners, which term_bounds relies on.
+    # Each root has exactly 2h - 4 summable partners, so the Lie table has
+    # |Phi|(2h - 4) rows [g_a, g_b] -> g_{a+b}.
     t = make_type(label)
-    a, b = summable_pairs(t)
-    assert len(a) == len(b) == t.root_count * (2 * t.coxeter_number - 4)
-    assert not (a.flags.writeable or b.flags.writeable)
+    columns = summable_pairs(t)
+    assert len(columns) == 4
+    assert {len(col) for col in columns} == {t.root_count * (2 * t.coxeter_number - 4)}
+    assert not any(col.flags.writeable for col in columns)
+
+
+def test_summable_pairs_need_a_free_coxeter_action(monkeypatch):
+    # The pairs are spread along the orbits of c.  The A5 monodromy -c is
+    # not free (its diameter orbits close after 3 steps), so spreading along
+    # it must be refused by name, not give a short or repeated pair list.
+    real = rootsys.orbit_decomposition
+    monkeypatch.setattr(rootsys, "orbit_decomposition", lambda t, op: real(t, "monodromy"))
+    with pytest.raises(RuntimeError, match="A5: c does not act freely in 5 orbits"):
+        summable_pairs.__wrapped__(make_type("A5"))
 
 
 def test_summable_pairs_never_form_the_whole_pairing():
     # A60 has 3660 roots, so its |Phi| x |Phi| int64 pairing alone is 107 MB;
-    # the search holds row blocks of it.
+    # the search pairs only one root per Coxeter orbit with every root.
     n = len(enumerate_roots("A60"))  # the closure, outside the traced region
     tracemalloc.start()
     try:

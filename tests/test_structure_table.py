@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 
 from geomlie import liealg
 from geomlie.lattice import cartan_matrix, make_type
-from geomlie.liealg import (MAX_JACOBI_TERMS, AlgebraElement, StructureTable, bracket, build,
-                            check_antisymmetry, check_jacobi, killing_form, term_bounds)
+from geomlie.liealg import (MAX_DIMENSION, AlgebraElement, StructureTable, bracket, build,
+                            check_antisymmetry, check_jacobi, killing_form)
 from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots
 from geomlie.verify import ALL_TYPE_LABELS
 
 
 pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
-# Every type build accepts: A1-A31, D3-D20 and E6-E8.
-ALL_ACCEPTED_LABELS = ([f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 21)]
+# Every type build accepts: A1-A31, D3-D22 and E6-E8.
+ALL_ACCEPTED_LABELS = ([f"A{k}" for k in range(1, 32)] + [f"D{k}" for k in range(3, 23)]
                        + ["E6", "E7", "E8"])
 
 
@@ -84,40 +84,43 @@ def test_term_bounds_hold(label):
     t = make_type(label)
     L = build(t)
     T = L.table
-    table_bound, join_bound = term_bounds(t)
-    assert len(T.c) <= table_bound
     on_roots = (T.i >= t.rank) & (T.j >= t.rank) & (T.m >= t.rank)
     assert np.count_nonzero(on_roots) == t.root_count * (2 * t.coxeter_number - 4)
     row_length = np.bincount(T.i, minlength=L.dimension)
     self_join = int(row_length[T.m].sum())
-    assert self_join <= join_bound
     # check_jacobi's terms: a row [s, x] -> m of a generator s meets the rows
     # of e_m and the i < j rows onto e_x.
     onto = np.bincount(T.m[T.i < T.j], minlength=L.dimension)
     of_seeds = np.isin(T.i, liealg._generating_set(L))
     sweep = int((row_length[T.m] + onto[T.j])[of_seeds].sum())
-    assert sweep <= join_bound
     assert 2 * sweep <= 3 * self_join
 
 
 def test_build_refuses_oversized_type_before_allocating():
-    assert term_bounds("A30")[1] <= MAX_JACOBI_TERMS < term_bounds("A60")[1]
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(ValueError, match="too large"):
-            build("A60")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
-    assert peak < 1_000_000
+    # The largest accepted types of the two infinite families, and the next ones.
+    fits = [make_type(label).dimension <= MAX_DIMENSION for label in ("A31", "A32", "D22", "D23")]
+    assert fits == [True, False, True, False]
+    for label in ("A32", "D23"):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=f"{label} is too large"):
+                build(label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
 
 
 def test_enumerate_roots_refuses_oversized_type_before_allocating():
-    # A128 (2.1M root entries) is the largest type accepted.
-    t = make_type("A128")
-    assert t.root_count * t.rank <= MAX_ROOT_ENTRIES
+    # A160 (4,121,600 root entries) and D128 (4,161,536) are the largest types accepted.
+    for label in ("A160", "D128"):
+        t = make_type(label)
+        assert t.root_count * t.rank <= MAX_ROOT_ENTRIES
+    for label in ("A161", "D129"):
+        t = make_type(label)
+        assert t.root_count * t.rank > MAX_ROOT_ENTRIES
     tracemalloc.start()
     try:
         want = r"A2000: 8004000000 root entries \(64032000000 bytes\)"
@@ -133,7 +136,7 @@ def test_enumerate_roots_refuses_oversized_type_before_allocating():
 def test_jacobi_peak_within_band_bounds(label, limit_mb):
     # check_jacobi sums the generators' terms group by group, so its peak is
     # set by the group and the table, not by the terms: 55k of them on E8
-    # and 241k on A31, the largest type accepted (MAX_JACOBI_TERMS).
+    # and 241k on A31, the largest A type accepted (MAX_DIMENSION).
     L = build(label)
     tracemalloc.start()
     try:

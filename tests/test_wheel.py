@@ -217,7 +217,7 @@ def _aligned_signs(t):
     """sign_pairs(t) with the brute-force pairs it is aligned with, checked to be its pairs."""
     signs = sign_pairs(t)
     pairs = _summable_pairs(t)
-    assert list(zip(*(v.tolist() for v in summable_pairs(t)))) == pairs
+    assert list(zip(*(v.tolist() for v in summable_pairs(t)[:2]))) == pairs
     assert signs.shape == (len(pairs),) and np.all(np.abs(signs) == 1)
     return zip(pairs, signs.tolist())
 
