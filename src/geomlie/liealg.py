@@ -53,10 +53,11 @@ __all__ = [
     "load_structure_constants",
 ]
 
-# ``build`` refuses a type of dimension n = k + |Phi| over this bound, so every
-# basis index fits the 10-bit fields of check_jacobi's (s, y, z, p) key, and
-# the int32 n^2 + 1 row index and a dense int64 Killing matrix stay within
-# 4 MB and 8 MB.  The largest types accepted are A31 (n = 1023) and D22 (946).
+# ``build`` refuses a type of dimension n = k + |Phi| over this bound, a policy:
+# it keeps check_jacobi's key, four fields of (n - 1).bit_length() bits, within
+# 40 bits (so _stable_order has 23 bits for a group's positions), and the int32
+# n^2 + 1 row index and a dense int64 Killing matrix within 4 MB and 8 MB.
+# The largest types accepted are A31 (n = 1023) and D22 (946).
 MAX_DIMENSION = 2**10
 # check_jacobi sums the terms of consecutive generators in groups of about
 # this many terms.  A group reads only its generators' row ranges, so the

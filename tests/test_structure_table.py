@@ -81,6 +81,7 @@ def test_root_sums_exact_past_a27():
 
 @pytest.mark.parametrize("label", list(ALL_TYPE_LABELS) + ["A14", "D12"])
 def test_term_bounds_hold(label):
+    """The root rows number |Phi|(2h - 4), and the Jacobi sweep stays within 1.5 self-joins."""
     t = make_type(label)
     L = build(t)
     T = L.table
