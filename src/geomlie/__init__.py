@@ -1,7 +1,7 @@
 """Exact-integer ADE root systems and Lie algebras from Seifert-form data.
 
 The package derives everything from one upper-triangular integer matrix B
-per type: root systems by reflection closure on byte keys (one
+per type: root systems height by height on byte keys (one
 :class:`RootSystem` that also maps vectors to root indices), the monodromy
 B^{-1}B^t = -c, orbit decompositions holding each operator's root
 permutation, the Lie algebra whose bracket signs are read off B and whose

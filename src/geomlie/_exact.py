@@ -33,6 +33,20 @@ def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bands(count: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive item ranges [s0, s1) of about ``budget`` counted units each.
+
+    A band starts at each item where the running total of ``count`` passes
+    a multiple of ``budget``, so an item is never split and one larger than
+    the budget is a band alone; items of count 0 at the end join the last
+    band, and a zero total gives no band.
+    """
+    total = np.concatenate([[0], np.cumsum(count)])
+    edges = np.unique(np.searchsorted(total, np.arange(0, total[-1], budget),
+                                      side="right") - 1).tolist()
+    return list(zip(edges, [*edges[1:], len(count)]))
+
+
 def _rows(m) -> list[list[int]]:
     return [[int(x) for x in row] for row in m]
 

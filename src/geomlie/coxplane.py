@@ -171,15 +171,12 @@ def render_svg(t: LieType | str, show_edges: bool = False, size: int = 600) -> s
                          f'fill="{PALETTE[0]}"/>')
         lines.append("</svg>")
         return "\n".join(lines) + "\n"
-    rs = enumerate_roots(t)
     points = [p.point for p in project_all(t)]
     radius = max(math.hypot(x, y) for x, y in points)
     xs = [_coord(x / radius * scale) for x, _ in points]
     ys = [_coord(-y / radius * scale) for _, y in points]
-    color_of_root = [PALETTE[0]] * len(rs)
-    for orbit_idx, orbit in enumerate(orbit_decomposition(t, "coxeter_bar").orbits):
-        for r in orbit:
-            color_of_root[r] = PALETTE[orbit_idx % len(PALETTE)]
+    color_of_root = [PALETTE[o % len(PALETTE)]
+                     for o in orbit_decomposition(t, "coxeter_bar").orbit_of.tolist()]
     fibres = point_clusters(t)
     if show_edges:
         lines.append('<g stroke="#b0b0b0" stroke-width="0.5">')

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import _ranges, integer_array, is_nonsingular
+from ._exact import _bands, _ranges, integer_array, is_nonsingular
 from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
-from .rootsys import Root, RootSystem, enumerate_roots, summable_pairs
+from .rootsys import (Root, RootSystem, coxeter_matrix, enumerate_roots, orbit_decomposition,
+                      summable_pairs)
 
 __all__ = [
     "AlgebraElement",
@@ -331,15 +332,19 @@ class JacobiReport:
     ``antisymmetric`` is the check's own antisymmetry decision
     (:func:`check_antisymmetry` found no pair).  A table that is not
     antisymmetric is not swept: it reads 0 triples and no violation, and is
-    not ok.  ``triples_checked`` counts the (s, y, z) with s in the
-    generating set (e_1..e_k and g_{-theta} on a built table) and y < z that
-    have a nonzero term of J(s, y, z); the others are zero by the table.
+    not ok.  ``lift_certified`` is True when :func:`_lift_certified` proved
+    that the lift of the Coxeter element c preserves the table, so that one
+    seed per c-orbit was swept; it is False on a table that is not
+    antisymmetric.  ``triples_checked`` counts the (s, y, z) with s a swept
+    seed (:func:`_jacobi_seeds`) and y < z that have a nonzero term of
+    J(s, y, z); the others are zero by the table.
     """
 
     lie_type: LieType
     triples_checked: int
     violations: list[tuple[int, int, int]]
     antisymmetric: bool
+    lift_certified: bool
 
     @property
     def ok(self) -> bool:
@@ -372,19 +377,99 @@ def _generating_set(L: LieAlgebra) -> np.ndarray:
     return np.flatnonzero((level == 1) | ~covered)
 
 
+def _lift_certified(L: LieAlgebra) -> bool:
+    """Whether the lift phi: g_a -> g_{ca}, D -> cD of the Coxeter element
+    provably preserves an antisymmetric table laid out on its root system.
+
+    Reads c's root permutation ``step`` and its matrix, and every row but
+    the mirrors [g_b, D_i] and the i > j rows onto root vectors, which
+    antisymmetry fixes.  It accepts three shapes of row only:
+
+    * [D_i, g_b] -> g_b, the entries of W (k x |Phi|): phi keeps them when
+      c^t W[:, step] = W;
+    * [g_a, g_{-a}] -> D_j, the entries of V (|Phi| x k): phi keeps them
+      when V[step] = V c^t;
+    * [g_a, g_b] -> g_m with i < j, whose image bracket [g_{ca}, g_{cb}]
+      must be one row onto g_{cm} with the same coefficient (read through
+      ``start``).
+
+    A bracket with two root rows would need one image row with two outputs,
+    and one with a root row and rows onto D a nonzero V[ca] in its image,
+    so phi maps the brackets with a root row bijectively onto each other:
+    the brackets it leaves zero stay zero, and phi[x, y] = [phi x, phi y]
+    for all basis x, y.  Sound, not complete: any other row shape, or a
+    table of dimension other than k + |Phi|, is not certified.
+    """
+    T, n, k = L.table, L.dimension, L.rank
+    R = len(L.root_system)
+    if n != k + R:
+        return False
+    step = orbit_decomposition(L.lie_type, "coxeter_bar").step
+    c = coxeter_matrix(L.lie_type)
+    f = T.start[k * n]  # the rows [D_i, .] come first
+    i, j, m, v = T.i[:f], T.j[:f], T.m[:f], T.c[:f]
+    if not ((j >= k) & (m == j)).all():
+        return False
+    W = np.zeros((k, R), dtype=np.int64)
+    W[i, j - k] = v
+    i, j, m, v = T.i[f:], T.j[f:], T.m[f:], T.c[f:]
+    coroot = np.flatnonzero(m < k)
+    a, d = i[coroot] - k, m[coroot]
+    if not (j[coroot] == n - 1 - a).all():  # g_{-a} is e_{n - 1 - a}
+        return False
+    V = np.zeros((R, k), dtype=np.int64)
+    V[a, d] = v[coroot]
+    if not (np.array_equal(c.T @ W[:, step], W) and np.array_equal(V[step], V @ c.T)):
+        return False
+    root = np.flatnonzero((i < j) & (m >= k))
+    lift = np.concatenate([np.arange(k), k + step])  # phi on the root generators
+    image = lift[i[root]] * n + lift[j[root]]
+    at = T.start[image]
+    if not (T.start[image + 1] - at == 1).all():
+        return False
+    return np.array_equal(T.m[at], lift[m[root]]) and np.array_equal(T.c[at], v[root])
+
+
+def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
+    """The elements :func:`check_jacobi` sweeps, ascending, and whether the lift is certified.
+
+    These are the :func:`_generating_set`, cut to its smallest root
+    generator per orbit of c when :func:`_lift_certified` holds (every
+    Cartan element kept): the elements whose ad is a derivation form a
+    phi-stable subalgebra, as ad_{phi x} = phi ad_x phi^-1, so it holds
+    the whole orbit of each seed that it holds.  Read on an antisymmetric
+    table only.
+    """
+    seeds = _generating_set(L)
+    if not _lift_certified(L):
+        return seeds, False
+    k = L.rank
+    roots = seeds[seeds >= k] - k
+    first = np.unique(orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of[roots],
+                      return_index=True)[1]
+    return np.concatenate([seeds[seeds < k], k + np.sort(roots[first])]), True
+
+
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
-    """The Jacobi identity of an antisymmetric table, decided on a generating set.
+    """The Jacobi identity of an antisymmetric table, decided on a few seeds.
 
     Call x good when ad_x is a derivation: [x, [y, z]] = [[x, y], z] +
     [y, [x, z]] for all y, z.  If x is good, ad_[x, y] = [ad_x, ad_y] is a
     commutator of derivations, so the good elements form a subalgebra, and
-    if they include a generating set S (:func:`_generating_set`, e_1..e_k
-    and g_{-theta} on a built table) every element is good.  On an
-    antisymmetric table the derivation identity of s at (y, z) reads
+    if they include a generating set (:func:`_generating_set`, e_1..e_k
+    and g_{-theta} on a built table) every element is good.  When the lift
+    phi of the Coxeter element is certified an automorphism of the table
+    (:func:`_lift_certified`, one vectorised pass), ad_{phi x} =
+    phi ad_x phi^-1, so the good subalgebra is phi-stable, and one seed per
+    c-orbit of the generating set stands for its orbit: one on A_k, at most
+    four on D_k and E_k.  Otherwise every generator is a seed
+    (:func:`_jacobi_seeds`).
+    On an antisymmetric table the derivation identity of s at (y, z) reads
     J(s, y, z) = 0, and J is alternating, so the Jacobi identity holds
-    exactly when J(s, y, z) = 0 for every s in S and y < z, and each
+    exactly when J(s, y, z) = 0 for every seed s and y < z, and each
     violated (s, y, z) is a violated Jacobi triple (Humphreys, Introduction
-    to Lie Algebras and Representation Theory, 1.1, 1.3 and 18.3).
+    to Lie Algebras and Representation Theory, 1.1, 1.3 and 18.3; Kostant,
+    Amer. J. Math. 81, 1959, for the lift of c).
 
     Antisymmetry folds J(s, y, z) = [[s, y], z] + [[y, z], s] + [[z, s], y]
     onto the rows [s, .] as A(s, y, z) - A(s, z, y) - [s, [y, z]], with
@@ -392,7 +477,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     no join: a row [s, y] -> m meets the rows [m, w] -> p in a term of
     A(s, y, w), and a row [s, x] -> p the i < j rows [y, z] -> x in one of
     -[s, [y, z]].  The terms are summed per (s, y, z, p) for consecutive
-    groups of S of about _JACOBI_BAND_TERMS terms, counted exactly before
+    groups of seeds of about _JACOBI_BAND_TERMS terms, counted exactly before
     any term is made, so a triple is summed whole in the group of its s.
     A key holds s, y, z and p in four fields of b = (n - 1).bit_length()
     bits, highest first, so it sorts as (s, y, z, p) and shifts and masks
@@ -406,8 +491,8 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """
     T, n = L.table, L.dimension
     if check_antisymmetry(L):
-        return JacobiReport(L.lie_type, 0, [], False)
-    seeds = _generating_set(L)
+        return JacobiReport(L.lie_type, 0, [], False, False)
+    seeds, certified = _jacobi_seeds(L)
     first = T.start[::n].astype(np.int64)  # the rows [x, .] are first[x]:first[x + 1]
     length = np.diff(first)
     upper = np.flatnonzero(T.i < T.j)
@@ -416,17 +501,14 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     by_output = upper[_stable_order(T.m[upper])[1]]
     # A row [s, x] -> m makes length[m] A terms and onto[x] B terms.
     terms = np.bincount(T.i, length[T.m] + onto[T.j], n)[seeds].astype(np.int64)
-    total = np.concatenate([[0], np.cumsum(terms)])
     widest = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0)))
-    if widest * widest * int(total[-1]) >= 1 << 63:
+    if widest * widest * int(terms.sum()) >= 1 << 63:
         raise ValueError(f"structure constants up to {widest} in absolute value "
                          f"could overflow the int64 Jacobi sums")
-    edges = np.unique(np.searchsorted(total, np.arange(0, total[-1], _JACOBI_BAND_TERMS),
-                                      side="right") - 1).tolist()
     bits = (n - 1).bit_length()
     mask = (1 << bits) - 1
     checked, bad = 0, [np.zeros(0, dtype=np.int64)]
-    for g0, g1 in zip(edges, [*edges[1:], len(seeds)]):
+    for g0, g1 in _bands(terms, _JACOBI_BAND_TERMS):
         group = seeds[g0:g1]
         rows = _ranges(first[group], length[group])  # the rows [s, x] -> m
         x, m = T.j[rows], T.m[rows]
@@ -451,7 +533,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     # s < y and (y, z, s) otherwise: J vanishes on a repeated index.
     rotated = np.unique(np.where(s < yz >> bits, bad, yz << bits | s))[:MAX_JACOBI_VIOLATIONS]
     violations = [(q >> 2 * bits, q >> bits & mask, q & mask) for q in rotated.tolist()]
-    return JacobiReport(L.lie_type, checked, violations, True)
+    return JacobiReport(L.lie_type, checked, violations, True, certified)
 
 
 def killing_form(L: LieAlgebra) -> np.ndarray:

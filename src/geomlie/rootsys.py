@@ -1,7 +1,7 @@
 """Geometric root systems and the operators acting on them.
 
 Roots are the integer vectors of squared length 2 for the pairing C = B+B^t,
-generated by closing the simple basis under its own reflections.  The
+the positive ones generated height by height from the simple basis.  The
 variation is the identity on the simple arcs, so the monodromy is
 B^{-1}B^t = -c, where the Coxeter element c is the monodromy composed with an
 orientation reversal.  Orbit decompositions under either operator reproduce
@@ -11,6 +11,7 @@ onto automorphism orbits to produce the non-simply-laced Cartan matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -76,37 +77,46 @@ def _keys(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A + 128, dtype=np.uint8).view(f"V{A.shape[1]}").ravel()
 
 
-# The closure holds the |Phi| x k root array several times over; the largest
-# types accepted are A160 (4,121,600 entries) and D128 (4,161,536).
+# The root array is |Phi| x k int64; the largest types accepted are A160
+# (4,121,600 entries) and D128 (4,161,536).
 MAX_ROOT_ENTRIES = 2**22
 
 
 @per_type
 def enumerate_roots(t: LieType | str) -> RootSystem:
-    """All vectors with (v, v) = 2, by reflection closure of the simple basis.
+    """All vectors with (v, v) = 2: the positive roots height by height, and their negatives.
 
-    Each round reflects the whole frontier in every simple root at once and
-    keeps the images whose keys are new; the roots come out sorted.  A type
+    The type is simply laced, so for a positive root a other than alpha_i,
+    a + alpha_i is a root exactly when (a, alpha_i) = -1 (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2), and every
+    positive root of height l + 1 is a + alpha_i for some a of height l.  The
+    highest root has height h - 1, so at most h - 2 steps are taken.  Sorted,
+    the negatives come first, in the reverse order of the positives.  A type
     with more than MAX_ROOT_ENTRIES root coordinates raises ValueError before
-    anything is allocated.
+    anything is allocated, and a count other than the type's RuntimeError.
     """
     k, entries = t.rank, t.root_count * t.rank
     if entries > MAX_ROOT_ENTRIES:
         raise ValueError(f"{t}: {entries} root entries ({8 * entries} bytes) exceed "
                          f"the limit of {MAX_ROOT_ENTRIES}")
     C = cartan_matrix(t)
-    eye = np.eye(k, dtype=np.int64)
-    X = frontier = np.concatenate([eye, -eye])
-    while len(frontier):
-        images = frontier[:, None, :] - (frontier @ C)[:, :, None] * eye
-        pool = np.concatenate([X, images.reshape(-1, k)])
-        _, first = np.unique(_keys(pool), return_index=True)
-        X, frontier = pool[first], pool[first[first >= len(X)]]
-    if len(X) != t.root_count:
-        raise RuntimeError(f"{t}: expected {t.root_count} roots, found {len(X)}")
-    mixed = (X > 0).any(axis=1) & (X < 0).any(axis=1)
-    if mixed.any():
-        raise RuntimeError(f"{t}: root {tuple(X[mixed][0].tolist())} has mixed signs")
+    level = np.eye(k, dtype=np.int64)
+    levels = [level]
+    for _ in range(t.coxeter_number - 2):
+        a, i = np.nonzero(level @ C == -1)
+        level = level[a]
+        level[np.arange(len(a)), i] += 1
+        level = level[np.unique(_keys(level), return_index=True)[1]]
+        levels.append(level)
+    positive = np.concatenate(levels)
+    del levels, level
+    order, m = np.argsort(_keys(positive)), len(positive)
+    if 2 * m != t.root_count:
+        raise RuntimeError(f"{t}: expected {t.root_count} roots, found {2 * m}")
+    X = np.empty((2 * m, k), dtype=np.int64)
+    np.take(positive, order, axis=0, out=X[m:])
+    del positive
+    np.negative(X[m:][::-1], out=X[:m])
     X.setflags(write=False)
     roots = tuple(map(tuple, X.tolist()))
     return RootSystem(t, roots, MappingProxyType({r: i for i, r in enumerate(roots)}), X)
@@ -205,6 +215,7 @@ class OrbitDecomposition:
     orbits: tuple[tuple[int, ...], ...]
     root_system: RootSystem = field(repr=False)
     step: np.ndarray = field(repr=False, compare=False)  # read-only: root i -> its image
+    orbit_of: np.ndarray = field(repr=False, compare=False)  # read-only: root i -> its orbit
 
     @property
     def is_free(self) -> bool:
@@ -241,25 +252,36 @@ def _cycles(step) -> list[tuple[int, ...]]:
     return cycles
 
 
+def _decompose(operator: str, t: LieType) -> OrbitDecomposition:
+    rs = enumerate_roots(t)
+    M = monodromy_matrix(t) if operator == "monodromy" else coxeter_matrix(t)
+    step = rs.locate(rs.coords @ M.T)  # root i -> M @ roots[i]
+    cycles = _cycles(step.tolist())
+    orbit_of = np.empty(len(rs), dtype=np.int64)
+    orbit_of[np.concatenate(cycles)] = np.repeat(np.arange(len(cycles)), list(map(len, cycles)))
+    for a in (step, orbit_of):
+        a.setflags(write=False)
+    # The roots span the lattice, so the order of M is that of its permutation.
+    order = math.lcm(*map(len, cycles))
+    return OrbitDecomposition(t, operator, order, tuple(cycles), rs, step, orbit_of)
+
+
+# One memo per operator, so each (type, operator) is decomposed once.
+_DECOMPOSITIONS = {op: per_type(functools.partial(_decompose, op)) for op in OPERATORS}
+
+
 def orbit_decomposition(t: LieType | str, operator: str = "monodromy") -> OrbitDecomposition:
     """Decompose the root system into orbits of the chosen operator.
 
     ``operator`` is ``"monodromy"`` for -c or ``"coxeter_bar"`` for c.  The
     action need not be free (see ``is_free``): the only non-free case in
     rank <= 8 is the A5 monodromy, whose three diameter classes and their
-    negatives close up after 3 of the 6 steps.
+    negatives close up after 3 of the 6 steps.  Built once per (type,
+    operator) and shared, so read-only.
     """
-    t = as_type(t)
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    rs = enumerate_roots(t)
-    M = monodromy_matrix(t) if operator == "monodromy" else coxeter_matrix(t)
-    step = rs.locate(rs.coords @ M.T)  # root i -> M @ roots[i]
-    step.setflags(write=False)
-    cycles = _cycles(step.tolist())
-    # The roots span the lattice, so the order of M is that of its permutation.
-    order = math.lcm(*map(len, cycles))
-    return OrbitDecomposition(t, operator, order, tuple(cycles), rs, step)
+    return _DECOMPOSITIONS[operator](t)
 
 
 @dataclass(frozen=True)

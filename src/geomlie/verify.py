@@ -275,8 +275,8 @@ def _c06_pairing_invariance(t: LieType) -> list[str]:
 
 
 @_criterion("C07-lie-algebra-laws",
-            "antisymmetry + ad of each of the k + 1 generators e_1..e_k and g_{-theta} "
-            "a derivation (Jacobi), dims k+|Phi|, E8 within budget")
+            "antisymmetry + the lift of c an automorphism + ad of one of e_1..e_k, g_{-theta} "
+            "per c-orbit a derivation (Jacobi), dims k+|Phi|, E8 within budget")
 def _c07_lie_laws(t: LieType) -> list[str]:
     fails = []
     L = liealg.build(t)
@@ -287,6 +287,8 @@ def _c07_lie_laws(t: LieType) -> list[str]:
     elapsed = (time.perf_counter() - start) * 1000
     if not report.antisymmetric:
         fails.append("antisymmetry violated")
+    elif not report.lift_certified:
+        fails.append("lift of c not certified")
     if report.violations:
         fails.append(f"{len(report.violations)} Jacobi violations")
     if t.label == "E8" and elapsed > 90_000:

@@ -47,6 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._exact import _bands, _ranges
 from .lattice import LieType, as_type, per_type, projective_basis
 from .rootsys import Root, enumerate_roots, orbit_decomposition, summable_pairs
 
@@ -229,6 +230,11 @@ def _triangle_sign(n: int, x, y, z, center: bool) -> np.ndarray:
     return np.where(cx | cy | cz, spoke_sign, ccw * inside)
 
 
+# sign_pairs signs the concatenations in bands of about this many, so its
+# peak does not grow with the cube of the wheel's vertex count.
+_SIGN_BAND = 1 << 14
+
+
 def sign_pairs(t: LieType | str) -> np.ndarray:
     """Planar bracket sign of every summable pair of A or D roots, as one array.
 
@@ -237,25 +243,33 @@ def sign_pairs(t: LieType | str) -> np.ndarray:
     (a, b) = -1.  Every concatenation x -> y -> z of two segments whose
     roots are summable is one triangle: it signs (class(x, y), class(y, z))
     with its triangle sign and the reversed pair with the opposite sign.
+    The concatenations are listed by joining each segment x -> y with the
+    segments that start at y, in (x, y, z) order, a band of about
+    _SIGN_BAND of them at a time.
     """
     t = as_type(t)
     root_of, center = _segment_roots(t), t.family == "D"
     rs, (a, b, _, _), n = enumerate_roots(t), summable_pairs(t), t.root_count
     listed = np.append(a * n + b, n * n)  # n^2 ends the list: no pair key reaches it
-    x, y, z = np.indices((len(root_of),) * 3).reshape(3, -1)
-    first, second = root_of[x, y], root_of[y, z]
-    keep = (first >= 0) & (second >= 0)
-    key = first[keep] * n + second[keep]
-    keep[keep] = listed[listed.searchsorted(key)] == key
-    x, y, z, first, second = x[keep], y[keep], z[keep], first[keep], second[keep]
-    sign = _triangle_sign(len(root_of) - center, x, y, z, center)
-    at = listed.searchsorted(np.concatenate([first * n + second, second * n + first]))
-    sign = np.concatenate([sign, -sign])
-    if not sign.all():
-        q = at[np.flatnonzero(sign == 0)[0]]
-        raise RuntimeError(f"{t}: degenerate wheel triangle (an arc of n/2) for "
-                           f"{rs.roots[a[q]]}, {rs.roots[b[q]]}")
-    pos, neg = (np.bincount(at[side], minlength=len(a)) > 0 for side in (sign > 0, sign < 0))
+    src, dst = np.nonzero(root_of >= 0)  # the segments, by (start, end)
+    out = np.bincount(src, minlength=len(root_of))[dst]  # the segments that continue each
+    after = np.searchsorted(src, dst)  # the first of them
+    pos, neg = np.zeros(len(a), dtype=bool), np.zeros(len(a), dtype=bool)
+    for s0, s1 in _bands(out, _SIGN_BAND):
+        into = np.repeat(np.arange(s0, s1), out[s0:s1])
+        onward = _ranges(after[s0:s1], out[s0:s1])
+        first, second = root_of[src[into], dst[into]], root_of[dst[into], dst[onward]]
+        at = listed.searchsorted(first * n + second)
+        keep = listed[at] == first * n + second
+        into, onward, first, second, at = (v[keep] for v in (into, onward, first, second, at))
+        sign = _triangle_sign(len(root_of) - center, src[into], dst[into], dst[onward], center)
+        if not sign.all():
+            q = at[np.flatnonzero(sign == 0)[0]]
+            raise RuntimeError(f"{t}: degenerate wheel triangle (an arc of n/2) for "
+                               f"{rs.roots[a[q]]}, {rs.roots[b[q]]}")
+        reverse = listed.searchsorted(second * n + first)
+        pos[at[sign > 0]] = pos[reverse[sign < 0]] = True
+        neg[at[sign < 0]] = neg[reverse[sign > 0]] = True
     for bad, what in ((pos & neg, "inconsistent planar signs"),
                       (~(pos | neg), "no concatenable representatives")):
         if bad.any():

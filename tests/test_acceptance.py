@@ -135,16 +135,17 @@ def test_c08_names_a_root_breaking_sl2(monkeypatch, with_coefficients):
 
 @pytest.mark.parametrize("paired, actual", [
     (False, "A2: antisymmetry violated; D4: antisymmetry violated"),
-    (True, "A2: 7 Jacobi violations; D4: 25 Jacobi violations"),
+    (True, "A2: lift of c not certified; 7 Jacobi violations; "
+           "D4: lift of c not certified; 25 Jacobi violations"),
 ], ids=["one-row", "with-mirror"])
 def test_c07_decides_antisymmetry_once(paired, actual, monkeypatch, with_coefficients):
     # One [g_a, g_b] row negated breaks antisymmetry, which fails the table
-    # before any Jacobi term is summed; negating its mirror too restores it
-    # and leaves only Jacobi violations, one per violated (s, y, z) class of
-    # the generators e_1..e_k and g_{-theta} (the counts of the textbook
-    # sweep, reference_generator_sweep in test_liealg.py).  C07 reads the
-    # decision from the Jacobi report, so each type's table is checked for
-    # antisymmetry once.
+    # before any Jacobi term is summed; negating its mirror too restores it,
+    # but not the lift of c, which C07 names, and leaves Jacobi violations,
+    # one per violated (s, y, z) class of the generators e_1..e_k and
+    # g_{-theta} (the counts of the textbook sweep, reference_generator_sweep
+    # in test_liealg.py).  C07 reads the decision from the Jacobi report, so
+    # each type's table is checked for antisymmetry once.
     real = liealg.build
 
     def corrupted(t):

@@ -24,8 +24,8 @@ from geomlie.liealg import (AlgebraElement, bracket, build, check_antisymmetry,
                             load_structure_constants, n_sign,
                             slk_model_check)
 from geomlie.lattice import make_type, seifert_matrix
-from geomlie.rootsys import enumerate_roots, summable_pairs
-from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS
+from geomlie.rootsys import enumerate_roots, orbit_decomposition, summable_pairs
+from geomlie.verify import A2_TABLE, ALL_TYPE_LABELS, CRITERIA
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "D4", "D5"]
 
@@ -293,17 +293,23 @@ def reference_generator_sweep(L, seeds) -> tuple[int, list[tuple[int, int, int]]
 
 
 def assert_reference_verdict(L, report):
-    """The report's verdict is the exhaustive sweep's, and each violation one of its classes."""
+    """The report's verdict is the exhaustive sweep's, and each violation one of its classes.
+
+    The count and the violations are the textbook sweep's over the seeds
+    check_jacobi swept, and the report says whether the lift was certified.
+    """
     _, bad = reference_jacobi(L)
     antisymmetric = not check_antisymmetry(L)
     assert report.antisymmetric == antisymmetric
     assert report.ok == (antisymmetric and not bad)
     assert set(report.violations) <= set(bad)
     if antisymmetric:
+        seeds, certified = liealg._jacobi_seeds(L)
+        assert report.lift_certified == certified
         assert (report.triples_checked, report.violations) == \
-            reference_generator_sweep(L, liealg._generating_set(L).tolist())
+            reference_generator_sweep(L, seeds.tolist())
     else:
-        assert (report.triples_checked, report.violations) == (0, [])
+        assert (report.triples_checked, report.violations, report.lift_certified) == (0, [], False)
 
 
 # The new coefficient from the old one.
@@ -376,8 +382,8 @@ def test_jacobi_in_tiny_bands_matches_reference(label, corruption, with_coeffici
     report = check_jacobi(L)
     assert report.antisymmetric
     assert_reference_verdict(L, report)
-    # One sum for the antisymmetry decision, then one per generator at least.
-    assert len(tiny_bands) >= 1 + (L.rank + 1)
+    # One sum for the antisymmetry decision, then one per swept seed at least.
+    assert len(tiny_bands) >= 1 + len(liealg._jacobi_seeds(L)[0])
     assert report.ok == (corruption is None)
 
 
@@ -432,6 +438,87 @@ def test_rows_within_one_level_certify_nothing():
     assert liealg._generating_set(C).tolist() == list(range(L.dimension))
     report = check_jacobi(C)
     assert report.violations == [(0, 1, 2), (0, 2, 1)]
+    assert_reference_verdict(C, report)
+
+
+def _root_row_orbit(L, row) -> list[int]:
+    """The i < j rows that the lift of c carries ``row``, a root-root row, to: (c^j a, c^j b) -> c^j m."""
+    T, n, k = L.table, L.dimension, L.rank
+    lift = np.concatenate([np.arange(k), k + orbit_decomposition(L.lie_type, "coxeter_bar").step])
+    i, j, m = (int(x[row]) for x in (T.i, T.j, T.m))
+    found = set()
+    for _ in range(L.lie_type.coxeter_number):
+        found.add(int(np.flatnonzero((T.i == min(i, j)) & (T.j == max(i, j)) & (T.m == m))[0]))
+        i, j, m = (int(x) for x in lift[[i, j, m]])
+    return sorted(found)
+
+
+def _first_root_root_row(L) -> int:
+    T = L.table
+    return int(np.flatnonzero((T.i >= L.rank) & (T.i < T.j) & (T.m >= L.rank))[0])
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+def test_one_negated_row_fails_the_lift_and_c07_names_it(label, monkeypatch, with_coefficients):
+    # One [g_a, g_b] row and its mirror negated: the table stays antisymmetric
+    # but the lift of c no longer preserves it, so every generator is swept.
+    L = build(make_type(label))
+    C = with_coefficients(L, _paired_change(L, [_first_root_root_row(L)], lambda c: -c))
+    assert not liealg._lift_certified(C)
+    report = check_jacobi(C)
+    assert report.antisymmetric and report.violations and not report.lift_certified
+    assert liealg._jacobi_seeds(C)[0].tolist() == liealg._generating_set(C).tolist()
+    assert_reference_verdict(C, report)
+    monkeypatch.setattr(liealg, "build", lambda t: C)
+    c07 = dict(CRITERIA)["C07-lie-algebra-laws"]
+    passed, _, actual = c07([label])
+    assert not passed
+    assert actual.startswith(f"{label}: lift of c not certified; ")
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "E6", "A8"])
+def test_one_negated_row_orbit_keeps_the_lift_and_fails_jacobi(label, with_coefficients):
+    # The same row and its mirror negated along the row's whole c-orbit: the
+    # lift still preserves the table, so one seed per c-orbit is swept, and
+    # the violations are still found.
+    L = build(make_type(label))
+    rows = _root_row_orbit(L, _first_root_root_row(L))
+    assert len(rows) > 1
+    C = with_coefficients(L, _paired_change(L, rows, lambda c: -c))
+    assert liealg._lift_certified(C)
+    report = check_jacobi(C)
+    assert report.antisymmetric and report.lift_certified and report.violations
+    assert len(liealg._jacobi_seeds(C)[0]) < len(liealg._generating_set(C))
+    assert_reference_verdict(C, report)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+@pytest.mark.parametrize("kind", ["[D_i, g_b]", "[g_a, g_-a]"])
+def test_one_doubled_cartan_row_fails_the_lift(label, kind, with_coefficients):
+    # One row onto a root vector from the Cartan part (W), or onto the Cartan
+    # part from a root pair (V), doubled with its mirror: the lift's W or V
+    # test must refuse the table, and the full generating set is swept.
+    L = build(make_type(label))
+    T, k = L.table, L.rank
+    rows = (T.i < k) & (T.j >= k) if kind == "[D_i, g_b]" else (T.i >= k) & (T.m < k)
+    row = int(np.flatnonzero(rows & (T.i < T.j))[0])
+    C = with_coefficients(L, _paired_change(L, [row], lambda c: 2 * c))
+    assert not liealg._lift_certified(C)
+    report = check_jacobi(C)
+    assert report.antisymmetric and not (report.ok or report.lift_certified)
+    assert_reference_verdict(C, report)
+
+
+def test_lift_certifies_only_the_three_row_shapes(with_coefficients):
+    # A [D_1, D_2] -> D_1 row and its mirror, a shape the lift's certificate
+    # does not read, leave it uncertified on a table it would otherwise pass.
+    L = build(make_type("A3"))
+    T = L.table
+    rows = [*zip(T.i.tolist(), T.j.tolist(), T.m.tolist(), T.c.tolist()), (0, 1, 0, 1), (1, 0, 0, -1)]
+    C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, *zip(*rows)))
+    assert liealg._lift_certified(L) and not liealg._lift_certified(C)
+    report = check_jacobi(C)
+    assert not (report.ok or report.lift_certified)
     assert_reference_verdict(C, report)
 
 
@@ -541,9 +628,9 @@ def test_jacobi_at_the_edges_of_the_key_packing(name):
 
 
 @pytest.mark.parametrize("label", sorted(JACOBI_ALGEBRAS))
-def test_cli_jacobi_prints_reference_class_count(label, capsys, generators):
+def test_cli_jacobi_prints_reference_class_count(label, capsys):
     L = JACOBI_ALGEBRAS[label]
-    triples, bad = reference_generator_sweep(L, generators(L))
+    triples, bad = reference_generator_sweep(L, liealg._jacobi_seeds(L)[0].tolist())
     assert not bad
     assert cli.main(["lie", label, "--check", "jacobi"]) == 0
     out = capsys.readouterr().out
@@ -618,11 +705,16 @@ def test_jacobi_refuses_overflowing_coefficient_before_allocating(with_coefficie
 def test_jacobi_overflow_guard_reads_the_exact_term_count(with_coefficients, tiny_bands):
     # The guard refuses exactly when widest^2 times the number of terms
     # summed reaches 2^63, so a per-generator count off by one row shows.
+    # The changed row [D_1, g_b] breaks the lift's certificate, so every
+    # generator is swept, whatever the new coefficient.
     L = build(make_type("E8"))
-    assert check_jacobi(L).ok
+    row = [int(np.flatnonzero(L.table.i < L.table.j)[0])]
+    changed = with_coefficients(L, _paired_change(L, row, lambda c: 3 * c))
+    tiny_bands.clear()  # building the changed table took a sum too
+    report = check_jacobi(changed)
+    assert not (report.ok or report.lift_certified)
     terms = sum(tiny_bands[1:])  # the first sum is the antisymmetry decision's
     widest = math.isqrt(((1 << 63) - 1) // terms)  # the largest with widest^2 * terms < 2^63
-    row = [int(np.flatnonzero(L.table.i < L.table.j)[0])]
     assert not check_jacobi(with_coefficients(L, _paired_change(L, row, lambda c: widest))).ok
     with pytest.raises(ValueError, match="overflow"):
         check_jacobi(with_coefficients(L, _paired_change(L, row, lambda c: widest + 1)))

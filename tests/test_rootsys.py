@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +40,7 @@ pytestmark = pytest.mark.usefixtures("quiet_d3_warning")
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_root_counts(label):
-    # sympy's root systems share no code with the closure or the count formula.
+    # sympy's root systems share no code with the enumeration or the count formula.
     assert len(enumerate_roots(label)) == len(SympyRootSystem(label).all_roots())
 
 
@@ -124,6 +129,79 @@ def test_root_system_axioms(label):
         assert np.all(arr >= 0) or np.all(arr <= 0)
 
 
+def reflection_closure(label) -> np.ndarray:
+    """The roots by closing the simple basis under its reflections, sorted (the
+    enumeration before the by-height one): each round reflects the frontier
+    in every simple root and keeps the images whose byte keys are new."""
+    t = make_type(label)
+    k, C = t.rank, cartan_matrix(t)
+    eye = np.eye(k, dtype=np.int64)
+    X = frontier = np.concatenate([eye, -eye])
+    while len(frontier):
+        images = frontier[:, None, :] - (frontier @ C)[:, :, None] * eye
+        pool = np.concatenate([X, images.reshape(-1, k)])
+        _, first = np.unique(rootsys._keys(pool), return_index=True)
+        X, frontier = pool[first], pool[first[first >= len(X)]]
+    return X
+
+
+@pytest.mark.parametrize("label", LIE_LABELS)
+def test_roots_by_height_equal_the_reflection_closure(label):
+    assert np.array_equal(enumerate_roots(label).coords, reflection_closure(label))
+
+
+@pytest.mark.parametrize("label", ["A160", "D128"])
+def test_largest_accepted_types_enumerate_in_bounded_time_and_memory(label):
+    # The two largest types under MAX_ROOT_ENTRIES.  The reflection closure
+    # took 14.5 s and 264 MB on A160 and 12.1 s and 142 MB on D128.  By
+    # height they take about 0.4 s, 1.5 s traced, and peak near 104 MB: the
+    # 33 MB int64 root array, its rows as Python tuples and the list that
+    # ``tolist`` makes on the way.
+    t = make_type(label)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rs = enumerate_roots.__wrapped__(t)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rs) == t.root_count
+    assert rs.coords[-1].sum() == t.coxeter_number - 1  # the highest root
+    assert elapsed < 6
+    assert peak < 120_000_000
+
+
+def test_each_orbit_decomposition_is_built_once_per_verify():
+    # A fresh interpreter, so the memo starts empty: every (type, operator)
+    # that run_verify() reads is decomposed once, and its step stays read-only.
+    script = ("import collections\n"
+              "from geomlie import rootsys\n"
+              "from geomlie.verify import run_verify\n"
+              "built, init = collections.Counter(), rootsys.OrbitDecomposition.__init__\n"
+              "def spy(self, *args, **kwargs):\n"
+              "    init(self, *args, **kwargs)\n"
+              "    built[self.lie_type.label, self.operator] += 1\n"
+              "rootsys.OrbitDecomposition.__init__ = spy\n"
+              "run_verify()\n"
+              "steps = [rootsys.orbit_decomposition(lab, op).step for lab, op in built]\n"
+              "print(len(built), set(built.values()), any(s.flags.writeable for s in steps))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rootsys.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == f"{2 * len(ALL_LABELS)} {{1}} False\n"
+
+
+def test_orbit_decomposition_is_shared_per_type_and_operator():
+    for op in ("monodromy", "coxeter_bar"):
+        dec = orbit_decomposition("D5", op)
+        assert orbit_decomposition(make_type("d5"), op) is dec
+        assert dec.operator == op
+        with pytest.raises(ValueError):
+            dec.step[0] = 1
+    assert orbit_decomposition("D5") is orbit_decomposition("D5", "monodromy")
+
+
 @pytest.mark.parametrize("label", LIE_LABELS)
 def test_locate_matches_index(label):
     rs = enumerate_roots(label)
@@ -166,7 +244,7 @@ def test_summable_pairs_need_a_free_coxeter_action(monkeypatch):
 def test_summable_pairs_never_form_the_whole_pairing():
     # A60 has 3660 roots, so its |Phi| x |Phi| int64 pairing alone is 107 MB;
     # the search pairs only one root per Coxeter orbit with every root.
-    n = len(enumerate_roots("A60"))  # the closure, outside the traced region
+    n = len(enumerate_roots("A60"))  # the roots, outside the traced region
     tracemalloc.start()
     try:
         summable_pairs.__wrapped__(make_type("A60"))
@@ -179,7 +257,7 @@ def test_summable_pairs_never_form_the_whole_pairing():
 @given(st.sampled_from(ALL_LABELS), st.data())
 def test_weyl_words_preserve_pairing_and_roots(label, data):
     # Reflections built here, s_i(v) = v - (Cv)_i e_i, share no code with the
-    # closure: any word W in them preserves C and permutes the roots.
+    # enumeration: any word W in them preserves C and permutes the roots.
     t = make_type(label)
     C = cartan_matrix(t)
     word = data.draw(st.lists(st.integers(0, t.rank - 1), max_size=20))

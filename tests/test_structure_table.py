@@ -17,7 +17,7 @@ from geomlie import liealg
 from geomlie.lattice import cartan_matrix, make_type
 from geomlie.liealg import (MAX_DIMENSION, AlgebraElement, StructureTable, bracket, build,
                             check_antisymmetry, check_jacobi, killing_form)
-from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots
+from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots, orbit_decomposition
 from geomlie.verify import ALL_TYPE_LABELS
 
 
@@ -316,11 +316,38 @@ def test_affine_generators_generate_by_closure(label, generators):
 
 def test_generators_generate_every_built_table(generators):
     # The generation certificate covers every element but e_1..e_k and
-    # g_{-theta}, so check_jacobi checks exactly their k + 1 derivations.
+    # g_{-theta}, and the lift of c is certified on every built table, so
+    # check_jacobi checks the derivations of one of them per c-orbit: one on
+    # A_k, three on D3 (A3 in D's labelling), four on the other D_k and E_k.
     for label in ALL_ACCEPTED_LABELS:
         L = build(label)
         assert liealg._generating_set(L).tolist() == generators(L), label
-        assert check_jacobi(L).ok, label
+        seeds, certified = liealg._jacobi_seeds(L)
+        assert certified and set(seeds.tolist()) <= set(generators(L)), label
+        assert len(seeds) == (1 if label[0] == "A" else 3 if label == "D3" else 4), label
+        report = check_jacobi(L)
+        assert report.ok and report.lift_certified, label
+
+
+def _coxeter_orbits(L, seeds) -> list[int]:
+    """Every root generator g_{c^j a} with g_a among ``seeds``, ascending."""
+    step = orbit_decomposition(L.lie_type, "coxeter_bar").step
+    orbit = {x - L.rank for x in seeds}
+    for _ in range(L.lie_type.coxeter_number):
+        orbit |= {int(step[a]) for a in orbit}
+    return sorted(L.rank + a for a in orbit)
+
+
+@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+def test_swept_seeds_generate_by_their_coxeter_orbits(label):
+    # The seeds check_jacobi sweeps and their images under the lift of c,
+    # g_a -> g_{ca}, generate the whole algebra: read pair by pair through
+    # bracket, sharing no code with the lift's certificate.
+    L = build(label)
+    seeds, certified = liealg._jacobi_seeds(L)
+    assert certified
+    assert closure_dimension(L, _coxeter_orbits(L, seeds.tolist())) == \
+        L.rank + len(L.root_system)
 
 
 @pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
