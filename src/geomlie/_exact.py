@@ -1,10 +1,10 @@
 """Exact integer linear algebra helpers.
 
-The Bareiss determinant and the unitriangular inverse work over Python ints,
-so they are exact regardless of magnitude; the determinant mod p runs in
-int64 after an exact reduction mod p, and ``is_nonsingular`` certifies a
-matrix block by block with it.  ``short_vectors`` enumerates in int64
-after an exact elimination, and refuses inputs that could overflow.
+The Bareiss determinant, the determinant mod p and the unitriangular
+inverse work over Python ints, so they are exact regardless of magnitude;
+``is_nonsingular`` certifies a matrix block by block with the determinant
+mod p.  ``short_vectors`` enumerates in int64 after an exact elimination,
+and refuses inputs that could overflow.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def _bands(count: np.ndarray, budget: int) -> list[tuple[int, int]]:
 
 
 def _rows(m) -> list[list[int]]:
-    return [[int(x) for x in row] for row in m]
+    """The rows of ``m`` as lists of Python ints, read exactly."""
+    return [[int(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
 
 
 def det_exact(m) -> int:
@@ -116,29 +117,30 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 def det_mod_p(m, p: int) -> int:
     """Determinant of a square integer matrix modulo a prime 2 <= p < 2**31.
 
-    int64 row operations on entries in [0, p), so products stay below 2**62;
-    each pivot column touches only its nonzero rows.  Entries that do not
-    cast safely to int64 are first reduced mod p in Python ints.
+    One Gaussian elimination over Python ints: the entries are read exactly,
+    whatever their size, and reduced mod p.  Each step takes the first row
+    with a nonzero leading entry as the pivot (a swap negates the
+    determinant) and clears the column below it, leaving the rows' tails.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError(f"modulus {p} is not in [2, 2**31)")
-    a = _residues(np.asarray(m), p)
-    if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
+    shape = np.shape(m)
+    if shape != (len(m),) * 2 and shape != (0,):  # (0,) is the empty matrix
         raise ValueError("matrix must be square")
+    a = [[x % p for x in row] for row in _rows(m)]
     det = 1
-    for col in range(len(a)):
-        rows = col + np.flatnonzero(a[col:, col])
-        if not len(rows):
+    while a:
+        lead = next((r for r, row in enumerate(a) if row[0]), None)
+        if lead is None:
             return 0
-        if rows[0] != col:
-            a[[col, rows[0]]] = a[[rows[0], col]]
+        if lead:
+            a[0], a[lead] = a[lead], a[0]
             det = -det
-        pivot = int(a[col, col])
-        det = det * pivot % p
-        below = rows[1:]  # the swapped-in row is zero in this column
-        if len(below):
-            f = a[below, col] * pow(pivot, -1, p) % p
-            a[below, col + 1:] = (a[below, col + 1:] - f[:, None] * a[col, col + 1:]) % p
+        head, *rest = a
+        det = det * head[0] % p
+        inverse = pow(head[0], -1, p)
+        a = [[(x - f * y) % p for x, y in zip(row[1:], head[1:])]
+             if (f := row[0] * inverse % p) else row[1:] for row in rest]
     return det
 
 
@@ -175,11 +177,14 @@ def is_nonsingular(m) -> bool:
     component with unequal row and column counts (a zero row, say) makes m
     singular.  Each square block is certified by a nonzero determinant mod
     one of the ``_CERT_PRIMES``: the 1 x 1 and 2 x 2 blocks in one vectorized
-    step, larger ones by :func:`det_mod_p`.  Only when some block is
+    step, larger ones by one elimination each over Python ints
+    (:func:`det_mod_p`); the widest the package meets are the Cartan blocks
+    of a Killing matrix, up to 31 wide.  Only when some block is
     certified by no prime does the Bareiss determinant decide, once, on the
-    whole matrix.
+    whole matrix.  Nested lists are read as Python ints (an object array):
+    numpy would read ints past int64 beside a negative one as float64.
     """
-    a = np.asarray(m)
+    a = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
         raise ValueError("matrix must be square")
     n = len(a)

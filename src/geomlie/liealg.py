@@ -333,11 +333,12 @@ class JacobiReport:
     (:func:`check_antisymmetry` found no pair).  A table that is not
     antisymmetric is not swept: it reads 0 triples and no violation, and is
     not ok.  ``lift_certified`` is True when :func:`_lift_certified` proved
-    that the lift of the Coxeter element c preserves the table, so that one
-    seed per c-orbit was swept; it is False on a table that is not
-    antisymmetric.  ``triples_checked`` counts the (s, y, z) with s a swept
-    seed (:func:`_jacobi_seeds`) and y < z that have a nonzero term of
-    J(s, y, z); the others are zero by the table.
+    that the lift of the Coxeter element c preserves the table, so that at
+    most one seed per c-orbit was swept, and one per kept orbit of
+    :func:`_seed_orbits` when its witnesses hold too; it is False on a table
+    that is not antisymmetric.  ``triples_checked`` counts the (s, y, z)
+    with s a swept seed (:func:`_jacobi_seeds`) and y < z that have a
+    nonzero term of J(s, y, z); the others are zero by the table.
     """
 
     lie_type: LieType
@@ -430,23 +431,92 @@ def _lift_certified(L: LieAlgebra) -> bool:
     return np.array_equal(T.m[at], lift[m[root]]) and np.array_equal(T.c[at], v[root])
 
 
+@per_type
+def _seed_orbits(t: LieType) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The c-orbits of roots that :func:`_jacobi_seeds` keeps, and a witness for every other root.
+
+    Starts from the orbits of alpha_1..alpha_k and -theta (roots[0]) and
+    drops them, highest index first, while the additive closure of the
+    rest over :func:`~geomlie.rootsys.summable_pairs` is still Phi: one
+    orbit is left on A_k, E_k and odd D_k, two on even D_k.  c permutes the
+    summable pairs, so each round of the closure reaches whole orbits, and
+    the pairs of one root per orbit decide it.  Returns the kept orbit
+    indices, ascending, and the root indices (x, y, z) of the first
+    summable pair x + y = z, in ``summable_pairs`` order, whose x and y are
+    reached in an earlier round than z, for every root z outside the kept
+    orbits, ascending.  Computed from the type alone, on first use;
+    RuntimeError names the type if the generators' orbits do not generate Phi.
+    """
+    dec = orbit_decomposition(t, "coxeter_bar")
+    ra, rb, rm, _ = summable_pairs(t)
+    # summable_pairs is row-major, with the same number of partners per root.
+    width = len(ra) // len(dec.orbit_of)
+    reps = np.array([orbit[0] for orbit in dec.orbits])
+    x, y, z = (dec.orbit_of[r[(reps[:, None] * width + np.arange(width)).ravel()]]
+               for r in (ra, rb, rm))
+
+    def rounds(kept: list[int]) -> np.ndarray:
+        """The closure round that first reaches each orbit, from ``kept`` at round 0; -1 if none."""
+        level = np.full(len(dec.orbits), -1)
+        level[kept] = 0
+        while len(new := z[(level[x] >= 0) & (level[y] >= 0) & (level[z] < 0)]):
+            level[new] = level.max() + 1
+        return level
+
+    height = dec.root_system.coords.sum(axis=1)
+    kept = np.unique(dec.orbit_of[[0, *np.flatnonzero(height == 1)]]).tolist()
+    for o in kept[::-1]:
+        rest = [q for q in kept if q != o]
+        if rest and rounds(rest).min() >= 0:
+            kept = rest
+    level = rounds(kept)
+    if level.min() < 0:
+        raise RuntimeError(f"{t}: the c-orbits of alpha_1..alpha_k, -theta do not generate Phi")
+    lx, ly, lz = (level[dec.orbit_of[r]] for r in (ra, rb, rm))
+    pair = np.flatnonzero((lz > 0) & (lx < lz) & (ly < lz))
+    root, first = np.unique(rm[pair], return_index=True)
+    return np.array(kept), ra[pair[first]], rb[pair[first]], root
+
+
+def _witnesses_hold(L: LieAlgebra) -> bool:
+    """Whether each witness x + y = z of :func:`_seed_orbits` is one row [g_x, g_y] -> g_z.
+
+    One gather through ``start``; it reads the shape of the rows, not their
+    coefficients.  Read on a table laid out on its root system, as
+    :func:`_lift_certified` requires.
+    """
+    T, n, k = L.table, L.dimension, L.rank
+    _, x, y, z = _seed_orbits(L.lie_type)
+    pair = (k + x) * n + k + y
+    at = T.start[pair]
+    return bool((T.start[pair + 1] - at == 1).all()) and np.array_equal(T.m[at], k + z)
+
+
 def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
     """The elements :func:`check_jacobi` sweeps, ascending, and whether the lift is certified.
 
-    These are the :func:`_generating_set`, cut to its smallest root
-    generator per orbit of c when :func:`_lift_certified` holds (every
-    Cartan element kept): the elements whose ad is a derivation form a
-    phi-stable subalgebra, as ad_{phi x} = phi ad_x phi^-1, so it holds
-    the whole orbit of each seed that it holds.  Read on an antisymmetric
-    table only.
+    These are the :func:`_generating_set` when :func:`_lift_certified`
+    fails.  When it holds, every Cartan element of it is kept and its root
+    generators are cut to the smallest one per c-orbit: the elements whose
+    ad is a derivation form a phi-stable subalgebra, as ad_{phi x} =
+    phi ad_x phi^-1, so it holds the whole orbit of each seed that it
+    holds.  When the witnesses of :func:`_seed_orbits` hold too
+    (:func:`_witnesses_hold`), only the seeds of the kept orbits are swept:
+    each witness row puts g_z, of which [g_x, g_y] is a nonzero multiple,
+    in the subalgebra, in closure order, so it holds every root vector, hence e_1..e_k and
+    g_{-theta}, and with the Cartan seeds the whole generating set.  Read
+    on an antisymmetric table only.
     """
     seeds = _generating_set(L)
     if not _lift_certified(L):
         return seeds, False
     k = L.rank
     roots = seeds[seeds >= k] - k
-    first = np.unique(orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of[roots],
-                      return_index=True)[1]
+    orbit = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of[roots]
+    kept = (orbit[:, None] == _seed_orbits(L.lie_type)[0]).any(axis=1)
+    if not kept.all() and _witnesses_hold(L):
+        roots, orbit = roots[kept], orbit[kept]
+    first = np.unique(orbit, return_index=True)[1]
     return np.concatenate([seeds[seeds < k], k + np.sort(roots[first])]), True
 
 
@@ -461,9 +531,12 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     phi of the Coxeter element is certified an automorphism of the table
     (:func:`_lift_certified`, one vectorised pass), ad_{phi x} =
     phi ad_x phi^-1, so the good subalgebra is phi-stable, and one seed per
-    c-orbit of the generating set stands for its orbit: one on A_k, at most
-    four on D_k and E_k.  Otherwise every generator is a seed
-    (:func:`_jacobi_seeds`).
+    c-orbit of the generating set stands for its orbit.  Fewer orbits
+    suffice: the c-orbits kept by :func:`_seed_orbits` generate every root
+    additively, and one gather proves each witness sum a single row of the
+    table (:func:`_witnesses_hold`), so every root vector is good.  A built
+    table is then swept on one seed on A_k, E_k and odd D_k and two on even
+    D_k.  Otherwise every generator is a seed (:func:`_jacobi_seeds`).
     On an antisymmetric table the derivation identity of s at (y, z) reads
     J(s, y, z) = 0, and J is alternating, so the Jacobi identity holds
     exactly when J(s, y, z) = 0 for every seed s and y < z, and each
@@ -540,12 +613,14 @@ def killing_form(L: LieAlgebra) -> np.ndarray:
     """Killing matrix K[u, v] = tr(ad u . ad v) over the canonical basis.
 
     tr(ad u . ad v) = sum over w, m of ad_u[m, w] ad_v[w, m]: each table row
-    [u, w] -> m meets each row [v, m] -> w, all in exact integers.
+    [u, w] -> m meets each row [v, m] -> w, all in exact integers.  The
+    products are scattered onto the flat index u * n + v of K.
     """
     T, n = L.table, L.dimension
     a, b = _join(T.j * n + T.m, T.m * n + T.j)
-    K = np.zeros((n, n), dtype=np.int64)
-    np.add.at(K, (T.i[a], T.i[b]), T.c[a] * T.c[b])
+    K = np.zeros(n * n, dtype=np.int64)
+    np.add.at(K, T.i[a] * n + T.i[b], T.c[a] * T.c[b])
+    K = K.reshape(n, n)
     if not np.array_equal(K, K.T):
         raise RuntimeError("Killing matrix is not symmetric")
     return K

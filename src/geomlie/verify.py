@@ -13,7 +13,7 @@ from the same records, with ``n/a`` counted as a pass.
 Checks compare the library against data frozen from independent sources: the
 printed monodromy matrices, hand-folded Cartan matrices, the bracket table of
 the rank-2 matrix algebra, a lattice-point enumerator that shares nothing
-with the reflection-closure path, and the types whose Coxeter-plane
+with the height-by-height root enumeration, and the types whose Coxeter-plane
 projection is injective, which C15 decides exactly, without floats.
 """
 
@@ -187,7 +187,7 @@ def _criterion(name: str, expected: str, **applies):
     return register
 
 
-@_criterion("C01-root-counts", "closure count equals k(k+1) / 2k(k-1) / 72,126,240")
+@_criterion("C01-root-counts", "root count equals k(k+1) / 2k(k-1) / 72,126,240")
 def _c01_root_counts(t: LieType) -> list[str]:
     n = len(enumerate_roots(t))
     return [f"{n} != {t.root_count}"] if n != t.root_count else []
@@ -276,7 +276,8 @@ def _c06_pairing_invariance(t: LieType) -> list[str]:
 
 @_criterion("C07-lie-algebra-laws",
             "antisymmetry + the lift of c an automorphism + ad of one of e_1..e_k, g_{-theta} "
-            "per c-orbit a derivation (Jacobi), dims k+|Phi|, E8 within budget")
+            "per kept c-orbit a derivation (Jacobi; the kept orbits generate Phi, two on even D, "
+            "one otherwise), dims k+|Phi|, E8 within budget")
 def _c07_lie_laws(t: LieType) -> list[str]:
     fails = []
     L = liealg.build(t)
@@ -492,15 +493,15 @@ def _box_scan(C: np.ndarray) -> set[tuple[int, ...]]:
     return out
 
 
-@_criterion("C16-scan-oracle", "reflection closure equals the independent lattice scan")
+@_criterion("C16-scan-oracle", "enumerated roots equal the independent lattice scan")
 def _c16_scan_oracle(t: LieType) -> list[str]:
     fails = []
     C = cartan_matrix(t)
-    closure = set(enumerate_roots(t).roots)
-    if closure != set(short_vectors(C, 2)):
-        fails.append("closure and lattice enumeration differ")
-    if t.rank <= _BOX_SCAN_MAX_RANK and closure != _box_scan(C):
-        fails.append("closure and box scan differ")
+    roots = set(enumerate_roots(t).roots)
+    if roots != set(short_vectors(C, 2)):
+        fails.append("roots and lattice enumeration differ")
+    if t.rank <= _BOX_SCAN_MAX_RANK and roots != _box_scan(C):
+        fails.append("roots and box scan differ")
     return fails
 
 

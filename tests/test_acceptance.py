@@ -133,6 +133,25 @@ def test_c08_names_a_root_breaking_sl2(monkeypatch, with_coefficients):
                            "D4: (-1, 0, 0, 0) and 1 more roots break sl2 laws")
 
 
+def test_c10_names_a_degenerate_killing_form(monkeypatch):
+    # One more basis element with no rows is central: its row and column of
+    # the Killing matrix are zero, so C10 fails by name, not by a crash.
+    real = liealg.build
+
+    def widened(t):
+        L = real(t)
+        T = L.table
+        table = liealg.StructureTable.from_rows(L.dimension + 1, T.i, T.j, T.m, T.c)
+        return dataclasses.replace(L, table=table)
+
+    monkeypatch.setattr(liealg, "build", widened)
+    c10 = dict(CRITERIA)["C10-killing-nondegenerate"]
+    assert c10(["A3", "E6"]) == (False, c10.expected,
+                                 "A3: Killing form degenerate; E6: Killing form degenerate")
+    record, = (r for r in run_verify(["D4"]) if r.name == c10.name)
+    assert (record.status, record.actual) == ("fail", "Killing form degenerate")
+
+
 @pytest.mark.parametrize("paired, actual", [
     (False, "A2: antisymmetry violated; D4: antisymmetry violated"),
     (True, "A2: lift of c not certified; 7 Jacobi violations; "

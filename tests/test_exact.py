@@ -10,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from geomlie import _exact
 from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
@@ -156,6 +157,15 @@ def test_det_mod_p_reduces_entries_past_int64_exactly(m):
         assert det_mod_p(m, p) == det_exact(m) % p
 
 
+def test_is_nonsingular_reads_nested_lists_exactly():
+    # numpy reads these ints, past int64 beside a negative one, as float64,
+    # which would round the singular 2 x 2 block to a nonsingular one.
+    u = 2 ** 63 // 36 + 12345
+    m = [[36 * u, 42 * u, 0], [42 * u, 49 * u, 0], [0, 0, -1]]
+    assert np.asarray(m).dtype == np.float64 and det_exact(m) == 0
+    assert is_nonsingular(m) is False
+
+
 @pytest.mark.parametrize("m", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]],
                          ids=["2x3", "3x2"])
 def test_det_mod_p_refuses_non_square_matrices(m):
@@ -184,8 +194,35 @@ def _square_block(rows, factor):
     return rows
 
 
-_SQUARE_BLOCKS = st.builds(_square_block, st.integers(1, 4).flatmap(lambda k: _matrices(k, k)),
-                           st.sampled_from([0, 0, 1, -2]))
+def _wide_matrix(k: int, rng) -> list[list[int]]:
+    """A k x k matrix whose entries are drawn like ``_ENTRIES`` by one seeded generator.
+
+    Drawn entry by entry through hypothesis, the wide blocks made these
+    tests about four times slower.
+    """
+    kinds = (lambda: rng.randint(-3, 3), lambda: rng.randint(2 ** 63, 2 ** 66),
+             lambda: rng.randint(-2 ** 66, -2 ** 63),
+             lambda: rng.choice([_CERT_PRODUCT, -2 * _CERT_PRODUCT]))
+    return [[rng.choice(kinds)() for _ in range(k)] for _ in range(k)]
+
+
+# Up to 31 wide, the widest block is_nonsingular meets in the package (A31's
+# Cartan block of the Killing form).
+_SQUARE_BLOCKS = st.builds(
+    _square_block,
+    st.one_of(st.integers(1, 4).flatmap(lambda k: _matrices(k, k)),
+              st.builds(_wide_matrix, st.integers(5, 31), st.randoms(use_true_random=False))),
+    st.sampled_from([0, 0, 1, -2]))
+
+
+@given(_SQUARE_BLOCKS)
+def test_det_mod_p_agrees_with_det_exact_and_sympy_on_wide_blocks(block):
+    # Entries that are multiples of every certificate prime vanish mod p, so
+    # the elimination must swap rows to find its pivots.
+    want = det_exact(block)
+    assert want == DomainMatrix.from_list(block, sympy.ZZ).det()
+    for p in _CERT_PRIMES:
+        assert det_mod_p(block, p) == det_mod_p(np.array(block, dtype=object), p) == want % p
 
 
 def _scrambled(blocks, data) -> np.ndarray:

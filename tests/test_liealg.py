@@ -479,16 +479,59 @@ def test_one_negated_row_fails_the_lift_and_c07_names_it(label, monkeypatch, wit
 @pytest.mark.parametrize("label", ["A3", "D4", "E6", "A8"])
 def test_one_negated_row_orbit_keeps_the_lift_and_fails_jacobi(label, with_coefficients):
     # The same row and its mirror negated along the row's whole c-orbit: the
-    # lift still preserves the table, so one seed per c-orbit is swept, and
-    # the violations are still found.
+    # lift still preserves the table, and the witnesses, which read the shape
+    # of their rows and not the sign, still hold, so one seed per kept c-orbit
+    # is swept, and the violations are still found.
     L = build(make_type(label))
     rows = _root_row_orbit(L, _first_root_root_row(L))
     assert len(rows) > 1
     C = with_coefficients(L, _paired_change(L, rows, lambda c: -c))
-    assert liealg._lift_certified(C)
+    assert liealg._lift_certified(C) and liealg._witnesses_hold(C)
     report = check_jacobi(C)
     assert report.antisymmetric and report.lift_certified and report.violations
-    assert len(liealg._jacobi_seeds(C)[0]) < len(liealg._generating_set(C))
+    seeds = liealg._jacobi_seeds(C)[0]
+    assert len(seeds) == len(liealg._seed_orbits(label)[0]) < len(liealg._generating_set(C))
+    assert_reference_verdict(C, report)
+
+
+def _one_seed_per_orbit(L) -> list[int]:
+    """The Cartan elements of the generating set and its smallest root generator per c-orbit."""
+    seeds, k = liealg._generating_set(L).tolist(), L.rank
+    orbit_of = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of
+    first: dict[int, int] = {}
+    for x in seeds[::-1]:
+        if x >= k:
+            first[int(orbit_of[x - k])] = x
+    return [x for x in seeds if x < k] + sorted(first.values())
+
+
+def _first_witness_row(L) -> int:
+    """The row [g_x, g_y] -> g_z of the first witness x + y = z of the kept orbits."""
+    T, k = L.table, L.rank
+    _, x, y, _ = liealg._seed_orbits(L.lie_type)
+    return int(np.flatnonzero((T.i == k + x[0]) & (T.j == k + y[0]))[0])
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_a_zeroed_witness_row_is_refused(label, with_coefficients):
+    # One witness row and its mirror zeroed: the witnesses no longer hold,
+    # and the verdict is still the exhaustive sweep's.  Zeroed along the
+    # row's whole c-orbit, the lift stays certified but the witnesses still
+    # fail, so one seed per c-orbit of the generating set is swept.
+    L = build(make_type(label))
+    row = _first_witness_row(L)
+    C = with_coefficients(L, _paired_change(L, [row], lambda c: 0))
+    assert not liealg._witnesses_hold(C)
+    report = check_jacobi(C)
+    assert not report.ok
+    assert_reference_verdict(C, report)
+    C = with_coefficients(L, _paired_change(L, _root_row_orbit(L, row), lambda c: 0))
+    assert liealg._lift_certified(C) and not liealg._witnesses_hold(C)
+    seeds, certified = liealg._jacobi_seeds(C)
+    assert certified and seeds.tolist() == _one_seed_per_orbit(C)
+    assert len(seeds) > len(liealg._seed_orbits(label)[0])
+    report = check_jacobi(C)
+    assert report.lift_certified and not report.ok
     assert_reference_verdict(C, report)
 
 
@@ -520,6 +563,42 @@ def test_lift_certifies_only_the_three_row_shapes(with_coefficients):
     report = check_jacobi(C)
     assert not (report.ok or report.lift_certified)
     assert_reference_verdict(C, report)
+
+
+@pytest.mark.parametrize("label", ["A4", "D5", "E6"])
+def test_a_witness_row_onto_another_root_is_refused(label):
+    # Along the c-orbit of a witness row [g_x, g_y] -> g_z, each output moved
+    # one step on, g_{c^j z} -> g_{c^(j+1) z}, with the mirrors: the lift of c
+    # still preserves the table, but a witness row no longer lands on g_z.
+    L = build(make_type(label))
+    T, k = L.table, L.rank
+    step = orbit_decomposition(L.lie_type, "coxeter_bar").step
+    m = T.m.copy()
+    for row in _root_row_orbit(L, _first_witness_row(L)):
+        mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
+        m[row] = m[mirror] = k + step[T.m[row] - k]
+    C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, T.i, T.j, m, T.c))
+    assert liealg._lift_certified(C) and not liealg._witnesses_hold(C)
+    report = check_jacobi(C)
+    assert report.lift_certified and not report.ok
+    assert liealg._jacobi_seeds(C)[0].tolist() == _one_seed_per_orbit(C)
+    assert_reference_verdict(C, report)
+
+
+def test_witnesses_read_an_empty_bracket_as_missing():
+    # The witness bracket [g_x, g_y] emptied and the next one, [g_x, g_{y+1}],
+    # made a single row onto g_z: read through ``start``, the empty bracket's
+    # first row index is the next bracket's row, which the count refuses.
+    L = build(make_type("D5"))
+    T, k = L.table, L.rank
+    _, x, y, z = liealg._seed_orbits(L.lie_type)
+    w = next(w for w in range(len(x)) if y[w] + 1 < len(L.root_system))
+    i, j = k + x[w], k + y[w]
+    keep = (T.i != i) | ((T.j != j) & (T.j != j + 1))
+    cols = [np.append(col[keep], value)
+            for col, value in zip((T.i, T.j, T.m, T.c), (i, j + 1, k + z[w], 1))]
+    C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, *cols))
+    assert liealg._witnesses_hold(L) and not liealg._witnesses_hold(C)
 
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:

@@ -314,17 +314,25 @@ def test_affine_generators_generate_by_closure(label, generators):
     assert closure_dimension(L, positive) == len(L.root_system) // 2
 
 
+def kept_orbit_count(label: str) -> int:
+    """How many c-orbits of roots generate Phi additively: two on even D_k, one otherwise."""
+    return 2 if label[0] == "D" and int(label[1:]) % 2 == 0 else 1
+
+
 def test_generators_generate_every_built_table(generators):
     # The generation certificate covers every element but e_1..e_k and
-    # g_{-theta}, and the lift of c is certified on every built table, so
-    # check_jacobi checks the derivations of one of them per c-orbit: one on
-    # A_k, three on D3 (A3 in D's labelling), four on the other D_k and E_k.
+    # g_{-theta}, the lift of c is certified on every built table and so are
+    # the witnesses of the roots outside the kept c-orbits, so check_jacobi
+    # checks the derivations of one of them per kept orbit: one on A_k, E_k
+    # and odd D_k (D3 is A3 in D's labelling), two on even D_k.
     for label in ALL_ACCEPTED_LABELS:
         L = build(label)
         assert liealg._generating_set(L).tolist() == generators(L), label
+        assert len(liealg._seed_orbits(label)[0]) == kept_orbit_count(label), label
+        assert liealg._witnesses_hold(L), label
         seeds, certified = liealg._jacobi_seeds(L)
         assert certified and set(seeds.tolist()) <= set(generators(L)), label
-        assert len(seeds) == (1 if label[0] == "A" else 3 if label == "D3" else 4), label
+        assert len(seeds) == kept_orbit_count(label), label
         report = check_jacobi(L)
         assert report.ok and report.lift_certified, label
 
@@ -338,7 +346,7 @@ def _coxeter_orbits(L, seeds) -> list[int]:
     return sorted(L.rank + a for a in orbit)
 
 
-@pytest.mark.parametrize("label", ALL_TYPE_LABELS)
+@pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
 def test_swept_seeds_generate_by_their_coxeter_orbits(label):
     # The seeds check_jacobi sweeps and their images under the lift of c,
     # g_a -> g_{ca}, generate the whole algebra: read pair by pair through
