@@ -1,15 +1,18 @@
 """Exact integer linear algebra helpers.
 
 The Bareiss determinant, the determinant mod p and the unitriangular
-inverse work over Python ints, so they are exact regardless of magnitude;
-``is_nonsingular`` certifies a matrix block by block with the determinant
-mod p.  ``short_vectors`` enumerates in int64 after an exact elimination,
-and refuses inputs that could overflow.
+inverse work over Python ints, so they are exact regardless of magnitude.
+``is_nonsingular`` certifies a square matrix block by block with the
+determinant mod p, reading only its nonzero entries: a :class:`SparseSquare`
+(the form the Killing form is returned in) directly, a dense matrix through
+its nonzeros.  ``short_vectors`` enumerates in int64 after an exact
+elimination, and refuses inputs that could overflow.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +50,21 @@ def _bands(count: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(edges, [*edges[1:], len(count)]))
 
 
-def _rows(m) -> list[list[int]]:
-    """The rows of ``m`` as lists of Python ints, read exactly."""
-    return [[int(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+def _rows(m, error: str) -> list[list[int]]:
+    """The rows of ``m`` as lists of Python ints, read exactly.
+
+    ValueError(error) where an entry of ``m`` is not a row, as in a 1-D input.
+    """
+    try:
+        rows = [list(row) for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    except TypeError:
+        raise ValueError(error) from None
+    return [[int(x) for x in row] for row in rows]
 
 
 def det_exact(m) -> int:
     """Determinant of an integer matrix via fraction-free Bareiss elimination."""
-    a = _rows(m)
+    a = _rows(m, "matrix must be square")
     n = len(a)
     if n == 0:
         return 1
@@ -87,7 +97,7 @@ def inv_unitriangular(m) -> np.ndarray:
     square and upper triangular with unit diagonal, and OverflowError where
     an entry of the inverse does not fit in int64.
     """
-    a = _rows(m)
+    a = _rows(m, "matrix is not upper unitriangular")
     n = len(a)
     if any(len(row) != n or row[:i + 1] != [0] * i + [1] for i, row in enumerate(a)):
         raise ValueError("matrix is not upper unitriangular")
@@ -127,7 +137,7 @@ def det_mod_p(m, p: int) -> int:
     shape = np.shape(m)
     if shape != (len(m),) * 2 and shape != (0,):  # (0,) is the empty matrix
         raise ValueError("matrix must be square")
-    a = [[x % p for x in row] for row in _rows(m)]
+    a = [[x % p for x in row] for row in _rows(m, "matrix must be square")]
     det = 1
     while a:
         lead = next((r for r, row in enumerate(a) if row[0]), None)
@@ -168,53 +178,120 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray,
             label = label[label]
 
 
-def is_nonsingular(m) -> bool:
-    """Exact nonsingularity test, certified block by block.
+@dataclass(frozen=True)
+class SparseSquare:
+    """An n x n int64 matrix held as its nonzero entries, read-only.
 
-    The connected components of the graph joining row r to column c where
-    m[r, c] != 0 are the diagonal blocks of m up to a row and a column
-    permutation, so det m = +-(product of the block determinants).  A
-    component with unequal row and column counts (a zero row, say) makes m
-    singular.  Each square block is certified by a nonzero determinant mod
-    one of the ``_CERT_PRIMES``: the 1 x 1 and 2 x 2 blocks in one vectorized
-    step, larger ones by one elimination each over Python ints
-    (:func:`det_mod_p`); the widest the package meets are the Cartan blocks
-    of a Killing matrix, up to 31 wide.  Only when some block is
-    certified by no prime does the Bareiss determinant decide, once, on the
-    whole matrix.  Nested lists are read as Python ints (an object array):
-    numpy would read ints past int64 beside a negative one as float64.
+    Entry e is ``value[e]`` at (``row[e]``, ``col[e]``); the entries are
+    sorted by (row, col), one per position, and none is zero.
+    ``np.asarray`` gives the dense matrix.  Make one with :meth:`from_keys`.
     """
+
+    n: int
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_keys(cls, n: int, key: np.ndarray, value: np.ndarray) -> "SparseSquare":
+        """The matrix with ``value[e]`` at the flat position ``key[e]`` = row * n + col.
+
+        The keys must be strictly ascending; zero values are dropped.
+        """
+        key, value = np.asarray(key, dtype=np.int64), integer_array(value)
+        if key.shape != value.shape or (key[1:] <= key[:-1]).any():
+            raise ValueError("keys must be strictly ascending, one per value")
+        nonzero = value != 0
+        row, col = np.divmod(key[nonzero], n)
+        value = value[nonzero]
+        for a in (row, col, value):
+            a.setflags(write=False)
+        return cls(n, row, col, value)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros((self.n, self.n), dtype=np.int64)
+        dense[self.row, self.col] = self.value
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def is_nonsingular(m) -> bool:
+    """Exact nonsingularity test of a square matrix, certified block by block.
+
+    ``m`` is a :class:`SparseSquare`, an array or nested lists; the last
+    two are read through their nonzero entries, nested lists as Python ints
+    (numpy would read ints past int64 beside a negative one as float64).
+    The one certificate, :func:`_nonsingular_entries`, works on the entries.
+    """
+    if isinstance(m, SparseSquare):
+        return _nonsingular_entries(m.n, m.row, m.col, m.value)
     a = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     if a.shape != (len(a),) * 2 and a.shape != (0,):  # (0,) is the empty matrix
         raise ValueError("matrix must be square")
-    n = len(a)
+    row, col = np.nonzero(a != 0)
+    return _nonsingular_entries(len(a), row, col, a[row, col])
+
+
+def _nonsingular_entries(n: int, row: np.ndarray, col: np.ndarray, value: np.ndarray) -> bool:
+    """Whether the n x n matrix with ``value[e]`` at (row[e], col[e]) is nonsingular.
+
+    The entries sit at distinct positions; their values may be Python ints
+    of any size (an object array).  The connected components of the graph
+    joining row r to column c where an entry sits are the diagonal blocks of
+    the matrix up to a row and a column permutation, so its determinant is
+    +-(product of the block determinants).  A component with unequal row
+    and column counts (a zero row, say) makes it singular.  Each square
+    block is certified by a nonzero determinant mod one of the
+    ``_CERT_PRIMES``: the 1 x 1 and 2 x 2 blocks in one vectorized step,
+    larger ones by one elimination each over Python ints (:func:`det_mod_p`);
+    the widest the package meets are the Cartan blocks of a Killing form, up
+    to 31 wide.  Only when some block is certified by no prime is the dense
+    matrix built, once, as Python ints, for the Bareiss determinant.
+    """
     if n == 0:
         return True
-    row_label, col_label = _components(*np.nonzero(a != 0), n)
+    row_label, col_label = _components(row, col, n)
     size = np.bincount(row_label, minlength=2 * n)
     if not np.array_equal(size, np.bincount(col_label, minlength=2 * n)):
         return False
-    # Sorted by label, the rows and the columns of each block sit at the same positions.
+    # Sorted by label, the rows and the columns of each block sit at the same
+    # positions; a block's place is the position of its first row.
     ro = np.argsort(row_label, kind="stable")
     co = np.argsort(col_label, kind="stable")
     label = row_label[ro]
-    width = size[label]
-    one = np.flatnonzero(width == 1)
-    two = np.flatnonzero(width == 2)[::2]
-    r0, r1, c0, c1 = ro[two], ro[two + 1], co[two], co[two + 1]
-    entries = np.concatenate([a[ro[one], co[one]], a[r0, c0], a[r1, c1], a[r0, c1], a[r1, c0]])
-    # One column per prime; residues below 2**31 keep each product below 2**62.
-    e = np.stack([_residues(entries, p) for p in _CERT_PRIMES], axis=1)
-    s, t = len(one), len(two)
-    det = np.concatenate([e[:s], (e[s:s + t] * e[s + t:s + 2 * t]
-                                  - e[s + 2 * t:s + 3 * t] * e[s + 3 * t:]) % _CERT_PRIMES])
     first = np.flatnonzero(np.concatenate([[True], label[1:] != label[:-1]]))
-    first = first[width[first] >= 3]
-    blocks = (a[np.ix_(ro[lo:lo + w], co[lo:lo + w])]
-              for lo, w in zip(first.tolist(), width[first].tolist()))
-    if det.any(axis=1).all() and all(any(det_mod_p(b, p) for p in _CERT_PRIMES) for b in blocks):
-        return True
-    return det_exact(m) != 0
+    wide = size[label[first]]  # the width of the block placed at first[b]
+    place = np.zeros(2 * n, dtype=np.int64)
+    place[label[first]] = first
+    at_row, at_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    at_row[ro] = at_col[co] = np.arange(n)
+    block = row_label[row]
+    width, lo = size[block], place[block]
+    r, c = at_row[row] - lo, at_col[col] - lo  # an entry's place in its block
+    # The blocks up to 2 wide as [[a, b], [c, d]] mod each prime, a 1 x 1 one with d = 1.
+    small = np.flatnonzero(width <= 2)
+    e = np.zeros((n, 4, len(_CERT_PRIMES)), dtype=np.int64)
+    e[first[wide == 1], 3] = 1
+    e[lo[small], 2 * r[small] + c[small]] = np.stack(
+        [_residues(value[small], p) for p in _CERT_PRIMES], axis=1)
+    s = e[first[wide <= 2]]
+    # Residues below 2**31 keep each product below 2**62.
+    det = (s[:, 0] * s[:, 3] - s[:, 1] * s[:, 2]) % _CERT_PRIMES
+    if det.any(axis=1).all():
+        big = np.flatnonzero(width >= 3)
+        big = big[np.argsort(lo[big], kind="stable")]
+        cut = np.flatnonzero(np.diff(lo[big], prepend=-1)).tolist()  # each block's first entry
+        for s0, s1 in zip(cut, [*cut[1:], len(big)]):
+            part = big[s0:s1]
+            w = int(width[part[0]])
+            b = np.zeros((w, w), dtype=value.dtype)
+            b[r[part], c[part]] = value[part]
+            if not any(det_mod_p(b, p) for p in _CERT_PRIMES):
+                break
+        else:
+            return True
+    dense = np.zeros((n, n), dtype=object)
+    dense[row, col] = value
+    return det_exact(dense) != 0
 
 
 # Bound on every int64 intermediate of short_vectors; squares of isqrt
@@ -242,7 +319,7 @@ def short_vectors(gram, norm: int) -> list[tuple[int, ...]]:
     G (decided by the Bareiss pivots, Sylvester's criterion), and when an
     intermediate could pass 2**62.
     """
-    G = _rows(gram)
+    G = _rows(gram, "matrix must be square")
     n = len(G)
     if any(len(row) != n for row in G):
         raise ValueError("matrix must be square")

@@ -17,7 +17,10 @@ anything is built.  All structure constants live in one sparse
 :class:`StructureTable`: one row per nonzero ordered basis bracket term and
 one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2 checks,
 the matrix model and the export all read the table of the algebra they are
-given, so a corrupted coefficient shows up in every check.
+given, so a corrupted coefficient shows up in every check.  Every rule
+respects the root grading (wt D_i = 0, wt g_a = a), so the Killing form
+tr(ad x ad y) vanishes unless wt x + wt y = 0: a table whose rows keep the
+rules' shapes has it read off that grading, as its nonzero entries.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import _bands, _ranges, integer_array, is_nonsingular
+from ._exact import SparseSquare, _bands, _ranges, integer_array, is_nonsingular
 from .lattice import LieType, as_type, cartan_matrix, per_type, seifert_matrix
 from .rootsys import (Root, RootSystem, coxeter_matrix, enumerate_roots, orbit_decomposition,
                       summable_pairs)
@@ -57,7 +60,7 @@ __all__ = [
 # ``build`` refuses a type of dimension n = k + |Phi| over this bound, a policy:
 # it keeps check_jacobi's key, four fields of (n - 1).bit_length() bits, within
 # 40 bits (so _stable_order has 23 bits for a group's positions), and the int32
-# n^2 + 1 row index and a dense int64 Killing matrix within 4 MB and 8 MB.
+# n^2 + 1 row index within 4 MB.
 # The largest types accepted are A31 (n = 1023) and D22 (946).
 MAX_DIMENSION = 2**10
 # check_jacobi sums the terms of consecutive generators in groups of about
@@ -378,6 +381,19 @@ def _generating_set(L: LieAlgebra) -> np.ndarray:
     return np.flatnonzero((level == 1) | ~covered)
 
 
+def _cartan_weights(L: LieAlgebra) -> np.ndarray:
+    """W (k x |Phi|), W[i, b] the coefficient of the row [D_i, g_b] -> g_b.
+
+    Read on a table laid out on its root system whose rows [D_i, .], the
+    first start[k * n], all have that shape.
+    """
+    T, n, k = L.table, L.dimension, L.rank
+    f = T.start[k * n]
+    W = np.zeros((k, n - k), dtype=np.int64)
+    W[T.i[:f], T.j[:f] - k] = T.c[:f]
+    return W
+
+
 def _lift_certified(L: LieAlgebra) -> bool:
     """Whether the lift phi: g_a -> g_{ca}, D -> cD of the Coxeter element
     provably preserves an antisymmetric table laid out on its root system.
@@ -408,11 +424,9 @@ def _lift_certified(L: LieAlgebra) -> bool:
     step = orbit_decomposition(L.lie_type, "coxeter_bar").step
     c = coxeter_matrix(L.lie_type)
     f = T.start[k * n]  # the rows [D_i, .] come first
-    i, j, m, v = T.i[:f], T.j[:f], T.m[:f], T.c[:f]
-    if not ((j >= k) & (m == j)).all():
+    if not ((T.j[:f] >= k) & (T.m[:f] == T.j[:f])).all():
         return False
-    W = np.zeros((k, R), dtype=np.int64)
-    W[i, j - k] = v
+    W = _cartan_weights(L)
     i, j, m, v = T.i[f:], T.j[f:], T.m[f:], T.c[f:]
     coroot = np.flatnonzero(m < k)
     a, d = i[coroot] - k, m[coroot]
@@ -609,25 +623,114 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     return JacobiReport(L.lie_type, checked, violations, True, certified)
 
 
-def killing_form(L: LieAlgebra) -> np.ndarray:
-    """Killing matrix K[u, v] = tr(ad u . ad v) over the canonical basis.
+def _graded(L: LieAlgebra) -> bool:
+    """Whether every row of the table has the shape of one of :func:`build`'s bracket rules.
+
+    The shapes are [D_i, g_b] -> g_b, [g_b, D_i] -> g_b, [g_a, g_{-a}] -> D_d
+    (j = n - 1 - a) and [g_a, g_b] -> g_{a+b}, whose rows must be
+    :func:`~geomlie.rootsys.summable_pairs` as arrays, sums included; there
+    are no [D_i, D_j] rows, and the dimension is k + |Phi|.  These shapes
+    are the root grading: with wt(D_i) = 0 and wt(g_a) = a, every row
+    (i, j, m) has wt(m) = wt(i) + wt(j).  One vectorised pass over the rows;
+    it reads their shape, not their coefficients.
+    """
+    T, n, k = L.table, L.dimension, L.rank
+    if n != k + len(L.root_system):
+        return False
+    f = T.start[k * n]  # the rows [D_i, .] come first
+    if not ((T.j[:f] >= k) & (T.m[:f] == T.j[:f])).all():
+        return False
+    i, j, m = T.i[f:], T.j[f:], T.m[f:]
+    root = (j >= k) & (m >= k)
+    if not np.where(j < k, m == i, root | (i + j == n - 1 + k)).all():
+        return False
+    return all(np.array_equal(x[root] - k, y)
+               for x, y in zip((i, j, m), summable_pairs(L.lie_type)[:3]))
+
+
+def _killing_graded(L: LieAlgebra) -> SparseSquare:
+    """The Killing form of a table that :func:`_graded` accepts, read off the grading.
+
+    A product of table rows (u, w, m) and (v, m, w) has wt(u) + wt(v) = 0,
+    so only the Cartan block and the entries K(g_a, g_{-a}) can be nonzero.
+    The rows of D_i are [D_i, g_b] -> g_b with the coefficients W (k x |Phi|),
+    so the Cartan block is W W^t.  K(g_a, g_{-a}) sums c c' over the rows
+    (g_a, w, m, c) and their partners (g_{-a}, m, w, c'), which open the
+    bracket [g_{-a}, m]:
+
+    * of [g_a, g_b] -> g_{a+b}, the single row of [g_{-a}, g_{a+b}]:
+      (-a, a + b) is a summable pair with sum b, and a bracket of two roots
+      has one row per summable pair and no other;
+    * of [g_a, g_{-a}] -> D_d, the row [g_{-a}, D_d] -> g_{-a}, if any: a
+      bracket [g, D_d] has no row onto another element;
+    * of [g_a, D_d] -> g_a, the row [g_{-a}, g_a] -> D_d, a row of the
+      previous shape whose partner it is: these terms are those of -a.
+
+    So one gather through ``start`` finds every partner.  Exact in int64.
+    """
+    T, n, k = L.table, L.dimension, L.rank
+    W = _cartan_weights(L)
+    f = T.start[k * n]  # the rows [D_i, .] come first
+    i, j, m, c = T.i[f:], T.j[f:], T.m[f:], T.c[f:]
+    pair = (n - 1 + k - i) * n + m  # [g_{-a}, m]; g_{-a} is e_{n - 1 + k - i}
+    at = T.start[pair]
+    term = c * T.c.take(at, mode="clip")  # at is past the end only if [g_{-a}, m] is empty
+    term[j < k] = 0
+    coroot = np.flatnonzero(m < k)
+    term[coroot[T.start[pair[coroot] + 1] == at[coroot]]] = 0
+    # The rows of g_a are bound[a]:bound[a + 1]; the int64 sums wrap, so their differences are exact.
+    total = np.concatenate([[0], np.cumsum(term)])
+    bound = T.start[k * n::n] - f
+    opposite = total[bound[1:]] - total[bound[:-1]]
+    np.add.at(opposite[::-1], i[coroot] - k, term[coroot])  # the terms of [g_{-a}, D_d] -> g_{-a}
+    g = np.arange(k, n)
+    key = np.concatenate([np.arange(k)[:, None] * n + np.arange(k), g * n + n - 1 + k - g], axis=None)
+    return SparseSquare.from_keys(n, key, np.concatenate([W @ W.T, opposite], axis=None))
+
+
+def _killing_join(T: StructureTable) -> SparseSquare:
+    """The Killing form of any table, K[u, v] = tr(ad u . ad v), by joining its rows.
 
     tr(ad u . ad v) = sum over w, m of ad_u[m, w] ad_v[w, m]: each table row
-    [u, w] -> m meets each row [v, m] -> w, all in exact integers.  The
-    products are scattered onto the flat index u * n + v of K.
+    [u, w] -> m meets each row [v, m] -> w, all in exact integers, and the
+    products are summed per (u, v).  The reference :func:`_killing_graded`
+    is tested against, and the only path for a table :func:`_graded` refuses.
     """
-    T, n = L.table, L.dimension
+    n = T.n
     a, b = _join(T.j * n + T.m, T.m * n + T.j)
-    K = np.zeros(n * n, dtype=np.int64)
-    np.add.at(K, T.i[a] * n + T.i[b], T.c[a] * T.c[b])
-    K = K.reshape(n, n)
-    if not np.array_equal(K, K.T):
+    key, value = _group_sums(T.i[a] * n + T.i[b], T.c[a] * T.c[b])
+    return SparseSquare.from_keys(n, key, value)
+
+
+def killing_form(L: LieAlgebra) -> SparseSquare:
+    """The Killing form K[u, v] = tr(ad u . ad v) over the canonical basis, as its nonzero entries.
+
+    A read-only :class:`~geomlie._exact.SparseSquare`, int64, sorted by
+    (row, column); ``np.asarray(K)`` is the dense n x n matrix.  A table laid
+    out on its root system (:func:`_graded`) has it read off the grading,
+    the k x k Cartan block and one entry per (a, -a), 262 entries of E8's
+    61,504 (:func:`_killing_graded`; Humphreys, Introduction to Lie Algebras
+    and Representation Theory, 8.1-8.2); any other table joins its rows
+    (:func:`_killing_join`).  Neither forms an n x n array.  RuntimeError if
+    the entries are not symmetric: tr(ad u . ad v) = tr(ad v . ad u) on every
+    table, so that would be a fault of the path, not of the table.
+    """
+    K = _killing_graded(L) if _graded(L) else _killing_join(L.table)
+    t = np.argsort(K.col * K.n + K.row)  # the entries of the transpose, sorted
+    if not (np.array_equal(K.row, K.col[t]) and np.array_equal(K.col, K.row[t])
+            and np.array_equal(K.value, K.value[t])):
         raise RuntimeError("Killing matrix is not symmetric")
     return K
 
 
-def is_nondegenerate(K: np.ndarray) -> bool:
-    """Exact nondegeneracy of a Killing matrix (det != 0)."""
+def is_nondegenerate(K) -> bool:
+    """Exact nondegeneracy of a Killing form (det != 0), as a Python bool.
+
+    Decided on the nonzero entries of ``K`` (a :func:`killing_form`, or a
+    dense matrix read through its nonzeros) by
+    :func:`~geomlie._exact.is_nonsingular`: on a built table its blocks are
+    the Cartan block and one 2 x 2 block per pair {a, -a}.
+    """
     return is_nonsingular(K)
 
 

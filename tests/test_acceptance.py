@@ -152,6 +152,51 @@ def test_c10_names_a_degenerate_killing_form(monkeypatch):
     assert (record.status, record.actual) == ("fail", "Killing form degenerate")
 
 
+def _first_simple(L) -> int:
+    """The basis index of g_{alpha_1}."""
+    return L.rank + L.root_system.index[(1,) + (0,) * (L.rank - 1)]
+
+
+def _cancelled_killing_pair(L):
+    """``L`` with K(g_a, g_{-a}) = 0 for a = alpha_1, its rows' shapes kept.
+
+    On a built table K(g_a, g_{-a}) = -2h sums -2 over the rows
+    [g_a, D_d] -> g_a, -2 over [g_a, g_{-a}] -> D_d and -1 for each of the
+    2h - 4 rows [g_a, g_b] -> g_{a+b}.  Negating the second kind and h - 2
+    of the third gives -2 + 2 - (h - 2) + (h - 2) = 0.  No other entry reads
+    a row of g_a, so the row of g_a in K is zero.
+    """
+    T, k, h = L.table, L.rank, L.lie_type.coxeter_number
+    own = (T.i == _first_simple(L)) & (T.j >= k)
+    root = np.flatnonzero(own & (T.m >= k))[:h - 2]
+    c = T.c.copy()
+    c[own & (T.m < k)] *= -1
+    c[root] *= -1
+    return dataclasses.replace(L, table=liealg.StructureTable.from_rows(T.n, T.i, T.j, T.m, c))
+
+
+def test_c10_names_a_degenerate_killing_form_laid_out_on_its_roots(monkeypatch):
+    # The rows keep the shapes of the bracket rules, so the form is read off
+    # the root grading (A1: the [g_a, g_{-a}] -> D_1 coefficient negated,
+    # its mirror left alone), and C10 still fails by name.
+    real = liealg.build
+
+    def cancelled(t):
+        return _cancelled_killing_pair(real(t))
+
+    for label in ("A1", "A2", "D4"):
+        L = _cancelled_killing_pair(real(label))
+        assert liealg._graded(L)
+        assert not np.asarray(liealg.killing_form(L))[_first_simple(L)].any()
+    monkeypatch.setattr(liealg, "build", cancelled)
+    c10 = dict(CRITERIA)["C10-killing-nondegenerate"]
+    assert c10(["A1", "A2", "D4"]) == (
+        False, c10.expected,
+        "A1: Killing form degenerate; A2: Killing form degenerate; D4: Killing form degenerate")
+    record, = (r for r in run_verify(["A1"]) if r.name == c10.name)
+    assert (record.status, record.actual) == ("fail", "Killing form degenerate")
+
+
 @pytest.mark.parametrize("paired, actual", [
     (False, "A2: antisymmetry violated; D4: antisymmetry violated"),
     (True, "A2: lift of c not certified; 7 Jacobi violations; "

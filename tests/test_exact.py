@@ -8,12 +8,12 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from geomlie import _exact
-from geomlie._exact import (_CERT_PRIMES, det_exact, det_mod_p, inv_unitriangular,
+from geomlie._exact import (_CERT_PRIMES, SparseSquare, det_exact, det_mod_p, inv_unitriangular,
                             is_nonsingular, short_vectors)
 from geomlie.lattice import cartan_matrix, make_type, matrix_payload, pairing
 from geomlie.liealg import build, n_sign
@@ -173,6 +173,34 @@ def test_det_mod_p_refuses_non_square_matrices(m):
         det_mod_p(m, 7)
     with pytest.raises(ValueError, match="square"):
         is_nonsingular(m)
+
+
+@pytest.mark.parametrize("m", [[1, 2], np.array([1, 2])], ids=["list", "array"])
+def test_one_dimensional_input_is_refused(m):
+    # The entries of a 1-D input are not rows.
+    for call in (det_exact, lambda m: det_mod_p(m, 7), is_nonsingular, lambda m: short_vectors(m, 2)):
+        with pytest.raises(ValueError, match="square"):
+            call(m)
+    with pytest.raises(ValueError, match="unitriangular"):
+        inv_unitriangular(m)
+
+
+@given(_square_matrix())
+def test_sparse_square_holds_the_matrix_and_decides_like_it(case):
+    m, _ = case
+    assume(m.dtype == np.int64 and len(m))
+    # Every position given, the zeros are dropped.
+    S = SparseSquare.from_keys(len(m), np.arange(m.size), m.ravel())
+    dense = np.asarray(S)
+    assert dense.dtype == np.int64 and np.array_equal(dense, m)
+    assert np.count_nonzero(S.value) == len(S.value) and not S.row.flags.writeable
+    assert is_nonsingular(S) == is_nonsingular(m) == (det_exact(m) != 0)
+
+
+@pytest.mark.parametrize("key", [[1, 0], [2, 2]], ids=["descending", "repeated"])
+def test_sparse_square_refuses_keys_out_of_order(key):
+    with pytest.raises(ValueError, match="ascending"):
+        SparseSquare.from_keys(2, key, [1, 1])
 
 
 # Entries include values past 2**63 (object dtype) and multiples of every

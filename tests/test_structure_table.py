@@ -49,9 +49,73 @@ def closed_form_killing(label: str) -> np.ndarray:
     return K
 
 
-@pytest.mark.parametrize("label", list(ALL_TYPE_LABELS) + ["A10"])
+def _same_form(K, reference) -> bool:
+    """Whether two sparse forms hold the same entries in the same order."""
+    return K.n == reference.n and all(np.array_equal(getattr(K, a), getattr(reference, a))
+                                      for a in ("row", "col", "value"))
+
+
+@pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
 def test_killing_closed_form(label):
-    assert np.array_equal(killing_form(build(label)), closed_form_killing(label))
+    # The grading path against the closed form and against the join of the
+    # whole table, which shares no code with it.
+    L = build(label)
+    K = killing_form(L)
+    assert liealg._graded(L)
+    assert K.value.dtype == np.int64 and not K.value.flags.writeable
+    assert np.array_equal(np.asarray(K), closed_form_killing(label))
+    assert _same_form(K, liealg._killing_join(L.table))
+
+
+@given(st.sampled_from(["A1", "A2", "A3", "A5", "A7", "D4", "D5", "E6"]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 1 << 20]))
+def test_killing_graded_path_equals_the_join_on_scrambled_coefficients(label, seed, widest):
+    # New coefficients on the same rows keep the table laid out on its root
+    # system, so the grading decides the form; it must match the join.
+    L = build(label)
+    T = L.table
+    rng = np.random.default_rng(seed)
+    c = rng.integers(1, widest, len(T.c), endpoint=True) * rng.choice([-1, 1], len(T.c))
+    S = dataclasses.replace(L, table=StructureTable.from_rows(T.n, T.i, T.j, T.m, c))
+    assert liealg._graded(S)
+    assert _same_form(killing_form(S), liealg._killing_join(S.table))
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "D4", "E6"])
+def test_killing_of_a_table_not_laid_out_is_the_join(label):
+    # One central element more, one root row dropped, or one row more of a
+    # shape no bracket rule makes ([g_a, g_a] -> D_1, [g_a, D_1] -> g_b,
+    # [D_1, g_a] -> g_b, [D_1, D_1] -> D_1): the join alone gives the form.
+    L = build(label)
+    T, k = L.table, L.rank
+    widened = StructureTable.from_rows(T.n + 1, T.i, T.j, T.m, T.c)
+    tables = [widened]
+    for extra in [(k, k, 0), (k, 0, k + 1), (0, k, k + 1), (0, 0, 0)]:
+        tables.append(StructureTable.from_rows(T.n, *(np.append(col, x) for col, x in
+                                                      zip((T.i, T.j, T.m, T.c), (*extra, 1)))))
+    root = np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))
+    if len(root):
+        keep = np.ones(len(T.c), dtype=bool)
+        keep[root[0]] = False
+        tables.append(StructureTable.from_rows(T.n, T.i[keep], T.j[keep], T.m[keep], T.c[keep]))
+    for table in tables:
+        S = dataclasses.replace(L, table=table)
+        assert not liealg._graded(S)
+        assert _same_form(killing_form(S), liealg._killing_join(table))
+    assert not liealg.is_nondegenerate(killing_form(dataclasses.replace(L, table=widened)))
+
+
+@pytest.mark.parametrize("label", ["A31", "D22"])
+def test_killing_and_nondegeneracy_peak_at_the_largest_types(label):
+    # No n x n array: the dense int64 matrix alone would be 8.4 MB on A31.
+    L = build(label)
+    tracemalloc.start()
+    try:
+        assert liealg.is_nondegenerate(killing_form(L)) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("label", ["A2", "D4", "E6"])
