@@ -678,10 +678,12 @@ def _killing_graded(L: LieAlgebra) -> SparseSquare:
     term[j < k] = 0
     coroot = np.flatnonzero(m < k)
     term[coroot[T.start[pair[coroot] + 1] == at[coroot]]] = 0
-    # The rows of g_a are bound[a]:bound[a + 1]; the int64 sums wrap, so their differences are exact.
-    total = np.concatenate([[0], np.cumsum(term)])
+    # The rows of g_a are bound[a]:bound[a + 1].  reduceat gives an empty range
+    # the one term at its start (a 0 appended past the last row keeps that
+    # start in bounds), so those sums are reset.
     bound = T.start[k * n::n] - f
-    opposite = total[bound[1:]] - total[bound[:-1]]
+    opposite = np.add.reduceat(np.append(term, 0), bound[:-1])
+    opposite[bound[1:] == bound[:-1]] = 0
     np.add.at(opposite[::-1], i[coroot] - k, term[coroot])  # the terms of [g_{-a}, D_d] -> g_{-a}
     g = np.arange(k, n)
     key = np.concatenate([np.arange(k)[:, None] * n + np.arange(k), g * n + n - 1 + k - g], axis=None)

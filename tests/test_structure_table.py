@@ -105,6 +105,23 @@ def test_killing_of_a_table_not_laid_out_is_the_join(label):
     assert not liealg.is_nondegenerate(killing_form(dataclasses.replace(L, table=widened)))
 
 
+@pytest.mark.parametrize("root", [0, 1], ids=["g_-a", "g_a"])
+def test_killing_graded_path_on_a_root_with_no_rows(root):
+    # A1 has no root rows, so dropping both rows of g_{-a} (the first root)
+    # or of g_a (the last basis element) keeps every row's shape and leaves
+    # that root's range of rows empty, at the start or the end of the table.
+    L = build("A1")
+    T = L.table
+    keep = T.i != L.rank + root
+    S = dataclasses.replace(L, table=StructureTable.from_rows(T.n, T.i[keep], T.j[keep],
+                                                              T.m[keep], T.c[keep]))
+    assert liealg._graded(S)
+    K = killing_form(S)
+    assert _same_form(K, liealg._killing_join(S.table))
+    assert np.array_equal(np.asarray(K), [[8, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert liealg.is_nondegenerate(K) is False
+
+
 @pytest.mark.parametrize("label", ["A31", "D22"])
 def test_killing_and_nondegeneracy_peak_at_the_largest_types(label):
     # No n x n array: the dense int64 matrix alone would be 8.4 MB on A31.
@@ -126,7 +143,8 @@ def test_killing_negative_control(label, with_coefficients):
     row = int(np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0])
     c = T.c.copy()
     c[row] = -c[row]
-    assert not np.array_equal(killing_form(with_coefficients(L, c)), closed_form_killing(label))
+    assert not np.array_equal(np.asarray(killing_form(with_coefficients(L, c))),
+                              closed_form_killing(label))
 
 
 def test_root_sums_exact_past_a27():
