@@ -17,10 +17,16 @@ anything is built.  All structure constants live in one sparse
 :class:`StructureTable`: one row per nonzero ordered basis bracket term and
 one row index.  The bracket, the antisymmetry, Jacobi, Killing and sl2 checks,
 the matrix model and the export all read the table of the algebra they are
-given, so a corrupted coefficient shows up in every check.  Every rule
-respects the root grading (wt D_i = 0, wt g_a = a), so the Killing form
-tr(ad x ad y) vanishes unless wt x + wt y = 0: a table whose rows keep the
-rules' shapes has it read off that grading, as its nonzero entries.
+given, so a corrupted coefficient shows up in every check.
+
+Every rule respects the root grading (wt D_i = 0, wt g_a = a).  A table
+whose rows keep the rules' shapes, its root rows exactly the summable pairs,
+has one layout (:attr:`LieAlgebra._layout`), decided once per algebra: the
+coefficients of the four rules as arrays.  The lift of c and the Killing
+form read that layout alone.  c permutes the summable pairs, so the lift
+maps each root row to the single row of its image pair, and a graded table
+has one nonzero row per summable pair, so every additive witness x + y = z
+of the roots is a row [g_x, g_y] -> g_z.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,11 +185,23 @@ class StructureTable:
         key, c = key[nonzero], c[nonzero]
         pair, m = np.divmod(key, n)
         i, j = np.divmod(pair, n)
-        start = np.zeros(n * n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pair, minlength=n * n), out=start[1:])
+        # start[q] is the first row of a pair >= q: the run starts, each repeated over
+        # the pairs since the last run's (no n^2 count array).
+        first = _run_starts(pair)
+        start = np.repeat(np.append(first, len(pair)).astype(np.int32),
+                          np.diff(np.concatenate([[-1], pair[first], [n * n]])))
         for col in (i, j, m, c, start):
             col.setflags(write=False)
         return cls(n, i, j, m, c, start)
+
+
+class _Layout(NamedTuple):
+    """Every coefficient of a graded table, by bracket rule; read-only int64 arrays."""
+
+    W: np.ndarray  # k x |Phi|: [D_i, g_b] -> g_b
+    U: np.ndarray  # |Phi| x k: [g_b, D_i] -> g_b
+    V: np.ndarray  # |Phi| x k: [g_a, g_{-a}] -> D_d
+    v: np.ndarray  # [g_a, g_b] -> g_{a+b}, in summable_pairs order
 
 
 @dataclass(frozen=True)
@@ -199,6 +219,41 @@ class LieAlgebra:
     @property
     def dimension(self) -> int:
         return self.table.n
+
+    @cached_property
+    def _layout(self) -> _Layout | None:
+        """The table as the coefficients of :func:`build`'s four bracket rules, or None.
+
+        None unless the dimension is k + |Phi| and every row has a rule's
+        shape: [D_i, g_b] -> g_b, [g_b, D_i] -> g_b, [g_a, g_{-a}] -> D_d
+        (j = n - 1 - a) or [g_a, g_b] -> g_{a+b}, whose rows must be
+        :func:`~geomlie.rootsys.summable_pairs` as arrays, sums included.
+        These shapes are the root grading: with wt(D_i) = 0 and wt(g_a) = a,
+        every row (i, j, m) has wt(m) = wt(i) + wt(j).  Decided once per
+        algebra, in one vectorised pass over the rows; a
+        ``dataclasses.replace`` copy decides afresh.
+        """
+        T, n, k = self.table, self.dimension, self.rank
+        R = n - k
+        if R != len(self.root_system):
+            return None
+        i, j, m, c = T.i, T.j, T.m, T.c
+        if not np.where(i < k, (j >= k) & (m == j),
+                        np.where(j < k, m == i, (m >= k) | (i + j == n - 1 + k))).all():
+            return None
+        root = (i >= k) & (j >= k) & (m >= k)
+        if not all(np.array_equal(x[root] - k, y)
+                   for x, y in zip((i, j, m), summable_pairs(self.lie_type)[:3])):
+            return None
+        cartan, mirror, coroot = i < k, (i >= k) & (j < k), m < k
+        W, U, V = (np.zeros(shape, dtype=np.int64) for shape in ((k, R), (R, k), (R, k)))
+        W[i[cartan], j[cartan] - k] = c[cartan]
+        U[i[mirror] - k, j[mirror]] = c[mirror]
+        V[i[coroot] - k, m[coroot]] = c[coroot]
+        layout = _Layout(W, U, V, c[root])
+        for a in layout:
+            a.setflags(write=False)
+        return layout
 
     # -- basis helpers ----------------------------------------------------
     def cartan_gen(self, i: int) -> AlgebraElement:
@@ -335,13 +390,14 @@ class JacobiReport:
     ``antisymmetric`` is the check's own antisymmetry decision
     (:func:`check_antisymmetry` found no pair).  A table that is not
     antisymmetric is not swept: it reads 0 triples and no violation, and is
-    not ok.  ``lift_certified`` is True when :func:`_lift_certified` proved
-    that the lift of the Coxeter element c preserves the table, so that at
-    most one seed per c-orbit was swept, and one per kept orbit of
-    :func:`_seed_orbits` when its witnesses hold too; it is False on a table
-    that is not antisymmetric.  ``triples_checked`` counts the (s, y, z)
-    with s a swept seed (:func:`_jacobi_seeds`) and y < z that have a
-    nonzero term of J(s, y, z); the others are zero by the table.
+    not ok.  ``lift_certified`` is True when :func:`_lift_certified` proved,
+    on the table's layout, that the lift of the Coxeter element c preserves
+    the table, so that one seed per kept orbit of :func:`_seed_orbits` was
+    swept.  It is False on a table that is not antisymmetric, and on one
+    without a layout or whose lift fails, where the whole generating set was
+    swept.  ``triples_checked`` counts the (s, y, z) with s a swept seed
+    (:func:`_jacobi_seeds`) and y < z that have a nonzero term of
+    J(s, y, z); the others are zero by the table.
     """
 
     lie_type: LieType
@@ -381,85 +437,45 @@ def _generating_set(L: LieAlgebra) -> np.ndarray:
     return np.flatnonzero((level == 1) | ~covered)
 
 
-def _cartan_weights(L: LieAlgebra) -> np.ndarray:
-    """W (k x |Phi|), W[i, b] the coefficient of the row [D_i, g_b] -> g_b.
-
-    Read on a table laid out on its root system whose rows [D_i, .], the
-    first start[k * n], all have that shape.
-    """
-    T, n, k = L.table, L.dimension, L.rank
-    f = T.start[k * n]
-    W = np.zeros((k, n - k), dtype=np.int64)
-    W[T.i[:f], T.j[:f] - k] = T.c[:f]
-    return W
-
-
 def _lift_certified(L: LieAlgebra) -> bool:
     """Whether the lift phi: g_a -> g_{ca}, D -> cD of the Coxeter element
-    provably preserves an antisymmetric table laid out on its root system.
+    provably preserves an antisymmetric table.
 
-    Reads c's root permutation ``step`` and its matrix, and every row but
-    the mirrors [g_b, D_i] and the i > j rows onto root vectors, which
-    antisymmetry fixes.  It accepts three shapes of row only:
+    Read off the layout (:attr:`LieAlgebra._layout`): a table without one is
+    not certified.  phi maps each rule's brackets onto the same rule's:
 
-    * [D_i, g_b] -> g_b, the entries of W (k x |Phi|): phi keeps them when
-      c^t W[:, step] = W;
-    * [g_a, g_{-a}] -> D_j, the entries of V (|Phi| x k): phi keeps them
-      when V[step] = V c^t;
-    * [g_a, g_b] -> g_m with i < j, whose image bracket [g_{ca}, g_{cb}]
-      must be one row onto g_{cm} with the same coefficient (read through
-      ``start``).
+    * [D_i, g_b] -> g_b, the entries of W: phi keeps them when c^t W[:, step] = W;
+    * [g_a, g_{-a}] -> D_d, the entries of V: phi keeps them when V[step] = V c^t;
+    * [g_a, g_b] -> g_{a+b}, the entries of v: the image bracket
+      [g_{ca}, g_{cb}] is the single row of the pair (ca, cb), c(a + b) =
+      ca + cb, so phi keeps them when v[cpair] = v (:func:`_pair_permutations`).
 
-    A bracket with two root rows would need one image row with two outputs,
-    and one with a root row and rows onto D a nonzero V[ca] in its image,
-    so phi maps the brackets with a root row bijectively onto each other:
-    the brackets it leaves zero stay zero, and phi[x, y] = [phi x, phi y]
-    for all basis x, y.  Sound, not complete: any other row shape, or a
-    table of dimension other than k + |Phi|, is not certified.
+    The mirrors [g_b, D_i] are fixed by antisymmetry, and c permutes the
+    summable pairs and the pairs (a, -a), so the brackets the table leaves
+    zero stay zero: phi[x, y] = [phi x, phi y] for all basis x, y.
     """
-    T, n, k = L.table, L.dimension, L.rank
-    R = len(L.root_system)
-    if n != k + R:
+    layout = L._layout
+    if layout is None:
         return False
+    W, _, V, v = layout
     step = orbit_decomposition(L.lie_type, "coxeter_bar").step
     c = coxeter_matrix(L.lie_type)
-    f = T.start[k * n]  # the rows [D_i, .] come first
-    if not ((T.j[:f] >= k) & (T.m[:f] == T.j[:f])).all():
-        return False
-    W = _cartan_weights(L)
-    i, j, m, v = T.i[f:], T.j[f:], T.m[f:], T.c[f:]
-    coroot = np.flatnonzero(m < k)
-    a, d = i[coroot] - k, m[coroot]
-    if not (j[coroot] == n - 1 - a).all():  # g_{-a} is e_{n - 1 - a}
-        return False
-    V = np.zeros((R, k), dtype=np.int64)
-    V[a, d] = v[coroot]
-    if not (np.array_equal(c.T @ W[:, step], W) and np.array_equal(V[step], V @ c.T)):
-        return False
-    root = np.flatnonzero((i < j) & (m >= k))
-    lift = np.concatenate([np.arange(k), k + step])  # phi on the root generators
-    image = lift[i[root]] * n + lift[j[root]]
-    at = T.start[image]
-    if not (T.start[image + 1] - at == 1).all():
-        return False
-    return np.array_equal(T.m[at], lift[m[root]]) and np.array_equal(T.c[at], v[root])
+    return (np.array_equal(c.T @ W[:, step], W) and np.array_equal(V[step], V @ c.T)
+            and np.array_equal(v[_pair_permutations(L.lie_type)[0]], v))
 
 
 @per_type
-def _seed_orbits(t: LieType) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The c-orbits of roots that :func:`_jacobi_seeds` keeps, and a witness for every other root.
+def _seed_orbits(t: LieType) -> np.ndarray:
+    """The c-orbits of roots that :func:`_jacobi_seeds` keeps, ascending.
 
     Starts from the orbits of alpha_1..alpha_k and -theta (roots[0]) and
     drops them, highest index first, while the additive closure of the
     rest over :func:`~geomlie.rootsys.summable_pairs` is still Phi: one
     orbit is left on A_k, E_k and odd D_k, two on even D_k.  c permutes the
     summable pairs, so each round of the closure reaches whole orbits, and
-    the pairs of one root per orbit decide it.  Returns the kept orbit
-    indices, ascending, and the root indices (x, y, z) of the first
-    summable pair x + y = z, in ``summable_pairs`` order, whose x and y are
-    reached in an earlier round than z, for every root z outside the kept
-    orbits, ascending.  Computed from the type alone, on first use;
-    RuntimeError names the type if the generators' orbits do not generate Phi.
+    the pairs of one root per orbit decide it.  Computed from the type
+    alone, on first use; RuntimeError names the type if the generators'
+    orbits do not generate Phi.
     """
     dec = orbit_decomposition(t, "coxeter_bar")
     ra, rb, rm, _ = summable_pairs(t)
@@ -469,57 +485,55 @@ def _seed_orbits(t: LieType) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     x, y, z = (dec.orbit_of[r[(reps[:, None] * width + np.arange(width)).ravel()]]
                for r in (ra, rb, rm))
 
-    def rounds(kept: list[int]) -> np.ndarray:
-        """The closure round that first reaches each orbit, from ``kept`` at round 0; -1 if none."""
-        level = np.full(len(dec.orbits), -1)
-        level[kept] = 0
-        while len(new := z[(level[x] >= 0) & (level[y] >= 0) & (level[z] < 0)]):
-            level[new] = level.max() + 1
-        return level
+    def generates(kept: list[int]) -> bool:
+        """Whether the closure of the orbits ``kept`` reaches every orbit."""
+        reached = np.zeros(len(dec.orbits), dtype=bool)
+        reached[kept] = True
+        while len(new := z[reached[x] & reached[y] & ~reached[z]]):
+            reached[new] = True
+        return bool(reached.all())
 
     height = dec.root_system.coords.sum(axis=1)
     kept = np.unique(dec.orbit_of[[0, *np.flatnonzero(height == 1)]]).tolist()
     for o in kept[::-1]:
         rest = [q for q in kept if q != o]
-        if rest and rounds(rest).min() >= 0:
+        if rest and generates(rest):
             kept = rest
-    level = rounds(kept)
-    if level.min() < 0:
+    if not generates(kept):
         raise RuntimeError(f"{t}: the c-orbits of alpha_1..alpha_k, -theta do not generate Phi")
-    lx, ly, lz = (level[dec.orbit_of[r]] for r in (ra, rb, rm))
-    pair = np.flatnonzero((lz > 0) & (lx < lz) & (ly < lz))
-    root, first = np.unique(rm[pair], return_index=True)
-    return np.array(kept), ra[pair[first]], rb[pair[first]], root
+    return np.array(kept)
 
 
-def _witnesses_hold(L: LieAlgebra) -> bool:
-    """Whether each witness x + y = z of :func:`_seed_orbits` is one row [g_x, g_y] -> g_z.
+@per_type
+def _pair_permutations(t: LieType) -> tuple[np.ndarray, np.ndarray]:
+    """Two permutations of the indices of :func:`~geomlie.rootsys.summable_pairs`.
 
-    One gather through ``start``; it reads the shape of the rows, not their
-    coefficients.  Read on a table laid out on its root system, as
-    :func:`_lift_certified` requires.
+    ``cpair`` takes the pair (a, b) to (ca, cb): c preserves the pairing,
+    so (ca, cb) is summable.  ``partner`` takes (a, b) to (-a, a + b),
+    whose sum is b, and is an involution.  The pairs are row-major with
+    each row sorted by partner, so the keys a |Phi| + b increase strictly
+    and one np.searchsorted finds each image.  Computed from the type
+    alone, on first use.
     """
-    T, n, k = L.table, L.dimension, L.rank
-    _, x, y, z = _seed_orbits(L.lie_type)
-    pair = (k + x) * n + k + y
-    at = T.start[pair]
-    return bool((T.start[pair + 1] - at == 1).all()) and np.array_equal(T.m[at], k + z)
+    ra, rb, rm, _ = summable_pairs(t)
+    step, R = orbit_decomposition(t, "coxeter_bar").step, t.root_count
+    key = ra * R + rb
+    return key.searchsorted(step[ra] * R + step[rb]), key.searchsorted((R - 1 - ra) * R + rm)
 
 
 def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
     """The elements :func:`check_jacobi` sweeps, ascending, and whether the lift is certified.
 
     These are the :func:`_generating_set` when :func:`_lift_certified`
-    fails.  When it holds, every Cartan element of it is kept and its root
-    generators are cut to the smallest one per c-orbit: the elements whose
-    ad is a derivation form a phi-stable subalgebra, as ad_{phi x} =
-    phi ad_x phi^-1, so it holds the whole orbit of each seed that it
-    holds.  When the witnesses of :func:`_seed_orbits` hold too
-    (:func:`_witnesses_hold`), only the seeds of the kept orbits are swept:
-    each witness row puts g_z, of which [g_x, g_y] is a nonzero multiple,
-    in the subalgebra, in closure order, so it holds every root vector, hence e_1..e_k and
-    g_{-theta}, and with the Cartan seeds the whole generating set.  Read
-    on an antisymmetric table only.
+    fails.  When it holds, its Cartan elements and its smallest root
+    generator in each orbit of :func:`_seed_orbits`: the elements whose ad
+    is a derivation form a phi-stable subalgebra, as ad_{phi x} = phi ad_x
+    phi^-1, so it holds the whole orbit of each seed.  The lift is certified
+    only on a table with a layout, which has one nonzero row [g_x, g_y] ->
+    g_z per summable pair x + y = z, so in closure order the subalgebra
+    holds every root vector, hence e_1..e_k and g_{-theta}, and with the
+    Cartan seeds the whole generating set.  Read on an antisymmetric table
+    only.
     """
     seeds = _generating_set(L)
     if not _lift_certified(L):
@@ -527,9 +541,8 @@ def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
     k = L.rank
     roots = seeds[seeds >= k] - k
     orbit = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of[roots]
-    kept = (orbit[:, None] == _seed_orbits(L.lie_type)[0]).any(axis=1)
-    if not kept.all() and _witnesses_hold(L):
-        roots, orbit = roots[kept], orbit[kept]
+    kept = np.isin(orbit, _seed_orbits(L.lie_type))
+    roots, orbit = roots[kept], orbit[kept]
     first = np.unique(orbit, return_index=True)[1]
     return np.concatenate([seeds[seeds < k], k + np.sort(roots[first])]), True
 
@@ -543,12 +556,11 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     if they include a generating set (:func:`_generating_set`, e_1..e_k
     and g_{-theta} on a built table) every element is good.  When the lift
     phi of the Coxeter element is certified an automorphism of the table
-    (:func:`_lift_certified`, one vectorised pass), ad_{phi x} =
-    phi ad_x phi^-1, so the good subalgebra is phi-stable, and one seed per
-    c-orbit of the generating set stands for its orbit.  Fewer orbits
-    suffice: the c-orbits kept by :func:`_seed_orbits` generate every root
-    additively, and one gather proves each witness sum a single row of the
-    table (:func:`_witnesses_hold`), so every root vector is good.  A built
+    (:func:`_lift_certified`, read off the memoized layout), ad_{phi x} =
+    phi ad_x phi^-1, so the good subalgebra is phi-stable, and one seed
+    stands for its c-orbit.  The c-orbits kept by :func:`_seed_orbits`
+    generate every root additively, and a table with a layout has one
+    nonzero row per summable pair, so every root vector is good.  A built
     table is then swept on one seed on A_k, E_k and odd D_k and two on even
     D_k.  Otherwise every generator is a seed (:func:`_jacobi_seeds`).
     On an antisymmetric table the derivation identity of s at (y, z) reads
@@ -623,68 +635,30 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     return JacobiReport(L.lie_type, checked, violations, True, certified)
 
 
-def _graded(L: LieAlgebra) -> bool:
-    """Whether every row of the table has the shape of one of :func:`build`'s bracket rules.
-
-    The shapes are [D_i, g_b] -> g_b, [g_b, D_i] -> g_b, [g_a, g_{-a}] -> D_d
-    (j = n - 1 - a) and [g_a, g_b] -> g_{a+b}, whose rows must be
-    :func:`~geomlie.rootsys.summable_pairs` as arrays, sums included; there
-    are no [D_i, D_j] rows, and the dimension is k + |Phi|.  These shapes
-    are the root grading: with wt(D_i) = 0 and wt(g_a) = a, every row
-    (i, j, m) has wt(m) = wt(i) + wt(j).  One vectorised pass over the rows;
-    it reads their shape, not their coefficients.
-    """
-    T, n, k = L.table, L.dimension, L.rank
-    if n != k + len(L.root_system):
-        return False
-    f = T.start[k * n]  # the rows [D_i, .] come first
-    if not ((T.j[:f] >= k) & (T.m[:f] == T.j[:f])).all():
-        return False
-    i, j, m = T.i[f:], T.j[f:], T.m[f:]
-    root = (j >= k) & (m >= k)
-    if not np.where(j < k, m == i, root | (i + j == n - 1 + k)).all():
-        return False
-    return all(np.array_equal(x[root] - k, y)
-               for x, y in zip((i, j, m), summable_pairs(L.lie_type)[:3]))
-
-
 def _killing_graded(L: LieAlgebra) -> SparseSquare:
-    """The Killing form of a table that :func:`_graded` accepts, read off the grading.
+    """The Killing form of a table with a layout (:attr:`LieAlgebra._layout`), by the grading.
 
     A product of table rows (u, w, m) and (v, m, w) has wt(u) + wt(v) = 0,
     so only the Cartan block and the entries K(g_a, g_{-a}) can be nonzero.
-    The rows of D_i are [D_i, g_b] -> g_b with the coefficients W (k x |Phi|),
-    so the Cartan block is W W^t.  K(g_a, g_{-a}) sums c c' over the rows
+    The rows of D_i are [D_i, g_b] -> g_b with the coefficients W, so the
+    Cartan block is W W^t.  K(g_a, g_{-a}) sums c c' over the rows
     (g_a, w, m, c) and their partners (g_{-a}, m, w, c'), which open the
     bracket [g_{-a}, m]:
 
-    * of [g_a, g_b] -> g_{a+b}, the single row of [g_{-a}, g_{a+b}]:
-      (-a, a + b) is a summable pair with sum b, and a bracket of two roots
-      has one row per summable pair and no other;
-    * of [g_a, g_{-a}] -> D_d, the row [g_{-a}, D_d] -> g_{-a}, if any: a
-      bracket [g, D_d] has no row onto another element;
-    * of [g_a, D_d] -> g_a, the row [g_{-a}, g_a] -> D_d, a row of the
-      previous shape whose partner it is: these terms are those of -a.
+    * of [g_a, g_b] -> g_{a+b}, the pair p = (a, b), the row of the pair
+      partner[p] = (-a, a + b) (:func:`_pair_permutations`): v[p] v[partner[p]];
+    * of [g_a, g_{-a}] -> D_d, the row [g_{-a}, D_d] -> g_{-a}: V[a, d] U[-a, d];
+    * of [g_a, D_d] -> g_a, the row [g_{-a}, g_a] -> D_d: U[a, d] V[-a, d].
 
-    So one gather through ``start`` finds every partner.  Exact in int64.
+    Exact in int64.
     """
-    T, n, k = L.table, L.dimension, L.rank
-    W = _cartan_weights(L)
-    f = T.start[k * n]  # the rows [D_i, .] come first
-    i, j, m, c = T.i[f:], T.j[f:], T.m[f:], T.c[f:]
-    pair = (n - 1 + k - i) * n + m  # [g_{-a}, m]; g_{-a} is e_{n - 1 + k - i}
-    at = T.start[pair]
-    term = c * T.c.take(at, mode="clip")  # at is past the end only if [g_{-a}, m] is empty
-    term[j < k] = 0
-    coroot = np.flatnonzero(m < k)
-    term[coroot[T.start[pair[coroot] + 1] == at[coroot]]] = 0
-    # The rows of g_a are bound[a]:bound[a + 1].  reduceat gives an empty range
-    # the one term at its start (a 0 appended past the last row keeps that
-    # start in bounds), so those sums are reset.
-    bound = T.start[k * n::n] - f
-    opposite = np.add.reduceat(np.append(term, 0), bound[:-1])
-    opposite[bound[1:] == bound[:-1]] = 0
-    np.add.at(opposite[::-1], i[coroot] - k, term[coroot])  # the terms of [g_{-a}, D_d] -> g_{-a}
+    W, U, V, v = L._layout
+    n, k = L.dimension, L.rank
+    partner = _pair_permutations(L.lie_type)[1]
+    # summable_pairs is row-major, with the same number of pairs per root,
+    # and -roots[a] is roots[-1 - a].
+    opposite = ((v * v[partner]).reshape(n - k, -1).sum(axis=1)
+                + (V * U[::-1]).sum(axis=1) + (U * V[::-1]).sum(axis=1))
     g = np.arange(k, n)
     key = np.concatenate([np.arange(k)[:, None] * n + np.arange(k), g * n + n - 1 + k - g], axis=None)
     return SparseSquare.from_keys(n, key, np.concatenate([W @ W.T, opposite], axis=None))
@@ -696,7 +670,7 @@ def _killing_join(T: StructureTable) -> SparseSquare:
     tr(ad u . ad v) = sum over w, m of ad_u[m, w] ad_v[w, m]: each table row
     [u, w] -> m meets each row [v, m] -> w, all in exact integers, and the
     products are summed per (u, v).  The reference :func:`_killing_graded`
-    is tested against, and the only path for a table :func:`_graded` refuses.
+    is tested against, and the only path for a table without a layout.
     """
     n = T.n
     a, b = _join(T.j * n + T.m, T.m * n + T.j)
@@ -708,16 +682,17 @@ def killing_form(L: LieAlgebra) -> SparseSquare:
     """The Killing form K[u, v] = tr(ad u . ad v) over the canonical basis, as its nonzero entries.
 
     A read-only :class:`~geomlie._exact.SparseSquare`, int64, sorted by
-    (row, column); ``np.asarray(K)`` is the dense n x n matrix.  A table laid
-    out on its root system (:func:`_graded`) has it read off the grading,
-    the k x k Cartan block and one entry per (a, -a), 262 entries of E8's
-    61,504 (:func:`_killing_graded`; Humphreys, Introduction to Lie Algebras
-    and Representation Theory, 8.1-8.2); any other table joins its rows
-    (:func:`_killing_join`).  Neither forms an n x n array.  RuntimeError if
-    the entries are not symmetric: tr(ad u . ad v) = tr(ad v . ad u) on every
-    table, so that would be a fault of the path, not of the table.
+    (row, column); ``np.asarray(K)`` is the dense n x n matrix.  A table
+    with a layout (:attr:`LieAlgebra._layout`, decided once per algebra) has
+    it read off the grading, the k x k Cartan block and one entry per
+    (a, -a), 262 entries of E8's 61,504 (:func:`_killing_graded`; Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 8.1-8.2); any
+    other table joins its rows (:func:`_killing_join`).  Neither forms an
+    n x n array.  RuntimeError if the entries are not symmetric: tr(ad u .
+    ad v) = tr(ad v . ad u) on every table, so that would be a fault of the
+    path, not of the table.
     """
-    K = _killing_graded(L) if _graded(L) else _killing_join(L.table)
+    K = _killing_join(L.table) if L._layout is None else _killing_graded(L)
     t = np.argsort(K.col * K.n + K.row)  # the entries of the transpose, sorted
     if not (np.array_equal(K.row, K.col[t]) and np.array_equal(K.col, K.row[t])
             and np.array_equal(K.value, K.value[t])):

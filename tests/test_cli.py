@@ -180,6 +180,45 @@ def test_closed_pipe_is_quiet(argv):
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+def _workflow_run_block(step: str) -> str:
+    """The ``run: |`` block of the tier-1 workflow step whose name starts with ``step``.
+
+    Read by indentation, with no YAML parser: the block is every line after
+    ``run: |`` indented deeper than that key, dedented by its first line.
+    """
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    named = next(n for n, line in enumerate(lines) if line.lstrip().startswith(f"- name: {step}"))
+    key = lines[named + 1]
+    assert key.strip() == "run: |", key
+    depth = len(key) - len(key.lstrip())
+    block = []
+    for line in lines[named + 2:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line)
+    indent = len(block[0]) - len(block[0].lstrip())
+    return "".join(line[indent:] + "\n" for line in block)
+
+
+def test_workflow_command_line_step_passes(tmp_path):
+    # The pinned lines of the CI step: verify's record counts, the exact E8,
+    # A31, D20 and D22 Jacobi and Killing lines, and the exit-2 refusals of
+    # verify A40 and lie A32.  It runs in a scratch directory whose src is
+    # the package's, so its outputs stay out of the tree, with python this
+    # interpreter.
+    (tmp_path / "step.sh").write_text(_workflow_run_block("Verify suite"), encoding="utf-8")
+    (tmp_path / "src").symlink_to(Path(cli.__file__).resolve().parents[1])
+    shim = tmp_path / "bin" / "python"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}")
+    done = subprocess.run(["bash", "-e", "step.sh"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, (done.stdout[-2000:], done.stderr[-2000:])
+
+
 def test_sl2(capsys):
     code, out, _ = run(capsys, "sl2", "A3")
     assert code == 0

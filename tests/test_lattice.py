@@ -120,7 +120,8 @@ def test_per_type_results_are_immutable():
     builders = _per_type_builders()
     assert {"geomlie.lattice.seifert_matrix", "geomlie.rootsys.enumerate_roots",
             "geomlie.wheel.enumerate_classes", "geomlie.coxplane._fibre_map",
-            "geomlie.liealg.build", "geomlie.liealg._seed_orbits"} <= set(builders)
+            "geomlie.liealg.build", "geomlie.liealg._seed_orbits",
+            "geomlie.liealg._pair_permutations"} <= set(builders)
     bad = []
     for name, builder in builders.items():
         for label in ("A3", "D4", "E6"):

@@ -479,60 +479,56 @@ def test_one_negated_row_fails_the_lift_and_c07_names_it(label, monkeypatch, wit
 @pytest.mark.parametrize("label", ["A3", "D4", "E6", "A8"])
 def test_one_negated_row_orbit_keeps_the_lift_and_fails_jacobi(label, with_coefficients):
     # The same row and its mirror negated along the row's whole c-orbit: the
-    # lift still preserves the table, and the witnesses, which read the shape
-    # of their rows and not the sign, still hold, so one seed per kept c-orbit
-    # is swept, and the violations are still found.
+    # rows keep their shapes, so the table keeps its layout, and the lift
+    # still preserves it, so one seed per kept c-orbit is swept, and the
+    # violations are still found.
     L = build(make_type(label))
     rows = _root_row_orbit(L, _first_root_root_row(L))
     assert len(rows) > 1
     C = with_coefficients(L, _paired_change(L, rows, lambda c: -c))
-    assert liealg._lift_certified(C) and liealg._witnesses_hold(C)
+    assert C._layout is not None and liealg._lift_certified(C)
     report = check_jacobi(C)
     assert report.antisymmetric and report.lift_certified and report.violations
     seeds = liealg._jacobi_seeds(C)[0]
-    assert len(seeds) == len(liealg._seed_orbits(label)[0]) < len(liealg._generating_set(C))
+    assert len(seeds) == len(liealg._seed_orbits(label)) < len(liealg._generating_set(C))
     assert_reference_verdict(C, report)
 
 
-def _one_seed_per_orbit(L) -> list[int]:
-    """The Cartan elements of the generating set and its smallest root generator per c-orbit."""
-    seeds, k = liealg._generating_set(L).tolist(), L.rank
-    orbit_of = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of
-    first: dict[int, int] = {}
-    for x in seeds[::-1]:
-        if x >= k:
-            first[int(orbit_of[x - k])] = x
-    return [x for x in seeds if x < k] + sorted(first.values())
-
-
 def _first_witness_row(L) -> int:
-    """The row [g_x, g_y] -> g_z of the first witness x + y = z of the kept orbits."""
+    """The first i < j row [g_x, g_y] -> g_z with x and y in the kept c-orbits and z outside them.
+
+    Such rows are the first round of the additive closure of the kept orbits
+    (:func:`liealg._seed_orbits`): each witnesses that g_z is a multiple of
+    [g_x, g_y].
+    """
     T, k = L.table, L.rank
-    _, x, y, _ = liealg._seed_orbits(L.lie_type)
-    return int(np.flatnonzero((T.i == k + x[0]) & (T.j == k + y[0]))[0])
+    orbit_of = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of
+    kept = np.concatenate([np.zeros(k, dtype=bool),
+                           np.isin(orbit_of, liealg._seed_orbits(L.lie_type))])
+    return int(np.flatnonzero((T.i < T.j) & kept[T.i] & kept[T.j] & ~kept[T.m] & (T.m >= k))[0])
+
+
+def _refused_by_the_layout(C) -> bool:
+    """Whether C has no layout, so its lift is not certified and its whole generating set swept."""
+    seeds, certified = liealg._jacobi_seeds(C)
+    return C._layout is None and not certified and \
+        seeds.tolist() == liealg._generating_set(C).tolist()
 
 
 @pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
 def test_a_zeroed_witness_row_is_refused(label, with_coefficients):
-    # One witness row and its mirror zeroed: the witnesses no longer hold,
-    # and the verdict is still the exhaustive sweep's.  Zeroed along the
-    # row's whole c-orbit, the lift stays certified but the witnesses still
-    # fail, so one seed per c-orbit of the generating set is swept.
+    # One witness row and its mirror zeroed, alone or along the row's whole
+    # c-orbit: the root rows are no longer the summable pairs, so the table
+    # has no layout, and the whole generating set is swept.  The verdict is
+    # still the exhaustive sweep's.
     L = build(make_type(label))
     row = _first_witness_row(L)
-    C = with_coefficients(L, _paired_change(L, [row], lambda c: 0))
-    assert not liealg._witnesses_hold(C)
-    report = check_jacobi(C)
-    assert not report.ok
-    assert_reference_verdict(C, report)
-    C = with_coefficients(L, _paired_change(L, _root_row_orbit(L, row), lambda c: 0))
-    assert liealg._lift_certified(C) and not liealg._witnesses_hold(C)
-    seeds, certified = liealg._jacobi_seeds(C)
-    assert certified and seeds.tolist() == _one_seed_per_orbit(C)
-    assert len(seeds) > len(liealg._seed_orbits(label)[0])
-    report = check_jacobi(C)
-    assert report.lift_certified and not report.ok
-    assert_reference_verdict(C, report)
+    for rows in ([row], _root_row_orbit(L, row)):
+        C = with_coefficients(L, _paired_change(L, rows, lambda c: 0))
+        assert _refused_by_the_layout(C)
+        report = check_jacobi(C)
+        assert report.antisymmetric and not (report.ok or report.lift_certified)
+        assert_reference_verdict(C, report)
 
 
 @pytest.mark.parametrize("label", ["A3", "D4"])
@@ -568,8 +564,9 @@ def test_lift_certifies_only_the_three_row_shapes(with_coefficients):
 @pytest.mark.parametrize("label", ["A4", "D5", "E6"])
 def test_a_witness_row_onto_another_root_is_refused(label):
     # Along the c-orbit of a witness row [g_x, g_y] -> g_z, each output moved
-    # one step on, g_{c^j z} -> g_{c^(j+1) z}, with the mirrors: the lift of c
-    # still preserves the table, but a witness row no longer lands on g_z.
+    # one step on, g_{c^j z} -> g_{c^(j+1) z}, with the mirrors: the table is
+    # still antisymmetric and c-invariant, but its root rows are no longer the
+    # summable pairs, so it has no layout and the whole generating set is swept.
     L = build(make_type(label))
     T, k = L.table, L.rank
     step = orbit_decomposition(L.lie_type, "coxeter_bar").step
@@ -578,27 +575,30 @@ def test_a_witness_row_onto_another_root_is_refused(label):
         mirror = (T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])
         m[row] = m[mirror] = k + step[T.m[row] - k]
     C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, T.i, T.j, m, T.c))
-    assert liealg._lift_certified(C) and not liealg._witnesses_hold(C)
+    assert _refused_by_the_layout(C)
     report = check_jacobi(C)
-    assert report.lift_certified and not report.ok
-    assert liealg._jacobi_seeds(C)[0].tolist() == _one_seed_per_orbit(C)
+    assert report.antisymmetric and not (report.ok or report.lift_certified)
     assert_reference_verdict(C, report)
 
 
 def test_witnesses_read_an_empty_bracket_as_missing():
     # The witness bracket [g_x, g_y] emptied and the next one, [g_x, g_{y+1}],
-    # made a single row onto g_z: read through ``start``, the empty bracket's
-    # first row index is the next bracket's row, which the count refuses.
+    # made a single row onto g_z: the root rows are no longer the summable
+    # pairs, so the table has no layout.  Its mirrors are left alone, so it is
+    # not antisymmetric and is not swept.
     L = build(make_type("D5"))
-    T, k = L.table, L.rank
-    _, x, y, z = liealg._seed_orbits(L.lie_type)
-    w = next(w for w in range(len(x)) if y[w] + 1 < len(L.root_system))
-    i, j = k + x[w], k + y[w]
+    T = L.table
+    row = _first_witness_row(L)
+    i, j, z = (int(col[row]) for col in (T.i, T.j, T.m))
+    assert j + 1 < L.dimension
     keep = (T.i != i) | ((T.j != j) & (T.j != j + 1))
     cols = [np.append(col[keep], value)
-            for col, value in zip((T.i, T.j, T.m, T.c), (i, j + 1, k + z[w], 1))]
+            for col, value in zip((T.i, T.j, T.m, T.c), (i, j + 1, z, 1))]
     C = dataclasses.replace(L, table=liealg.StructureTable.from_rows(L.dimension, *cols))
-    assert liealg._witnesses_hold(L) and not liealg._witnesses_hold(C)
+    assert L._layout is not None and _refused_by_the_layout(C)
+    report = check_jacobi(C)
+    assert not report.antisymmetric
+    assert_reference_verdict(C, report)
 
 
 def _algebra_from_rows(n: int, rows) -> liealg.LieAlgebra:

@@ -17,7 +17,8 @@ from geomlie import liealg
 from geomlie.lattice import cartan_matrix, make_type
 from geomlie.liealg import (MAX_DIMENSION, AlgebraElement, StructureTable, bracket, build,
                             check_antisymmetry, check_jacobi, killing_form)
-from geomlie.rootsys import MAX_ROOT_ENTRIES, enumerate_roots, orbit_decomposition
+from geomlie.rootsys import (MAX_ROOT_ENTRIES, enumerate_roots, orbit_decomposition,
+                             summable_pairs)
 from geomlie.verify import ALL_TYPE_LABELS
 
 
@@ -61,7 +62,7 @@ def test_killing_closed_form(label):
     # whole table, which shares no code with it.
     L = build(label)
     K = killing_form(L)
-    assert liealg._graded(L)
+    assert L._layout is not None
     assert K.value.dtype == np.int64 and not K.value.flags.writeable
     assert np.array_equal(np.asarray(K), closed_form_killing(label))
     assert _same_form(K, liealg._killing_join(L.table))
@@ -77,7 +78,7 @@ def test_killing_graded_path_equals_the_join_on_scrambled_coefficients(label, se
     rng = np.random.default_rng(seed)
     c = rng.integers(1, widest, len(T.c), endpoint=True) * rng.choice([-1, 1], len(T.c))
     S = dataclasses.replace(L, table=StructureTable.from_rows(T.n, T.i, T.j, T.m, c))
-    assert liealg._graded(S)
+    assert S._layout is not None
     assert _same_form(killing_form(S), liealg._killing_join(S.table))
 
 
@@ -100,7 +101,7 @@ def test_killing_of_a_table_not_laid_out_is_the_join(label):
         tables.append(StructureTable.from_rows(T.n, T.i[keep], T.j[keep], T.m[keep], T.c[keep]))
     for table in tables:
         S = dataclasses.replace(L, table=table)
-        assert not liealg._graded(S)
+        assert S._layout is None
         assert _same_form(killing_form(S), liealg._killing_join(table))
     assert not liealg.is_nondegenerate(killing_form(dataclasses.replace(L, table=widened)))
 
@@ -115,7 +116,7 @@ def test_killing_graded_path_on_a_root_with_no_rows(root):
     keep = T.i != L.rank + root
     S = dataclasses.replace(L, table=StructureTable.from_rows(T.n, T.i[keep], T.j[keep],
                                                               T.m[keep], T.c[keep]))
-    assert liealg._graded(S)
+    assert S._layout is not None
     K = killing_form(S)
     assert _same_form(K, liealg._killing_join(S.table))
     assert np.array_equal(np.asarray(K), [[8, 0, 0], [0, 0, 0], [0, 0, 0]])
@@ -125,7 +126,8 @@ def test_killing_graded_path_on_a_root_with_no_rows(root):
 @pytest.mark.parametrize("label", ["A31", "D22"])
 def test_killing_and_nondegeneracy_peak_at_the_largest_types(label):
     # No n x n array: the dense int64 matrix alone would be 8.4 MB on A31.
-    L = build(label)
+    # A fresh copy decides its layout inside the traced call, whatever ran before.
+    L = dataclasses.replace(build(label))
     tracemalloc.start()
     try:
         assert liealg.is_nondegenerate(killing_form(L)) is True
@@ -133,6 +135,43 @@ def test_killing_and_nondegeneracy_peak_at_the_largest_types(label):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_layout_is_decided_once_per_algebra(with_coefficients):
+    # The layout is memoized on the algebra: every call returns one object of
+    # read-only arrays.  A dataclasses.replace copy, like a corrupted table's,
+    # has none until it decides its own.
+    L = build("D4")
+    layout = L._layout
+    assert layout is not None and L._layout is layout
+    for a in layout:
+        assert a.dtype == np.int64 and not a.flags.writeable
+    copy = dataclasses.replace(L)
+    assert "_layout" not in vars(copy)
+    assert copy._layout is not layout
+    assert all(np.array_equal(x, y) for x, y in zip(copy._layout, layout))
+    T = L.table
+    c = T.c.copy()
+    c[np.flatnonzero((T.i >= L.rank) & (T.j >= L.rank) & (T.m >= L.rank))[0]] = 0
+    assert with_coefficients(L, c)._layout is None and L._layout is layout
+
+
+@pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
+def test_pair_permutations_match_a_pair_dictionary(label):
+    # The oracle indexes the summable pairs by (a, b) in a dict and finds
+    # (ca, cb) and (-a, a + b) there, -a by its coordinates.
+    a, b, total, _ = summable_pairs(label)
+    rs = enumerate_roots(label)
+    step = orbit_decomposition(label, "coxeter_bar").step.tolist()
+    negative = [rs.index[tuple(-x for x in r)] for r in rs.roots]
+    index = {pair: p for p, pair in enumerate(zip(a.tolist(), b.tolist()))}
+    cpair, partner = liealg._pair_permutations(label)
+    assert cpair.tolist() == [index[step[x], step[y]] for x, y in zip(a.tolist(), b.tolist())]
+    assert partner.tolist() == [index[negative[x], z] for x, z in zip(a.tolist(), total.tolist())]
+    assert np.array_equal(total[partner], b)
+    assert np.array_equal(partner[partner], np.arange(len(a)))
+    for perm in (cpair, partner):
+        assert np.array_equal(np.sort(perm), np.arange(len(a))) and not perm.flags.writeable
 
 
 @pytest.mark.parametrize("label", ["A2", "D4", "E6"])
@@ -228,6 +267,24 @@ def test_jacobi_peak_within_band_bounds(label, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 1_000_000
+
+
+@pytest.mark.parametrize("label", ["A31", "D22"])
+def test_build_peak_has_no_n_squared_count_array(label):
+    # from_rows makes the int32 row index (4.2 MB on A31) by repeating the
+    # run starts over the gaps between the pairs, with no n^2 int64 count
+    # array beside it.  The root layer's memos are warm, so the trace
+    # measures the table alone.
+    build(label)
+    t = make_type(label)
+    tracemalloc.start()
+    try:
+        L = build.__wrapped__(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.table.start.nbytes == 4 * (t.dimension ** 2 + 1)
+    assert peak < 16_000_000
 
 
 @st.composite
@@ -403,15 +460,15 @@ def kept_orbit_count(label: str) -> int:
 
 def test_generators_generate_every_built_table(generators):
     # The generation certificate covers every element but e_1..e_k and
-    # g_{-theta}, the lift of c is certified on every built table and so are
-    # the witnesses of the roots outside the kept c-orbits, so check_jacobi
+    # g_{-theta}, every built table has a layout, so one nonzero row per
+    # summable pair, and the lift of c is certified on it, so check_jacobi
     # checks the derivations of one of them per kept orbit: one on A_k, E_k
     # and odd D_k (D3 is A3 in D's labelling), two on even D_k.
     for label in ALL_ACCEPTED_LABELS:
         L = build(label)
         assert liealg._generating_set(L).tolist() == generators(L), label
-        assert len(liealg._seed_orbits(label)[0]) == kept_orbit_count(label), label
-        assert liealg._witnesses_hold(L), label
+        assert len(liealg._seed_orbits(label)) == kept_orbit_count(label), label
+        assert L._layout is not None, label
         seeds, certified = liealg._jacobi_seeds(L)
         assert certified and set(seeds.tolist()) <= set(generators(L)), label
         assert len(seeds) == kept_orbit_count(label), label
