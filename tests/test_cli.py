@@ -204,7 +204,7 @@ def _workflow_run_block(step: str) -> str:
 def test_workflow_command_line_step_passes(tmp_path):
     # The pinned lines of the CI step: verify's record counts, the exact E8,
     # A31, D20 and D22 Jacobi and Killing lines, and the exit-2 refusals of
-    # verify A40 and lie A32.  It runs in a scratch directory whose src is
+    # verify A40 and lie A32.  It runs in a temporary directory whose src is
     # the package's, so its outputs stay out of the tree, with python this
     # interpreter.
     (tmp_path / "step.sh").write_text(_workflow_run_block("Verify suite"), encoding="utf-8")
