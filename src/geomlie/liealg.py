@@ -22,11 +22,13 @@ given, so a corrupted coefficient shows up in every check.
 Every rule respects the root grading (wt D_i = 0, wt g_a = a).  A table
 whose rows keep the rules' shapes, its root rows exactly the summable pairs,
 has one layout (:attr:`LieAlgebra._layout`), decided once per algebra: the
-coefficients of the four rules as arrays.  The lift of c and the Killing
-form read that layout alone.  c permutes the summable pairs, so the lift
-maps each root row to the single row of its image pair, and a graded table
-has one nonzero row per summable pair, so every additive witness x + y = z
-of the roots is a row [g_x, g_y] -> g_z.
+coefficients of the four rules as arrays.  The antisymmetry decision,
+the lift of c, the Killing form and the sl2 laws read that layout alone,
+and on it the roots of the Jacobi generating set are the type's.  c
+permutes the summable pairs, so the lift maps each root row to the single
+row of its image pair, and a graded table has one nonzero row per summable
+pair, so every additive witness x + y = z of the roots is a row
+[g_x, g_y] -> g_z.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ MAX_DIMENSION = 2**10
 # this many terms.  A group reads only its generators' row ranges, so the
 # budget sets the peak more than the time.  In process on a 2-vCPU Xeon VM,
 # the median ms of 41 rounds alternating the budgets and the tracemalloc MB
-# of a warm call (at 2^14 the D20 and A31 peaks are check_antisymmetry's):
+# of a warm call, measured when every generator was swept (a built table is
+# now swept on one or two seeds, one group at each budget here; at 2^14 its
+# warm peak is 0.61 MB on E8 and 1.44 MB on A31):
 #   budget   E8              D12             D20              A31
 #   2^13     3.20 ms 1.13 MB 2.64 ms 0.98 MB 13.0 ms  3.56 MB 15.7 ms  4.06 MB
 #   2^14     3.09 ms 1.67 MB 2.55 ms 1.59 MB 12.9 ms  3.56 MB 14.0 ms  4.06 MB
@@ -230,24 +234,28 @@ class LieAlgebra:
         :func:`~geomlie.rootsys.summable_pairs` as arrays, sums included.
         These shapes are the root grading: with wt(D_i) = 0 and wt(g_a) = a,
         every row (i, j, m) has wt(m) = wt(i) + wt(j).  Decided once per
-        algebra, in one vectorised pass over the rows; a
-        ``dataclasses.replace`` copy decides afresh.
+        algebra, in one vectorised pass over the rows: the rows are sorted by
+        (i, j, m), so the rows [D_i, .] are the first start[k n] and are
+        decided alone.  A ``dataclasses.replace`` copy decides afresh.
         """
         T, n, k = self.table, self.dimension, self.rank
         R = n - k
         if R != len(self.root_system):
             return None
-        i, j, m, c = T.i, T.j, T.m, T.c
-        if not np.where(i < k, (j >= k) & (m == j),
-                        np.where(j < k, m == i, (m >= k) | (i + j == n - 1 + k))).all():
+        p = int(T.start[k * n])  # rows [:p] are the [D_i, .] rows, rows [p:] the [g_a, .]
+        j, m = T.j[:p], T.m[:p]
+        if not ((j >= k) & (m == j)).all():
             return None
-        root = (i >= k) & (j >= k) & (m >= k)
+        i, j, m, c = T.i[p:], T.j[p:], T.m[p:], T.c[p:]
+        if not np.where(j < k, m == i, (m >= k) | (i + j == n - 1 + k)).all():
+            return None
+        mirror, coroot = j < k, m < k
+        root = ~(mirror | coroot)
         if not all(np.array_equal(x[root] - k, y)
                    for x, y in zip((i, j, m), summable_pairs(self.lie_type)[:3])):
             return None
-        cartan, mirror, coroot = i < k, (i >= k) & (j < k), m < k
         W, U, V = (np.zeros(shape, dtype=np.int64) for shape in ((k, R), (R, k), (R, k)))
-        W[i[cartan], j[cartan] - k] = c[cartan]
+        W[T.i[:p], T.j[:p] - k] = T.c[:p]
         U[i[mirror] - k, j[mirror]] = c[mirror]
         V[i[coroot] - k, m[coroot]] = c[coroot]
         layout = _Layout(W, U, V, c[root])
@@ -375,7 +383,23 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
-    """Basis pairs i <= j where [e_i, e_j] != -[e_j, e_i]; empty on a correct table."""
+    """Basis pairs i <= j where [e_i, e_j] != -[e_j, e_i]; empty on a correct table.
+
+    A table with a layout (:attr:`LieAlgebra._layout`) has only its four
+    rules' rows, none on the diagonal, and each rule is its own mirror's, so
+    three comparisons decide it: U = -W^t for [g_b, D_i] against [D_i, g_b],
+    V[-a] = -V[a] for [g_{-a}, g_a] against [g_a, g_{-a}] (-roots[a] is
+    roots[-1 - a]), and v[swap] = -v for [g_b, g_a] against [g_a, g_b]
+    (:func:`_pair_permutations`).  A table with no layout, or one that fails
+    them, has its defect pairs listed by one packed sort of all its rows,
+    summed per (min(i, j), max(i, j), m).
+    """
+    layout = L._layout
+    if layout is not None:
+        W, U, V, v = layout
+        if (np.array_equal(U, -W.T) and np.array_equal(V[::-1], -V)
+                and np.array_equal(v[_pair_permutations(L.lie_type)[2]], -v)):
+            return []
     T, n = L.table, L.dimension
     lo, hi = np.minimum(T.i, T.j), np.maximum(T.i, T.j)
     key, total = _group_sums((lo * n + hi) * n + T.m, T.c)
@@ -388,16 +412,19 @@ class JacobiReport:
     """Outcome of the Jacobi check on a generating set (:func:`check_jacobi`).
 
     ``antisymmetric`` is the check's own antisymmetry decision
-    (:func:`check_antisymmetry` found no pair).  A table that is not
-    antisymmetric is not swept: it reads 0 triples and no violation, and is
-    not ok.  ``lift_certified`` is True when :func:`_lift_certified` proved,
+    (:func:`check_antisymmetry` found no pair; three array comparisons on
+    a table with a layout, no sort).  A table that is not antisymmetric is
+    not swept: it reads 0 triples and no violation, and is not ok.
+    ``lift_certified`` is True when :func:`_lift_certified` proved,
     on the table's layout, that the lift of the Coxeter element c preserves
     the table, so that one seed per kept orbit of :func:`_seed_orbits` was
     swept.  It is False on a table that is not antisymmetric, and on one
     without a layout or whose lift fails, where the whole generating set was
     swept.  ``triples_checked`` counts the (s, y, z) with s a swept seed
     (:func:`_jacobi_seeds`) and y < z that have a nonzero term of
-    J(s, y, z); the others are zero by the table.
+    J(s, y, z); the others are zero by the table.  On a table with a layout
+    ``antisymmetric`` and ``lift_certified`` are read off the layout and the
+    type, and only the sweep reads the rows.
     """
 
     lie_type: LieType
@@ -411,30 +438,70 @@ class JacobiReport:
         return self.antisymmetric and not self.violations
 
 
+def _levels(X: np.ndarray, h: int) -> np.ndarray:
+    """The level of each basis element over the roots X: h for D_i, ht a for g_a with a > 0
+    and h - ht |a| for a < 0, so that e_1..e_k and g_{-theta} are the elements of level 1."""
+    height = X.sum(axis=1)
+    return np.concatenate([np.full(X.shape[1], h), np.where(height > 0, height, h + height)])
+
+
 def _generating_set(L: LieAlgebra) -> np.ndarray:
     """The basis elements whose derivations :func:`check_jacobi` checks, ascending.
 
     These are e_1..e_k and g_{-theta}, the images at t = 1 of the affine
-    generators (Kac, Infinite-Dimensional Lie Algebras, ch. 7), and every
-    element the generation certificate leaves uncovered.  The level of D_i
-    is the Coxeter number h, of g_a height a for a > 0 and h - height |a|
-    for a < 0, so the generators are the elements of level 1.  A row
-    [s, a] -> c alone in its bracket, with s a generator and a of lower
-    level than c, covers c: e_c is a multiple of [e_s, e_a].  By induction
-    on the level, the returned elements generate the table.  A table not
+    generators (Kac, Infinite-Dimensional Lie Algebras, ch. 7) and the
+    elements of level 1 (:func:`_levels`), and every element the generation
+    certificate leaves uncovered.  A row [s, a] -> c alone in its bracket,
+    with s a generator and a of lower level than c, covers c: e_c is a
+    multiple of [e_s, e_a].  By induction on the level, the returned
+    elements generate the table.  On a table with a layout the root part
+    is the type's (:func:`_graded_generators`), and D_d is covered when the
+    row V[s] of a generator s has its single nonzero at d.  Any other table
+    of dimension k + |Phi| has its rows' shapes scanned, and a table not
     laid out on its root system (dimension other than k + |Phi|) has no
     levels, and every element is returned.
     """
-    T, n, k, h = L.table, L.dimension, L.rank, L.lie_type.coxeter_number
+    T, n, k = L.table, L.dimension, L.rank
+    if L._layout is not None:
+        generators, roots, _ = _graded_generators(L.lie_type)
+        V = L._layout.V[generators]
+        uncovered = np.ones(k, dtype=bool)
+        uncovered[np.nonzero(V[np.count_nonzero(V, axis=1) == 1])[1]] = False
+        return np.concatenate([np.flatnonzero(uncovered), k + roots])
     if n != k + len(L.root_system):
         return np.arange(n)
-    height = L.root_system.coords.sum(axis=1)
-    level = np.concatenate([np.full(k, h), np.where(height > 0, height, h + height)])
+    level = _levels(L.root_system.coords, L.lie_type.coxeter_number)
     pair = T.i * n + T.j
     alone = T.start[pair + 1] - T.start[pair] == 1
     covered = np.zeros(n, dtype=bool)
     covered[T.m[alone & (level[T.i] == 1) & (level[T.j] < level[T.m])]] = True
     return np.flatnonzero((level == 1) | ~covered)
+
+
+@per_type
+def _graded_generators(t: LieType) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generating set's roots on every table of type t with a layout, as root indices.
+
+    ``generators`` are the roots of level 1, alpha_1..alpha_k and -theta
+    (:func:`_levels`).  A laid-out table has one nonzero row [g_x, g_y] ->
+    g_{x + y} per summable pair, alone in its bracket, so the roots the
+    generation certificate covers, x + y with x a generator and y of lower
+    level than x + y, are a function of the type: ``roots`` are the
+    generators and every root left uncovered, ascending, the root part of
+    :func:`_generating_set`.  ``seeds`` are the smallest of ``roots`` in
+    each c-orbit of :func:`_seed_orbits`, the root seeds of
+    :func:`_jacobi_seeds` when the lift is certified.  Computed from the
+    type alone, on first use.
+    """
+    level = _levels(enumerate_roots(t).coords, t.coxeter_number)[t.rank:]
+    ra, rb, rm, _ = summable_pairs(t)
+    covered = np.zeros(len(level), dtype=bool)
+    covered[rm[(level[ra] == 1) & (level[rb] < level[rm])]] = True
+    roots = np.flatnonzero((level == 1) | ~covered)
+    orbit = orbit_decomposition(t, "coxeter_bar").orbit_of[roots]
+    kept = np.isin(orbit, _seed_orbits(t))
+    first = np.unique(orbit[kept], return_index=True)[1]
+    return np.flatnonzero(level == 1), roots, np.sort(roots[kept][first])
 
 
 def _lift_certified(L: LieAlgebra) -> bool:
@@ -505,20 +572,21 @@ def _seed_orbits(t: LieType) -> np.ndarray:
 
 
 @per_type
-def _pair_permutations(t: LieType) -> tuple[np.ndarray, np.ndarray]:
-    """Two permutations of the indices of :func:`~geomlie.rootsys.summable_pairs`.
+def _pair_permutations(t: LieType) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three permutations of the indices of :func:`~geomlie.rootsys.summable_pairs`.
 
     ``cpair`` takes the pair (a, b) to (ca, cb): c preserves the pairing,
     so (ca, cb) is summable.  ``partner`` takes (a, b) to (-a, a + b),
-    whose sum is b, and is an involution.  The pairs are row-major with
-    each row sorted by partner, so the keys a |Phi| + b increase strictly
-    and one np.searchsorted finds each image.  Computed from the type
-    alone, on first use.
+    whose sum is b, and ``swap`` takes (a, b) to (b, a); both are
+    involutions.  The pairs are row-major with each row sorted by partner,
+    so the keys a |Phi| + b increase strictly and one np.searchsorted finds
+    each image.  Computed from the type alone, on first use.
     """
     ra, rb, rm, _ = summable_pairs(t)
     step, R = orbit_decomposition(t, "coxeter_bar").step, t.root_count
     key = ra * R + rb
-    return key.searchsorted(step[ra] * R + step[rb]), key.searchsorted((R - 1 - ra) * R + rm)
+    return (key.searchsorted(step[ra] * R + step[rb]), key.searchsorted((R - 1 - ra) * R + rm),
+            key.searchsorted(rb * R + ra))
 
 
 def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
@@ -526,25 +594,20 @@ def _jacobi_seeds(L: LieAlgebra) -> tuple[np.ndarray, bool]:
 
     These are the :func:`_generating_set` when :func:`_lift_certified`
     fails.  When it holds, its Cartan elements and its smallest root
-    generator in each orbit of :func:`_seed_orbits`: the elements whose ad
-    is a derivation form a phi-stable subalgebra, as ad_{phi x} = phi ad_x
-    phi^-1, so it holds the whole orbit of each seed.  The lift is certified
-    only on a table with a layout, which has one nonzero row [g_x, g_y] ->
-    g_z per summable pair x + y = z, so in closure order the subalgebra
-    holds every root vector, hence e_1..e_k and g_{-theta}, and with the
-    Cartan seeds the whole generating set.  Read on an antisymmetric table
-    only.
+    generator in each orbit of :func:`_seed_orbits`, memoized per type
+    (:func:`_graded_generators`): the elements whose ad is a derivation form
+    a phi-stable subalgebra, as ad_{phi x} = phi ad_x phi^-1, so it holds
+    the whole orbit of each seed.  The lift is certified only on a table
+    with a layout, which has one nonzero row [g_x, g_y] -> g_z per summable
+    pair x + y = z, so in closure order the subalgebra holds every root
+    vector, hence e_1..e_k and g_{-theta}, and with the Cartan seeds the
+    whole generating set.  Read on an antisymmetric table only.
     """
     seeds = _generating_set(L)
     if not _lift_certified(L):
         return seeds, False
     k = L.rank
-    roots = seeds[seeds >= k] - k
-    orbit = orbit_decomposition(L.lie_type, "coxeter_bar").orbit_of[roots]
-    kept = np.isin(orbit, _seed_orbits(L.lie_type))
-    roots, orbit = roots[kept], orbit[kept]
-    first = np.unique(orbit, return_index=True)[1]
-    return np.concatenate([seeds[seeds < k], k + np.sort(roots[first])]), True
+    return np.concatenate([seeds[seeds < k], k + _graded_generators(L.lie_type)[2]]), True
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
@@ -563,6 +626,8 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     nonzero row per summable pair, so every root vector is good.  A built
     table is then swept on one seed on A_k, E_k and odd D_k and two on even
     D_k.  Otherwise every generator is a seed (:func:`_jacobi_seeds`).
+    On a table with a layout the antisymmetry decision and the seeds are
+    read off it and the type, with no pass over the rows.
     On an antisymmetric table the derivation identity of s at (y, z) reads
     J(s, y, z) = 0, and J is alternating, so the Jacobi identity holds
     exactly when J(s, y, z) = 0 for every seed s and y < z, and each
@@ -576,8 +641,9 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     no join: a row [s, y] -> m meets the rows [m, w] -> p in a term of
     A(s, y, w), and a row [s, x] -> p the i < j rows [y, z] -> x in one of
     -[s, [y, z]].  The terms are summed per (s, y, z, p) for consecutive
-    groups of seeds of about _JACOBI_BAND_TERMS terms, counted exactly before
-    any term is made, so a triple is summed whole in the group of its s.
+    groups of seeds of about _JACOBI_BAND_TERMS terms, counted exactly
+    before any term is made, over the seeds' rows alone, so a triple is
+    summed whole in the group of its s.
     A key holds s, y, z and p in four fields of b = (n - 1).bit_length()
     bits, highest first, so it sorts as (s, y, z, p) and shifts and masks
     read the fields back.
@@ -598,8 +664,12 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     onto = np.bincount(T.m[upper], minlength=n)
     at = np.concatenate([[0], np.cumsum(onto)])  # onto e_x: by_output[at[x]:at[x + 1]]
     by_output = upper[_stable_order(T.m[upper])[1]]
+    # The rows [s, x] -> m of the seeds: those of seeds[g] are of_seeds[edge[g]:edge[g + 1]].
+    of_seeds = _ranges(first[seeds], length[seeds])
+    edge = np.append(0, np.cumsum(length[seeds]))
     # A row [s, x] -> m makes length[m] A terms and onto[x] B terms.
-    terms = np.bincount(T.i, length[T.m] + onto[T.j], n)[seeds].astype(np.int64)
+    made = np.append(0, np.cumsum(length[T.m[of_seeds]] + onto[T.j[of_seeds]]))
+    terms = made[edge[1:]] - made[edge[:-1]]
     widest = max(int(T.c.max(initial=0)), -int(T.c.min(initial=0)))
     if widest * widest * int(terms.sum()) >= 1 << 63:
         raise ValueError(f"structure constants up to {widest} in absolute value "
@@ -608,8 +678,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
     mask = (1 << bits) - 1
     checked, bad = 0, [np.zeros(0, dtype=np.int64)]
     for g0, g1 in _bands(terms, _JACOBI_BAND_TERMS):
-        group = seeds[g0:g1]
-        rows = _ranges(first[group], length[group])  # the rows [s, x] -> m
+        rows = of_seeds[edge[g0]:edge[g1]]  # the rows [s, x] -> m
         x, m = T.j[rows], T.m[rows]
         # A(s, x, w): the row [s, x] -> m meets a row [m, w] -> p, a term of
         # J(s, x, w) if x < w and of -J(s, w, x) if w < x; w = x cancels.
@@ -715,24 +784,33 @@ def check_sl2(L: LieAlgebra) -> list[Root]:
     """Roots a whose triple (e, f, h) = (g_a, g_{-a}, var(a)) breaks an sl2 law.
 
     [h, e] = 2e, [h, f] = -2f, [e, f] = -h.  As h_{-a} = -h_a, the second law
-    for a is the first for -a: two exact sums over the table decide all three,
-    [h_b, g_b] - 2 g_b and [g_a, g_{-a}] + var(a) per (root, output).
+    for a is the first for -a.  On a table with a layout
+    (:attr:`LieAlgebra._layout`) the rows [D_i, g_b] are W and the rows
+    [g_a, g_{-a}] are V, so the first law is sum_i X[b, i] W[i, b] = 2 and the
+    third V = -X.  Any other table has two exact sums over its rows decide
+    all three, [h_b, g_b] - 2 g_b and [g_a, g_{-a}] + var(a) per (root, output).
     """
     T, n, k, rs = L.table, L.dimension, L.rank, L.root_system
     X = rs.coords
     neg = np.arange(len(rs))[::-1]  # -roots[a] is roots[len - 1 - a]
-    cartan = np.flatnonzero((T.i < k) & (T.j >= k))  # the rows [D_i, g_b]
-    b = T.j[cartan] - k
-    key, total = _group_sums(
-        np.concatenate([b * n + T.m[cartan], np.arange(len(rs)) * (n + 1) + k]),
-        np.concatenate([X[b, T.i[cartan]] * T.c[cartan], np.full(len(rs), -2)]))
-    law1 = key[total != 0] // n
-    # The rows [g_a, g_{-a}].
-    pair = np.flatnonzero(T.j == np.concatenate([np.full(k, -1), k + neg])[T.i])
-    na, nm = np.nonzero(X)
-    key, total = _group_sums(np.concatenate([(T.i[pair] - k) * n + T.m[pair], na * n + nm]),
-                             np.concatenate([T.c[pair], X[na, nm]]))
-    bad = np.unique(np.concatenate([law1, neg[law1], key[total != 0] // n]))
+    layout = L._layout
+    if layout is not None:
+        law1 = np.flatnonzero((X * layout.W.T).sum(axis=1) != 2)
+        law3 = np.flatnonzero((layout.V != -X).any(axis=1))
+    else:
+        cartan = np.flatnonzero((T.i < k) & (T.j >= k))  # the rows [D_i, g_b]
+        b = T.j[cartan] - k
+        key, total = _group_sums(
+            np.concatenate([b * n + T.m[cartan], np.arange(len(rs)) * (n + 1) + k]),
+            np.concatenate([X[b, T.i[cartan]] * T.c[cartan], np.full(len(rs), -2)]))
+        law1 = key[total != 0] // n
+        # The rows [g_a, g_{-a}].
+        pair = np.flatnonzero(T.j == np.concatenate([np.full(k, -1), k + neg])[T.i])
+        na, nm = np.nonzero(X)
+        key, total = _group_sums(np.concatenate([(T.i[pair] - k) * n + T.m[pair], na * n + nm]),
+                                 np.concatenate([T.c[pair], X[na, nm]]))
+        law3 = key[total != 0] // n
+    bad = np.unique(np.concatenate([law1, neg[law1], law3]))
     return [rs.roots[r] for r in bad.tolist()]
 
 

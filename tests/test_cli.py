@@ -202,11 +202,11 @@ def _workflow_run_block(step: str) -> str:
 
 
 def test_workflow_command_line_step_passes(tmp_path):
-    # The pinned lines of the CI step: verify's record counts, the exact E8,
-    # A31, D20 and D22 Jacobi and Killing lines, and the exit-2 refusals of
-    # verify A40 and lie A32.  It runs in a temporary directory whose src is
-    # the package's, so its outputs stay out of the tree, with python this
-    # interpreter.
+    # The pinned lines of the CI step: verify's record counts, every exact
+    # lie --check line of E8, A31 and D22, the D20 Jacobi line, and the exit-2
+    # refusals of verify A40 and lie A32.  It runs in a temporary directory
+    # whose src is the package's, so its outputs stay out of the tree, with
+    # python this interpreter.
     (tmp_path / "step.sh").write_text(_workflow_run_block("Verify suite"), encoding="utf-8")
     (tmp_path / "src").symlink_to(Path(cli.__file__).resolve().parents[1])
     shim = tmp_path / "bin" / "python"

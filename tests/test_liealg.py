@@ -9,6 +9,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -379,11 +380,14 @@ def tiny_bands(monkeypatch):
 def test_jacobi_in_tiny_bands_matches_reference(label, corruption, with_coefficients, tiny_bands):
     # A triple is summed whole in the group of its s, whatever the group size.
     L = _corrupted(label, corruption, with_coefficients)
+    tiny_bands.clear()  # building the copy took a sum
     report = check_jacobi(L)
+    sums = len(tiny_bands)
     assert report.antisymmetric
     assert_reference_verdict(L, report)
-    # One sum for the antisymmetry decision, then one per swept seed at least.
-    assert len(tiny_bands) >= 1 + len(liealg._jacobi_seeds(L)[0])
+    # One sum per swept seed at least, after one for the antisymmetry
+    # decision on a table with no layout (a dropped row pair).
+    assert sums >= (L._layout is None) + len(liealg._jacobi_seeds(L)[0])
     assert report.ok == (corruption is None)
 
 
@@ -401,6 +405,25 @@ def test_zeroed_generator_row_grows_the_generating_set(with_coefficients, genera
     report = check_jacobi(Z)
     assert not report.ok
     assert_reference_verdict(Z, report)
+
+
+@pytest.mark.parametrize("label", ["A2", "D4", "E6"])
+def test_zeroed_coroot_row_of_a_generator_grows_the_generating_set(label, with_coefficients,
+                                                                   generators):
+    # [g_a1, g_{-a1}] -> -D_1 is the only row that covers D_1: the row of
+    # g_{-theta} onto the Cartan part has several terms.  Zeroed with its
+    # mirror, the rows keep their shapes, so the table keeps its layout and
+    # D_1 joins the generating set read off it.
+    L = build(make_type(label))
+    T, k = L.table, L.rank
+    simple = tuple(int(x == 0) for x in range(k))
+    a, b = (k + L.root_system.index[r] for r in (simple, tuple(-x for x in simple)))
+    row = int(np.flatnonzero((T.i == a) & (T.j == b))[0])
+    assert (T.m[row], T.c[row]) == (0, -1)
+    Z = with_coefficients(L, _paired_change(L, [row], lambda c: 0))
+    assert Z._layout is not None
+    assert liealg._generating_set(Z).tolist() == sorted([0, *generators(L)])
+    assert_reference_verdict(Z, check_jacobi(Z))
 
 
 @pytest.mark.parametrize("label", ["A3", "D4"])
@@ -785,14 +808,15 @@ def test_jacobi_overflow_guard_reads_the_exact_term_count(with_coefficients, tin
     # The guard refuses exactly when widest^2 times the number of terms
     # summed reaches 2^63, so a per-generator count off by one row shows.
     # The changed row [D_1, g_b] breaks the lift's certificate, so every
-    # generator is swept, whatever the new coefficient.
+    # generator is swept, whatever the new coefficient.  Paired with its
+    # mirror it keeps the table's layout, so antisymmetry takes no sum.
     L = build(make_type("E8"))
     row = [int(np.flatnonzero(L.table.i < L.table.j)[0])]
     changed = with_coefficients(L, _paired_change(L, row, lambda c: 3 * c))
     tiny_bands.clear()  # building the changed table took a sum too
     report = check_jacobi(changed)
-    assert not (report.ok or report.lift_certified)
-    terms = sum(tiny_bands[1:])  # the first sum is the antisymmetry decision's
+    assert not (report.ok or report.lift_certified) and changed._layout is not None
+    terms = sum(tiny_bands)  # every sum is the sweep's
     widest = math.isqrt(((1 << 63) - 1) // terms)  # the largest with widest^2 * terms < 2^63
     assert not check_jacobi(with_coefficients(L, _paired_change(L, row, lambda c: widest))).ok
     with pytest.raises(ValueError, match="overflow"):
@@ -974,23 +998,30 @@ def _sl2_rows(L) -> list[int]:
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4", "D5", "E6"])
 def test_check_sl2_matches_reference_under_corruption(label):
     # Each trial changes one coefficient, or the output index, of one row
-    # that the sl2 laws read; both paths must name the same roots.
+    # that the sl2 laws read; both paths must name the same roots.  A
+    # changed coefficient keeps the rows' shapes, so check_sl2 reads the
+    # layout; most changed outputs break a shape, so it reads the rows.
     L = build(make_type(label))
     rows = _sl2_rows(L)
     rng = random.Random(f"sl2-{label}")
-    failing = 0
+    failing, paths = 0, Counter()
     for _ in range(60):
         row = rng.choice(rows)
         c, m = L.table.c.copy(), L.table.m.copy()
-        if rng.random() < 0.5:
+        coefficient = rng.random() < 0.5
+        if coefficient:
             c[row] += rng.choice((-2, -1, 1, 2))
         else:
             m[row] = rng.choice([x for x in range(L.dimension) if x != m[row]])
         bad = _with_rows(L, L.table.i, L.table.j, m, c)
+        laid_out = bad._layout is not None
+        assert laid_out or not coefficient
+        paths[laid_out] += 1
         got = check_sl2(bad)
         assert got == reference_sl2(bad)
         failing += bool(got)
     assert failing > 30
+    assert paths[True] > 20 and paths[False] > 20, paths
 
 
 def test_slk_model_negative_control(with_coefficients):

@@ -159,19 +159,24 @@ def test_layout_is_decided_once_per_algebra(with_coefficients):
 @pytest.mark.parametrize("label", ALL_ACCEPTED_LABELS)
 def test_pair_permutations_match_a_pair_dictionary(label):
     # The oracle indexes the summable pairs by (a, b) in a dict and finds
-    # (ca, cb) and (-a, a + b) there, -a by its coordinates.
+    # (ca, cb), (-a, a + b) and (b, a) there, -a by its coordinates.
     a, b, total, _ = summable_pairs(label)
     rs = enumerate_roots(label)
     step = orbit_decomposition(label, "coxeter_bar").step.tolist()
     negative = [rs.index[tuple(-x for x in r)] for r in rs.roots]
     index = {pair: p for p, pair in enumerate(zip(a.tolist(), b.tolist()))}
-    cpair, partner = liealg._pair_permutations(label)
+    cpair, partner, swap = liealg._pair_permutations(label)
     assert cpair.tolist() == [index[step[x], step[y]] for x, y in zip(a.tolist(), b.tolist())]
     assert partner.tolist() == [index[negative[x], z] for x, z in zip(a.tolist(), total.tolist())]
+    assert swap.tolist() == [index[y, x] for x, y in zip(a.tolist(), b.tolist())]
     assert np.array_equal(total[partner], b)
-    assert np.array_equal(partner[partner], np.arange(len(a)))
-    for perm in (cpair, partner):
+    for perm in (partner, swap):
+        assert np.array_equal(perm[perm], np.arange(len(a)))
+    for perm in (cpair, partner, swap):
         assert np.array_equal(np.sort(perm), np.arange(len(a))) and not perm.flags.writeable
+    # [g_b, g_a] = -[g_a, g_b] on the built table: N(b, a) = -N(a, b).
+    v = build(label)._layout.v
+    assert np.array_equal(v[swap], -v)
 
 
 @pytest.mark.parametrize("label", ["A2", "D4", "E6"])
@@ -410,6 +415,45 @@ def test_check_antisymmetry_matches_the_summed_definition(case):
 def test_built_tables_are_antisymmetric():
     for label in ALL_ACCEPTED_LABELS:
         assert not check_antisymmetry(build(label)), label
+
+
+def test_built_tables_decide_antisymmetry_without_sorting(monkeypatch):
+    # Every built table has a layout, so its three comparisons decide it and
+    # the packed sort of its rows never runs.
+    tables = [build(label) for label in ALL_ACCEPTED_LABELS]
+
+    def refuse(key, values):
+        raise AssertionError("check_antisymmetry sorted a built table's rows")
+
+    monkeypatch.setattr(liealg, "_group_sums", refuse)
+    for L in tables:
+        assert L._layout is not None and check_antisymmetry(L) == [], L.lie_type.label
+
+
+@pytest.mark.parametrize("label", ["A2", "D4", "D5", "E6"])
+@pytest.mark.parametrize("rule", ["W", "V", "v"])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["alone", "with-mirror"])
+def test_laid_out_antisymmetry_matches_the_summed_definition(label, rule, mirrored,
+                                                             with_coefficients):
+    # One entry of W ([D_i, g_b] -> g_b), V ([g_a, g_{-a}] -> D_d) or v
+    # ([g_a, g_b] -> g_{a+b}) tripled, alone or with its mirror (j, i, m)
+    # set to match: the rows keep their shapes, so the table keeps its
+    # layout and the comparisons decide, and they must name the pairs the
+    # definition names.
+    L = build(label)
+    T, k = L.table, L.rank
+    rows = np.flatnonzero({"W": T.i < k, "V": (T.i >= k) & (T.m < k),
+                           "v": (T.i >= k) & (T.j >= k) & (T.m >= k)}[rule])
+    row = int(rows[len(rows) // 2])
+    c = T.c.copy()
+    c[row] *= 3
+    if mirrored:
+        c[(T.i == T.j[row]) & (T.j == T.i[row]) & (T.m == T.m[row])] = -c[row]
+    C = with_coefficients(L, c)
+    assert C._layout is not None
+    got = check_antisymmetry(C)
+    assert got == _antisymmetry_defects(_columns(C.table))
+    assert got == ([] if mirrored else [(min(T.i[row], T.j[row]), max(T.i[row], T.j[row]))])
 
 
 def closure_dimension(L, seeds: list[int]) -> int:
